@@ -7,7 +7,10 @@ alone.  Usage::
 
 Without tracing, ops run for SECONDS.  With tracing, the first half of the
 time runs untraced ops and the second half traced ones, so the tracing
-overhead is measured in the same process on the same inputs.
+overhead is measured in the same process on the same inputs.  Set-up samples
+(fresh interpreters, see ``workloads.setup_sample``) are taken between the
+untraced ops, spread evenly over their time, so that a slow phase of the
+host weighs on set-up and op times alike.
 """
 
 from __future__ import annotations
@@ -23,12 +26,17 @@ from pathlib import Path
 
 import workloads as wl
 
+SETUP_SAMPLES = 9
 
-def _ops(workload, paths, seed, scratch, budget, reference, around=contextlib.nullcontext):
+
+def _ops(workload, paths, seed, scratch, budget, reference,
+         around=contextlib.nullcontext, setup=None):
     """Run ops for ``budget`` seconds (at least two ops), starting another op
     only while the median op still fits; an op fails on an exception, a
     failed embedded check, or outputs that differ from the first op of the
-    same seed."""
+    same seed.  When ``setup`` is a list, set-up samples are appended to it
+    after each op, keeping pace with the elapsed share of ``budget``, until it
+    holds ``SETUP_SAMPLES``."""
     results = []
     failed = 0
     start = time.perf_counter()
@@ -50,8 +58,16 @@ def _ops(workload, paths, seed, scratch, budget, reference, around=contextlib.nu
                   file=sys.stderr)
             failed += 1
         elif not op.passed:
+            if not failed:
+                print(f"op {len(results)}: " + "; ".join(op.failures), file=sys.stderr)
             failed += 1
         results.append(op)
+        if setup is not None:
+            due = SETUP_SAMPLES * min(1.0, (time.perf_counter() - start) / budget)
+            while len(setup) < due:
+                setup.append(wl.setup_sample(workload, paths, seed))
+    while setup is not None and len(setup) < SETUP_SAMPLES:
+        setup.append(wl.setup_sample(workload, paths, seed))
     return results, failed
 
 
@@ -64,14 +80,17 @@ def main(argv):
     paths = wl.config_paths(workload, workspace)
 
     reference = {}
+    setup = []
     untraced, failed = _ops(
-        workload, paths, seed, workspace, seconds / 2 if trace else seconds, reference
+        workload, paths, seed, workspace, seconds / 2 if trace else seconds, reference,
+        setup=setup,
     )
     done = [op for op in untraced if op is not None]
     wall = statistics.median(op.wall_s for op in done) if done else None
     result = {
         "attempted": len(untraced),
         "failed": failed,
+        "setup_s": statistics.median(setup),
         "wall_s": wall,
         "op_wall_s": [op.wall_s for op in done],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

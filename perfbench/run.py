@@ -3,25 +3,22 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
     python3 perfbench/run.py --workload all --seed 1 --seconds 10 --trace 0
 
-Run from the repository root; the package is imported from ``src``.  For each
-workload it measures set-up time (fresh interpreters importing ``adagibbs``
-and parsing the workload's configs), then starts the workload in its own
-process (``measure.py``), prints every metric by name with its unit and ends
-with one JSON result line.  ``--trace 1`` reports the per-layer metrics of a
-traced run instead of the end-to-end ones.
+Run from the repository root; the package is imported from ``src``.  Each
+workload runs in its own process (``measure.py``), which times its ops and
+its set-up.  This prints every metric by name with its unit and ends with
+one JSON result line per workload.  ``--trace 1`` reports the per-layer
+metrics of a traced run instead of the end-to-end ones.  The exit code is 0
+only when every result is correct.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import workloads as wl
@@ -66,59 +63,20 @@ PER_LAYER = {
     "tracing_overhead_s": "s",
 }
 
-SETUP_SAMPLES = 3
-SETUP_CODE = """
-import json, sys, time
-import adagibbs.cli
-from adagibbs.experiments import ExperimentConfig
-for argv in json.loads(sys.argv[1]):
-    adagibbs.cli.build_parser().parse_args(argv)
-    ExperimentConfig.from_file(argv[2])
-print(time.monotonic())
-"""
-
 
 class BenchmarkError(RuntimeError):
     pass
-
-
-def _env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(wl.SRC)
-    return env
-
-
-def measure_setup(workload, paths, seed):
-    """Median time from starting an interpreter to having ``adagibbs``
-    imported and the workload's command lines and configs parsed."""
-    argvs = [
-        [sub, "--config", str(path), "--seed", str(seed), "--check"]
-        for (sub, _), path in zip(workload.calls, paths)
-    ]
-    samples = []
-    for _ in range(SETUP_SAMPLES):
-        t0 = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-c", SETUP_CODE, json.dumps(argvs)],
-            cwd=wl.ROOT, env=_env(), capture_output=True, text=True, timeout=120,
-        )
-        if proc.returncode != 0:
-            raise BenchmarkError(f"set-up interpreter failed:\n{proc.stderr}")
-        samples.append(float(proc.stdout.split()[-1]) - t0)
-    return statistics.median(samples)
 
 
 def run_workload(workload, seed, seconds, trace):
     wl.OUT_DIR.mkdir(exist_ok=True)
     workspace = tempfile.mkdtemp(prefix=f"run-{workload.name}-", dir=wl.OUT_DIR)
     try:
-        paths = wl.write_configs(workload, Path(workspace))
-        setup_s = measure_setup(workload, paths, seed)
+        wl.write_configs(workload, Path(workspace))
         proc = subprocess.run(
             [sys.executable, str(wl.BENCH_DIR / "measure.py"), workload.name,
              str(seed), str(seconds), "1" if trace else "0", workspace],
-            cwd=wl.ROOT, env=_env(), capture_output=True, text=True,
-            timeout=seconds + 150,
+            cwd=wl.ROOT, capture_output=True, text=True, timeout=seconds + 150,
         )
         sys.stderr.write(proc.stderr)
         if proc.returncode != 0 or not proc.stdout.strip():
@@ -126,7 +84,6 @@ def run_workload(workload, seed, seconds, trace):
         child = json.loads(proc.stdout.strip().splitlines()[-1])
     finally:
         shutil.rmtree(workspace, ignore_errors=True)
-    child["setup_s"] = setup_s
     return child
 
 
@@ -170,19 +127,23 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.seconds < 1:
         parser.error("--seconds must be at least 1")
-    if not (wl.SRC / "adagibbs" / "__init__.py").is_file():
-        print(f"error: no adagibbs sources under {wl.SRC}", file=sys.stderr)
+    try:
+        wl.use_checkout_source()
+    except (FileNotFoundError, ImportError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     names = list(known) if args.workload == "all" else [args.workload]
+    all_correct = True
     try:
         for name in names:
             child = run_workload(known[name], args.seed, args.seconds, args.trace)
             result = report(known[name], args.seed, child, args.trace)
             print(json.dumps(result), flush=True)
+            all_correct = all_correct and result["correct"]
     except (BenchmarkError, subprocess.TimeoutExpired, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return 0 if all_correct else 1
 
 
 if __name__ == "__main__":

@@ -112,6 +112,35 @@ def test_fails_without_program_sources(tmp_path):
     assert proc.stdout == ""
 
 
+def _child(failed=0, gaps=()):
+    """A measuring process's result as ``run.run_workload`` returns it."""
+    return {
+        "attempted": 2, "failed": failed, "machine": {}, "setup_s": 0.5,
+        "wall_s": 1.0, "op_wall_s": [1.0, 1.0], "peak_rss_mb": 50.0,
+        "layers": {name: 1.0 for name in run.PER_LAYER},
+        "completeness": {"zero_but_expected_work": list(gaps), "work_but_expected_zero": []},
+        "trace_file": "trace.json",
+    }
+
+
+@pytest.mark.parametrize(
+    "child, trace, code",
+    [
+        (_child(), 0, 0),
+        (_child(), 1, 0),
+        (_child(failed=1), 0, 1),
+        (_child(gaps=["samplers.steps"]), 1, 1),
+    ],
+    ids=["correct", "correct-traced", "failed-op", "failed-completeness"],
+)
+def test_exit_code_follows_correctness(monkeypatch, capsys, child, trace, code):
+    monkeypatch.setattr(run, "run_workload", lambda *args: child)
+    argv = ["--workload", "exact-oracle", "--seed", "1", "--seconds", "1", "--trace", str(trace)]
+    assert run.main(argv) == code
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert result["correct"] is (code == 0)
+
+
 @pytest.mark.parametrize("name", ["ladder-escape", "mwg-optimal-scan", "exact-oracle"])
 def test_completeness_expectations_are_disjoint_and_known(name):
     workload = wl.workloads()[name]

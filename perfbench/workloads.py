@@ -16,6 +16,7 @@ import json
 import math
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -68,8 +69,8 @@ MWG_CONFIG = {
     "scales": [1.0, 2.0, 4.0, 8.0, 16.0],
     "a": [1.0, 1.0, 1.0, 1.0, 1.0],
     "epsilon": 0.02,
-    "n_batches": 6000,
-    "window_batches": 300,
+    "n_batches": 2000,
+    "window_batches": 100,
     "weight_tolerance": 0.05,
     "acceptance_band": [0.34, 0.54],
     "eval_steps": 100_000,
@@ -247,14 +248,51 @@ def use_checkout_source():
     return adagibbs
 
 
+# Run by a fresh interpreter: argv[1] is the benchmark directory, argv[2] the
+# workload's command lines.  Imports and parses as the CLI does.
+SETUP_CODE = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+import workloads
+workloads.use_checkout_source()
+import adagibbs.cli
+from adagibbs.experiments import ExperimentConfig
+for argv in json.loads(sys.argv[2]):
+    adagibbs.cli.build_parser().parse_args(argv)
+    ExperimentConfig.from_file(argv[2])
+print(time.monotonic())
+"""
+
+
+def setup_sample(workload: Workload, paths: list, seed: int) -> float:
+    """Time from starting an interpreter to having ``adagibbs`` imported and
+    the workload's command lines and configs parsed."""
+    argvs = [
+        [sub, "--config", str(path), "--seed", str(seed), "--check"]
+        for (sub, _), path in zip(workload.calls, paths)
+    ]
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", SETUP_CODE, str(BENCH_DIR), json.dumps(argvs)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"set-up interpreter exited {proc.returncode}:\n{proc.stderr}")
+    return float(proc.stdout.split()[-1]) - t0
+
+
 @dataclass
 class OpResult:
     wall_s: float
-    passed: bool
+    failures: list  # why CLI calls exited nonzero: their FAIL lines
     digest: str
     files: int
     bytes: int
     summaries: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def run_op(workload: Workload, paths: list, seed: int, scratch: Path) -> OpResult:
@@ -265,7 +303,7 @@ def run_op(workload: Workload, paths: list, seed: int, scratch: Path) -> OpResul
     out = Path(tempfile.mkdtemp(prefix="op-", dir=scratch))
     try:
         wall = 0.0
-        passed = True
+        failures = []
         summaries = []
         for k, ((sub, _), path) in enumerate(zip(workload.calls, paths)):
             argv = [sub, "--config", str(path), "--seed", str(seed),
@@ -275,12 +313,14 @@ def run_op(workload: Workload, paths: list, seed: int, scratch: Path) -> OpResul
             with contextlib.redirect_stdout(buf):
                 rc = adagibbs.cli.main(argv)
             wall += time.perf_counter() - t0
-            passed = passed and rc == 0
-            summaries.append(json.loads(buf.getvalue().splitlines()[0]))
+            lines = buf.getvalue().splitlines()
+            summaries.append(json.loads(lines[0]))
+            if rc != 0:
+                failures += [ln for ln in lines if ln.startswith("FAIL ")] or [f"{sub} exited {rc}"]
         digest, files, nbytes = hash_outputs(out)
     finally:
         shutil.rmtree(out, ignore_errors=True)
-    return OpResult(wall, passed, digest, files, nbytes, summaries)
+    return OpResult(wall, failures, digest, files, nbytes, summaries)
 
 
 def hash_outputs(out: Path):
