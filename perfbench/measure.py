@@ -30,18 +30,18 @@ SETUP_SAMPLES = 9
 
 
 def _ops(workload, paths, seed, scratch, budget, reference,
-         around=contextlib.nullcontext, setup=None):
-    """Run ops for ``budget`` seconds (at least two ops), starting another op
-    only while the median op still fits; an op fails on an exception, a
-    failed embedded check, or outputs that differ from the first op of the
-    same seed.  When ``setup`` is a list, set-up samples are appended to it
+         around=contextlib.nullcontext, setup=None, min_ops=2):
+    """Run ops for ``budget`` seconds (at least ``min_ops`` ops), starting
+    another op only while the median op still fits; an op fails on an
+    exception, a failed embedded check, or outputs that differ from the first
+    op of the same seed.  When ``setup`` is a list, set-up samples are appended to it
     after each op, keeping pace with the elapsed share of ``budget``, until it
     holds ``SETUP_SAMPLES``."""
     results = []
     failed = 0
     start = time.perf_counter()
     spent = []
-    while len(results) < 2 or time.perf_counter() - start + statistics.median(spent) <= budget:
+    while len(results) < min_ops or time.perf_counter() - start + statistics.median(spent) <= budget:
         t0 = time.perf_counter()
         try:
             with around():
@@ -81,9 +81,11 @@ def main(argv):
 
     reference = {}
     setup = []
+    # A traced run compares its untraced and traced ops, so one of each is
+    # enough; a traced op of mwg-optimal-scan takes about 30 s.
     untraced, failed = _ops(
         workload, paths, seed, workspace, seconds / 2 if trace else seconds, reference,
-        setup=setup,
+        setup=setup, min_ops=1 if trace else 2,
     )
     done = [op for op in untraced if op is not None]
     wall = statistics.median(op.wall_s for op in done) if done else None
@@ -130,7 +132,8 @@ def _traced(workload, paths, seed, workspace, budget, reference, untraced_wall):
             per_op.append((calls, extra, tracer.spans[n_spans:]))
 
     try:
-        ops, failed = _ops(workload, paths, seed, workspace, budget, reference, traced_op)
+        ops, failed = _ops(workload, paths, seed, workspace, budget, reference, traced_op,
+                           min_ops=1)
     finally:
         tracer.uninstall()
 

@@ -146,3 +146,21 @@ def test_completeness_expectations_are_disjoint_and_known(name):
     workload = wl.workloads()[name]
     assert not workload.acts & workload.idle
     assert workload.acts | workload.idle <= set(run.PER_LAYER)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: the shipped optimal-scan checks fail by chance on a few seeds, "
+    "which is why the mwg-optimal-scan workload does not run the shipped target",
+)
+def test_shipped_optimal_scan_acceptance_check_holds_on_seed_94():
+    from adagibbs.experiments import ExperimentConfig, optimal_scan_experiment
+
+    shipped = json.loads((wl.ROOT / "configs" / "optimal_scan.json").read_text())
+    # The evaluation arms are shortened; the acceptance check does not read them.
+    params = {k: v for k, v in shipped.items() if k not in ("kind", "seed", "out")}
+    config = ExperimentConfig.from_dict(
+        {"kind": "optimal-scan", "seed": 94, "params": {**params, "eval_steps": 3_000}}
+    )
+    result = optimal_scan_experiment(config)
+    assert result.checks["acceptance_targeted"]["passed"], result.checks["acceptance_targeted"]

@@ -64,16 +64,24 @@ def _ladder_config():
     }
 
 
+# The checks and their tolerances are the shipped ones; the target and the
+# run lengths are not.  On the shipped scales 1..16 the checks fail by chance
+# on about 3% of seeds (the last coordinate gets about 160 proposals in the
+# check window), which a benchmark run on many seeds would report as failed
+# ops.  Scales 1..5 give every coordinate at least 8.8% of the steps, 8000
+# batches halve the per-batch adaptation step at the window, and 4e5
+# evaluation steps, twice the shipped length, halve the variance of the
+# variance-ratio estimate, which alone failed a seed at the shipped length.
 MWG_CONFIG = {
     "kind": "optimal-scan",
-    "scales": [1.0, 2.0, 4.0, 8.0, 16.0],
+    "scales": [1.0, 2.0, 3.0, 4.0, 5.0],
     "a": [1.0, 1.0, 1.0, 1.0, 1.0],
     "epsilon": 0.02,
-    "n_batches": 2000,
+    "n_batches": 8000,
     "window_batches": 100,
     "weight_tolerance": 0.05,
     "acceptance_band": [0.34, 0.54],
-    "eval_steps": 100_000,
+    "eval_steps": 400_000,
     "eval_burn_in": 2_000,
     "variance_ratio_slack": 1.25,
 }
