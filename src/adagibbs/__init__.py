@@ -43,11 +43,10 @@ from .samplers import (
     Trajectory,
     adap_rs_adap_mwg_run,
     adap_rsg_run,
-    adap_rsmwg_run,
     derive_seed,
     gaussian_random_walk_family,
+    keep_previous,
     read_trajectory_csv,
-    rsg_run,
     write_trajectory_csv,
 )
 from .ladder import (

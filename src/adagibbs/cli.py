@@ -106,7 +106,7 @@ def main(argv=None) -> int:
         return 2
     config = config.with_overrides(seed=args.seed, out=args.out)
     try:
-        manifest, result = run_experiment(config, out_dir=args.out, check=args.check)
+        manifest, result = run_experiment(config, out_dir=args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

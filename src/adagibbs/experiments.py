@@ -4,13 +4,11 @@ Every experiment the CLI can run lives here as a pure function taking a
 validated :class:`ExperimentConfig` and returning rows, a summary and a
 pass/fail verdict; :func:`run_experiment` adds the filesystem side (CSV
 outputs plus a manifest recording the canonical config digest and seed).
-Identical config and seed produce byte-identical data files regardless of
-worker count.
+Identical config and seed produce byte-identical data files.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import datetime
 import hashlib
@@ -43,7 +41,7 @@ from .ladder import (
     transience_experiment,
     truncated_ladder_evolution,
 )
-from .samplers import adap_rsmwg_run, gaussian_random_walk_family
+from .samplers import adap_rs_adap_mwg_run, gaussian_random_walk_family, keep_previous
 from .targets import ContinuousProductTarget, FiniteProductTarget, raised_cosine
 from .variance import (
     ReversibleChain,
@@ -102,6 +100,9 @@ PARAM_SPECS: dict = {
         "final_threshold": (*_POSITIVE_INT, 500),
         "control_threshold": (*_POSITIVE_INT, 50),
         "min_successes": (*_POSITIVE_INT, 16),
+        # Accepted and validated so existing configs (and their digests) keep
+        # working; replicates run serially, so it changes neither results nor
+        # speed.
         "workers": (*_POSITIVE_INT, 1),
         "trace_stride": (*_POSITIVE_INT, 100),
         "emit_traces": (bool, lambda v: True, True),
@@ -480,8 +481,8 @@ def counterexample_experiment(
         def hook(arm, run, heights):
             trace_sink(arm, run, heights[::stride], stride)
 
-    summary = _run_transience(
-        p["n_steps"], p["n_runs"], config.seed, p["workers"], hook
+    summary = transience_experiment(
+        p["n_steps"], p["n_runs"], config.seed, trace_hook=hook
     )
     rows = []
     for arm, records in (("adaptive", summary.adaptive), ("control", summary.control)):
@@ -515,53 +516,6 @@ def counterexample_experiment(
         f"(need {p['min_successes']})",
     )
     return result
-
-
-def _run_transience(n_steps, n_runs, seed, workers, hook):
-    if workers <= 1:
-        return transience_experiment(n_steps, n_runs, seed, trace_hook=hook)
-
-    # Replicates carry derived seeds, so distribution over workers cannot
-    # change any result; traces are surfaced in index order afterwards.
-    from .ladder import (
-        LadderTarget,
-        RunRecord,
-        TransienceSummary,
-        ladder_epsilon,
-        ladder_update_rule,
-        last_half_slope,
-    )
-    from .samplers import adap_rsg_run, derive_seed, rsg_run
-
-    target = LadderTarget()
-    alpha0 = SelectionWeights((0.5, 0.5), ladder_epsilon())
-    control_alpha = SelectionWeights((0.5, 0.5), 0.5)
-
-    def rule(n, alpha_prev, x_prev, scratch):
-        return ladder_update_rule(x_prev, n)
-
-    def one(job):
-        arm, run = job
-        if arm == "adaptive":
-            run_seed = derive_seed(seed, run)
-            traj = adap_rsg_run(target, rule, (1, 1), alpha0, n_steps, run_seed)
-        else:
-            run_seed = derive_seed(seed, n_runs + run)
-            traj = rsg_run(target, control_alpha, (1, 1), n_steps, run_seed)
-        heights = traj.coordinate_trace(0)
-        record = RunRecord(run_seed, int(heights[-1]), last_half_slope(heights))
-        return (arm, run, record, heights if hook is not None else None)
-
-    jobs = [("adaptive", r) for r in range(n_runs)] + [("control", r) for r in range(n_runs)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(one, jobs))
-    adaptive = [None] * n_runs
-    control = [None] * n_runs
-    for arm, run, record, heights in outcomes:
-        (adaptive if arm == "adaptive" else control)[run] = record
-        if hook is not None:
-            hook(arm, run, heights)
-    return TransienceSummary(tuple(adaptive), tuple(control), n_steps, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +631,6 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the acceptance-targeting doubly adaptive sampler and verify that
     the weights land on the square-root rule and that it pays off in
     asymptotic variance."""
-    from .samplers import adap_rs_adap_mwg_run
-
     p = config.params
     scales = p["scales"]
     a = p["a"]
@@ -814,14 +766,14 @@ def _variance_ratio(
         ("adaptive", adapted_alpha, seed ^ 0x5CA1AB1E),
         ("uniform", uniform_alpha, seed ^ 0x0DDBA11),
     ):
-        rule = _constant_rule(alpha)
-        traj = adap_rsmwg_run(
+        traj = adap_rs_adap_mwg_run(
             target.conditional_density,
             proposals,
-            gamma,
-            rule,
+            keep_previous,
+            keep_previous,
             x0,
             alpha,
+            gamma,
             eval_steps,
             arm_seed,
         )
@@ -832,13 +784,6 @@ def _variance_ratio(
         stats[f"tau_{label}"] = tau
         stats[f"var_{label}"] = var
     return sigmas["adaptive"] / sigmas["uniform"], stats
-
-
-def _constant_rule(alpha: SelectionWeights):
-    def rule(n, alpha_prev, x_prev, scratch):
-        return alpha
-
-    return rule
 
 
 EXPERIMENT_FUNCTIONS = {
@@ -894,13 +839,10 @@ def emit_plot_data(trace_file, columns, out_path):
     return out_path
 
 
-def run_experiment(
-    config: ExperimentConfig, out_dir: Optional[str] = None, check: bool = False
-):
+def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None):
     """Execute one experiment and persist tables, summary and manifest.
 
-    Returns ``(manifest, result)``; when ``check`` is set the caller maps
-    ``result.passed`` onto the exit status.
+    Returns ``(manifest, result)``.
     """
     digest = config.digest()
     out = out_dir or config.out or os.path.join("runs", f"{config.kind}-{digest[:8]}")

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .kernels import single_coordinate_kernel, target_distribution
-from .samplers import adap_rsg_run, derive_seed, rsg_run
+from .samplers import adap_rsg_run, derive_seed, keep_previous
 from .targets import FiniteProductTarget
 from .weights import SelectionWeights
 
@@ -130,7 +130,7 @@ def ladder_update_rule(x, n: int, schedule: Optional[Schedule] = None) -> Select
         w = (0.5 + tilt, 0.5 - tilt)
     else:
         w = (0.5 - tilt, 0.5 + tilt)
-    return SelectionWeights(w, 0.5 - 4.0 / schedule_a(1, schedule))
+    return SelectionWeights(w, ladder_epsilon(schedule))
 
 
 def ladder_conditionals(x):
@@ -392,7 +392,7 @@ def transience_experiment(
         )
     for r in range(n_runs):
         seed = derive_seed(base_seed, n_runs + r)
-        traj = rsg_run(target, control_alpha, (1, 1), n_steps, seed)
+        traj = adap_rsg_run(target, keep_previous, (1, 1), control_alpha, n_steps, seed)
         heights = traj.coordinate_trace(0)
         if trace_hook is not None:
             trace_hook("control", r, heights)
@@ -429,6 +429,27 @@ class TruncatedLadderEvolution:
         return self.horizon is not None
 
 
+def _law_step(target: FiniteProductTarget) -> Callable:
+    """One-step push-forward ``step(v, a_n)`` of the adaptive chain law on an
+    enumerated ladder.
+
+    The weights enter each row affinely through the tilt ``4 / a_n``, so the
+    step kernel is ``K_half + (4 / a_n) * B`` for two fixed matrices: the
+    half-half Gibbs kernel and the signed coordinate-kernel difference.  Each
+    step costs two mat-vecs.
+    """
+    p1 = single_coordinate_kernel(target, 0).matrix
+    p2 = single_coordinate_kernel(target, 1).matrix
+    k_half = 0.5 * (p1 + p2)
+    sign = np.asarray([1.0 if x[0] == x[1] else -1.0 for x in target.states])
+    bias = sign[:, np.newaxis] * (p1 - p2)
+
+    def step(v, a):
+        return v @ k_half + (4.0 / a) * (v @ bias)
+
+    return step
+
+
 def truncated_ladder_evolution(
     truncation: int,
     a_of_n: Callable[[int], float],
@@ -438,20 +459,12 @@ def truncated_ladder_evolution(
 ) -> TruncatedLadderEvolution:
     """Exact evolution of the adaptive chain law on the truncated ladder.
 
-    The weights enter each row affinely through the tilt ``4 / a_n``, so the
-    step kernel is ``K_half + (4 / a_n) * B`` for two fixed matrices: the
-    half-half Gibbs kernel and the signed coordinate-kernel difference.  The
-    law is pushed forward with two mat-vecs per step until the total
+    The law is pushed forward (see :func:`_law_step`) until the total
     variation distance to the target drops below ``tv_target`` (the horizon)
     or ``max_steps`` is hit.
     """
     target = truncated_ladder_target(truncation)
-    p1 = single_coordinate_kernel(target, 0).matrix
-    p2 = single_coordinate_kernel(target, 1).matrix
-    k_half = 0.5 * (p1 + p2)
-    sign = np.asarray([1.0 if x[0] == x[1] else -1.0 for x in target.states])
-    bias = sign[:, np.newaxis] * (p1 - p2)
-
+    step = _law_step(target)
     pi = target.probabilities()
     v = np.zeros(len(target.states))
     v[target.states.index(tuple(start))] = 1.0
@@ -460,8 +473,7 @@ def truncated_ladder_evolution(
     tv[0] = 0.5 * np.abs(v - pi).sum()
     horizon = None
     for n in range(1, max_steps + 1):
-        tilt = 4.0 / a_of_n(n)
-        v = v @ k_half + tilt * (v @ bias)
+        v = step(v, a_of_n(n))
         tv[n] = 0.5 * np.abs(v - pi).sum()
         if tv[n] < tv_target:
             horizon = n
@@ -502,16 +514,11 @@ def unbounded_ladder_law(
     sched = a_of_n if a_of_n is not None else (_DEFAULT_SCHEDULE).a
     truncation = int(max(start)) + n_steps + 1
     target = truncated_ladder_target(truncation)
-    p1 = single_coordinate_kernel(target, 0).matrix
-    p2 = single_coordinate_kernel(target, 1).matrix
-    k_half = 0.5 * (p1 + p2)
-    sign = np.asarray([1.0 if x[0] == x[1] else -1.0 for x in target.states])
-    bias = sign[:, np.newaxis] * (p1 - p2)
+    step = _law_step(target)
     v = np.zeros(len(target.states))
     v[target.states.index(tuple(start))] = 1.0
     for n in range(1, n_steps + 1):
-        tilt = 4.0 / sched(n)
-        v = v @ k_half + tilt * (v @ bias)
+        v = step(v, sched(n))
 
     # unbounded target: mass j**-2 on both (j, j) and (j+1, j)
     total = 2.0 * (math.pi**2 / 6.0)

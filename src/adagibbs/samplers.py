@@ -1,12 +1,14 @@
 """Seeded Monte Carlo loops for random scan Gibbs and Metropolis-within-Gibbs.
 
-Four run functions cover the non-adaptive sampler, weight adaptation, weight
-adaptation around Metropolis coordinate updates, and the doubly adaptive
-variant that also tunes the proposals.  All runs are driven by a Philox
-counter-based generator keyed by a 64-bit seed, so identical inputs produce
-bit-identical trajectories; replicate seeds come from
-:func:`derive_seed`, a splitmix-style mix of the base seed and the replicate
-index, so parallel replicates never share a stream.
+Two run functions cover every sampler: :func:`adap_rsg_run` (random scan
+Gibbs with adaptive weights) and :func:`adap_rs_adap_mwg_run` (random scan
+Metropolis-within-Gibbs with adaptive weights and proposals).  The
+non-adaptive special cases are these loops driven by :func:`keep_previous`:
+fixed weights RSG(alpha) as the weight rule, fixed proposals as the proposal
+rule.  All runs are driven by a Philox counter-based generator keyed by a
+64-bit seed, so identical inputs produce bit-identical trajectories;
+replicate seeds come from :func:`derive_seed`, a splitmix-style mix of the
+base seed and the replicate index, so replicates never share a stream.
 
 RNG consumption contracts (relied on by the straight-line oracles in the
 tests): exact-conditional runs pre-draw ``2 * n_steps`` uniforms, consuming
@@ -52,7 +54,8 @@ class Trajectory:
     ``states`` has ``n_steps + 1`` entries (the initial state first);
     ``coordinates`` (0-based), ``accepted``, and ``alphas`` have one entry per
     step.  ``gammas`` tracks per-coordinate proposal parameters for the
-    doubly adaptive runs and is ``None`` otherwise.
+    Metropolis-within-Gibbs runs (fixed or adapted) and is ``None`` for the
+    exact-conditional Gibbs runs.
     """
 
     states: tuple
@@ -140,28 +143,15 @@ def _coerce_weights(out, epsilon: float) -> SelectionWeights:
     return make_selection_weights(values, epsilon)
 
 
-def rsg_run(target, alpha: SelectionWeights, x0, n_steps: int, seed: int) -> Trajectory:
-    """Random scan Gibbs sampler with fixed selection weights.
+def keep_previous(n, prev, x_prev, scratch):
+    """Update rule that never adapts: hands back the value it was given.
 
-    Each step draws a coordinate by inverse CDF on the cumulative weights and
-    redraws it from its exact conditional under the target.
+    As the weight rule it turns :func:`adap_rsg_run` into the fixed-weight
+    sampler RSG(alpha0); as the proposal rule it fixes the proposals of
+    :func:`adap_rs_adap_mwg_run`.  The loops recognise their own object coming
+    back and skip re-coercing and re-validating it.
     """
-    x = _check_initial_state(target, x0)
-    rng = generator(seed)
-    u = rng.random(2 * n_steps)
-    cum_alpha = alpha.cumulative()
-    states = [x]
-    coords = []
-    for n in range(n_steps):
-        i = bisect_right(cum_alpha, u[2 * n])
-        values, cum = target.conditional_cdf(i, x)
-        y = values[bisect_right(cum, u[2 * n + 1])] if len(values) > 1 else values[0]
-        if y != x[i]:
-            x = x[:i] + (y,) + x[i + 1:]
-        states.append(x)
-        coords.append(i)
-    alphas = (alpha.weights,) * n_steps
-    return Trajectory(tuple(states), tuple(coords), (True,) * n_steps, alphas, seed)
+    return prev
 
 
 def adap_rsg_run(
@@ -178,20 +168,26 @@ def adap_rsg_run(
     scratch)`` (coerced into the floored simplex), choose the coordinate from
     ``alpha_n``, redraw it from its exact conditional, record the new state.
     ``scratch`` is a per-run dict in which history-dependent rules may keep
-    their own accumulated statistics.
+    their own accumulated statistics.  A rule that returns ``alpha_prev``
+    itself (such as :func:`keep_previous`) costs no coercion: the weights are
+    an immutable :class:`SelectionWeights`, so its cumulative sums carry over.
     """
     x = _check_initial_state(target, x0)
     rng = generator(seed)
     u = rng.random(2 * n_steps)
     alpha = alpha0
     epsilon = alpha0.epsilon
+    cum_alpha = alpha0.cumulative()
     scratch: dict = {}
     states = [x]
     coords = []
     alphas = []
     for n in range(1, n_steps + 1):
-        alpha = _coerce_weights(rule(n, alpha, x, scratch), epsilon)
-        i = bisect_right(alpha.cumulative(), u[2 * n - 2])
+        out = rule(n, alpha, x, scratch)
+        if out is not alpha:
+            alpha = _coerce_weights(out, epsilon)
+            cum_alpha = alpha.cumulative()
+        i = bisect_right(cum_alpha, u[2 * n - 2])
         values, cum = target.conditional_cdf(i, x)
         y = values[bisect_right(cum, u[2 * n - 1])] if len(values) > 1 else values[0]
         if y != x[i]:
@@ -225,51 +221,6 @@ def _metropolis_coordinate_step(
     return xi, False
 
 
-def adap_rsmwg_run(
-    conditional_density: Callable,
-    proposals: ProposalFamily,
-    gamma: Sequence[float],
-    rule: Callable,
-    x0,
-    alpha0: SelectionWeights,
-    n_steps: int,
-    seed: int,
-) -> Trajectory:
-    """Adaptive random scan Metropolis-within-Gibbs with fixed proposals.
-
-    ``conditional_density(i, x, y)`` evaluates the target conditional of
-    coordinate ``i`` at value ``y`` up to normalisation (the acceptance ratio
-    only needs unnormalised values).  Rejected steps repeat the state and are
-    recorded with ``accepted=False``.
-    """
-    x = tuple(x0)
-    rng = generator(seed)
-    gamma = tuple(float(g) for g in gamma)
-    proposals.check_gamma(gamma)
-    alpha = alpha0
-    epsilon = alpha0.epsilon
-    scratch: dict = {}
-    states = [x]
-    coords = []
-    accepted = []
-    alphas = []
-    for n in range(1, n_steps + 1):
-        alpha = _coerce_weights(rule(n, alpha, x, scratch), epsilon)
-        i = bisect_right(alpha.cumulative(), rng.random())
-        y, ok = _metropolis_coordinate_step(
-            rng, conditional_density, proposals, x, i, gamma[i]
-        )
-        if ok and y != x[i]:
-            x = x[:i] + (y,) + x[i + 1:]
-        states.append(x)
-        coords.append(i)
-        accepted.append(ok)
-        alphas.append(alpha.weights)
-    return Trajectory(
-        tuple(states), tuple(coords), tuple(accepted), tuple(alphas), seed
-    )
-
-
 def adap_rs_adap_mwg_run(
     conditional_density: Callable,
     proposals: ProposalFamily,
@@ -290,6 +241,14 @@ def adap_rs_adap_mwg_run(
     given, ``observer(n, x, i, accepted)`` is invoked once with
     ``(0, x0, None, None)`` before the loop and again after every step;
     adaptation rules use it to accumulate statistics.
+
+    ``conditional_density(i, x, y)`` evaluates the target conditional of
+    coordinate ``i`` at value ``y`` up to normalisation (the acceptance ratio
+    only needs unnormalised values).  Rejected steps repeat the state and are
+    recorded with ``accepted=False``.  As in :func:`adap_rsg_run`, a rule that
+    returns the object it was given (``alpha_prev``, or the tuple
+    ``gamma_prev`` the loop built) is taken as is; any other return value is
+    coerced and validated.
     """
     x = tuple(x0)
     rng = generator(seed)
@@ -297,6 +256,7 @@ def adap_rs_adap_mwg_run(
     proposals.check_gamma(gamma_prev)
     alpha = alpha0
     epsilon = alpha0.epsilon
+    cum_alpha = alpha0.cumulative()
     scratch: dict = {}
     states = [x]
     coords = []
@@ -306,10 +266,15 @@ def adap_rs_adap_mwg_run(
     if observer is not None:
         observer(0, x, None, None)
     for n in range(1, n_steps + 1):
-        alpha = _coerce_weights(weight_rule(n, alpha, x, scratch), epsilon)
-        gamma_n = tuple(float(g) for g in proposal_rule(n, gamma_prev, x, scratch))
-        proposals.check_gamma(gamma_n)
-        i = bisect_right(alpha.cumulative(), rng.random())
+        out = weight_rule(n, alpha, x, scratch)
+        if out is not alpha:
+            alpha = _coerce_weights(out, epsilon)
+            cum_alpha = alpha.cumulative()
+        gamma_n = proposal_rule(n, gamma_prev, x, scratch)
+        if gamma_n is not gamma_prev:
+            gamma_n = tuple(float(g) for g in gamma_n)
+            proposals.check_gamma(gamma_n)
+        i = bisect_right(cum_alpha, rng.random())
         y, ok = _metropolis_coordinate_step(
             rng, conditional_density, proposals, x, i, gamma_prev[i]
         )
@@ -338,8 +303,8 @@ def write_trajectory_csv(trajectory: Trajectory, path):
 
     Row 0 carries the initial state with coordinate 0 and accepted 1 as
     placeholders; real steps use 1-based coordinate labels to match the
-    ``x_i`` / ``alpha_i`` column names.  Doubly adaptive runs append
-    ``gamma_1..gamma_d`` columns.
+    ``x_i`` / ``alpha_i`` column names.  Metropolis-within-Gibbs runs append
+    ``gamma_1..gamma_d`` columns (constant ones when the proposals are fixed).
     """
     d = trajectory.d
     with_gamma = trajectory.gammas is not None

@@ -11,7 +11,7 @@ from adagibbs.experiments import (
     emit_plot_data,
     run_experiment,
 )
-from adagibbs.samplers import rsg_run, write_trajectory_csv
+from adagibbs.samplers import adap_rsg_run, keep_previous, write_trajectory_csv
 from adagibbs.targets import FiniteProductTarget
 from adagibbs.weights import make_selection_weights
 
@@ -190,7 +190,7 @@ def test_cli_seed_override_changes_digest(tmp_path, capsys):
 def test_cli_trajectory_analysis(tmp_path, capsys):
     target = FiniteProductTarget(((0, 1), (0, 1, 2)), mass=lambda x: 1.0 + x[0] + x[1])
     alpha = make_selection_weights((0.5, 0.5), 0.1)
-    traj = rsg_run(target, alpha, (0, 0), 5_000, seed=77)
+    traj = adap_rsg_run(target, keep_previous, (0, 0), alpha, 5_000, seed=77)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     assert cli_main(["variance", "--trajectory", str(path)]) == 0

@@ -11,17 +11,29 @@ from adagibbs.samplers import (
     Trajectory,
     adap_rs_adap_mwg_run,
     adap_rsg_run,
-    adap_rsmwg_run,
     derive_seed,
     gaussian_random_walk_family,
     generator,
+    keep_previous,
     read_trajectory_csv,
-    rsg_run,
     write_trajectory_csv,
 )
 from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget, raised_cosine
 from adagibbs.variance import ReversibleChain, spectral_asymptotic_variance
 from adagibbs.weights import SelectionWeights, make_selection_weights
+
+
+def rsg_run(target, alpha, x0, n_steps, seed):
+    """The fixed-weight sampler RSG(alpha)."""
+    return adap_rsg_run(target, keep_previous, x0, alpha, n_steps, seed)
+
+
+def mwg_run(conditional_density, proposals, gamma, alpha, x0, n_steps, seed):
+    """Random scan Metropolis-within-Gibbs with fixed weights and proposals."""
+    return adap_rs_adap_mwg_run(
+        conditional_density, proposals, keep_previous, keep_previous,
+        x0, alpha, gamma, n_steps, seed,
+    )
 
 
 def small_target():
@@ -117,17 +129,42 @@ def test_rsg_transition_frequencies_chi_square():
     assert p_value > 1e-3
 
 
-def test_adaptive_constant_rule_matches_plain_run():
+def test_fresh_equal_weights_match_keep_previous():
+    """A rule handing back new but equal weights goes through coercion every
+    step and must land on the trajectory the identity skip produces."""
     target = small_target()
     alpha = make_selection_weights((0.4, 0.6), 0.1)
 
-    def rule(n, alpha_prev, x_prev, scratch):
-        return alpha
+    def fresh(n, alpha_prev, x_prev, scratch):
+        return SelectionWeights(alpha.weights, alpha.epsilon)
 
-    t_adap = adap_rsg_run(target, rule, (0, 0), alpha, 2_000, seed=5)
-    t_plain = rsg_run(target, alpha, (0, 0), 2_000, seed=5)
-    assert t_adap.states == t_plain.states
-    assert t_adap.coordinates == t_plain.coordinates
+    t_fresh = adap_rsg_run(target, fresh, (0, 0), alpha, 2_000, seed=5)
+    t_kept = rsg_run(target, alpha, (0, 0), 2_000, seed=5)
+    assert t_fresh.states == t_kept.states
+    assert t_fresh.coordinates == t_kept.coordinates
+    assert t_fresh.alphas == t_kept.alphas == (alpha.weights,) * 2_000
+
+
+def test_mutated_weight_list_is_honoured_every_step():
+    """A rule that rewrites one list in place and returns it on every step
+    must have each step's values used, never a cached first value."""
+    target = small_target()
+    alpha0 = make_selection_weights((0.5, 0.5), 0.1)
+    shared = [0.5, 0.5]
+
+    def mutating(n, alpha_prev, x_prev, scratch):
+        shared[:] = (0.2, 0.8) if n % 2 else (0.7, 0.3)
+        return shared
+
+    traj = adap_rsg_run(target, mutating, (0, 0), alpha0, 200, seed=6)
+    assert traj.alphas == tuple(
+        (0.2, 0.8) if n % 2 else (0.7, 0.3) for n in range(1, 201)
+    )
+    u = generator(6).random(400)
+    expected = tuple(
+        0 if u[2 * n - 2] < (0.2 if n % 2 else 0.7) else 1 for n in range(1, 201)
+    )
+    assert traj.coordinates == expected
 
 
 def test_adaptive_rule_nonfinite_output_rejected():
@@ -204,22 +241,14 @@ def test_ladder_weight_history_change_bound():
         assert gap <= 8.0 * abs(1.0 / a_now - 1.0 / a_prev) + 16.0 / a_now + 1e-15
 
 
-def constant_rule(alpha):
-    def rule(n, alpha_prev, x_prev, scratch):
-        return alpha
-
-    return rule
-
-
 def test_mwg_degenerate_proposal_never_moves():
     target = ContinuousProductTarget((1.0, 1.0), raised_cosine, (-1.0, 1.0))
     stay = ProposalFamily(
         sample=lambda rng, i, x, g: x, density=lambda i, x, y, g: 1.0
     )
     alpha = SelectionWeights((0.5, 0.5), 0.25)
-    traj = adap_rsmwg_run(
-        target.conditional_density, stay, (1.0, 1.0), constant_rule(alpha),
-        (0.1, -0.2), alpha, 200, seed=3,
+    traj = mwg_run(
+        target.conditional_density, stay, (1.0, 1.0), alpha, (0.1, -0.2), 200, seed=3
     )
     assert set(traj.states) == {(0.1, -0.2)}
 
@@ -230,10 +259,7 @@ def test_mwg_zero_density_at_current_state_rejected():
 
     alpha = SelectionWeights((1.0,), 1.0)
     with pytest.raises(ValueError):
-        adap_rsmwg_run(
-            density, gaussian_random_walk_family(), (1.0,), constant_rule(alpha),
-            (0.0,), alpha, 5, seed=1,
-        )
+        mwg_run(density, gaussian_random_walk_family(), (1.0,), alpha, (0.0,), 5, seed=1)
 
 
 def test_mwg_symmetric_proposal_equals_q_free_oracle():
@@ -245,10 +271,7 @@ def test_mwg_symmetric_proposal_equals_q_free_oracle():
     gamma = (0.5, 0.1)
     n_steps = 2_000
     seed = 4242
-    traj = adap_rsmwg_run(
-        target.conditional_density, family, gamma, constant_rule(alpha),
-        (0.0, 0.0), alpha, n_steps, seed,
-    )
+    traj = mwg_run(target.conditional_density, family, gamma, alpha, (0.0, 0.0), n_steps, seed)
 
     rng = generator(seed)
     x = (0.0, 0.0)
@@ -300,33 +323,61 @@ def test_mwg_empirical_law_matches_exact_kernel_oracle():
         return target.mass(state)
 
     family = discrete_proposal_family(target, matrices)
-    traj = adap_rsmwg_run(
-        conditional_density, family, (1.0, 1.0), constant_rule(alpha),
-        (0, 0), alpha, 1_000_000, seed=777,
-    )
+    traj = mwg_run(conditional_density, family, (1.0, 1.0), alpha, (0, 0), 1_000_000, seed=777)
     occupation_within_three_se(traj, kernel, pi)
 
 
-def test_doubly_adaptive_with_constant_rules_matches_single_adaptive():
+def test_fresh_equal_parameters_match_keep_previous():
+    """Rules handing back new but equal weights and gamma tuples are coerced
+    and validated every step and must reproduce the identity-skip run."""
     target = ContinuousProductTarget((1.0, 2.0), raised_cosine, (-1.0, 1.0))
     family = gaussian_random_walk_family()
     alpha = SelectionWeights((0.5, 0.5), 0.25)
     gamma = (0.3, 0.2)
 
-    def gamma_rule(n, gamma_prev, x_prev, scratch):
-        return gamma
+    def fresh_alpha(n, alpha_prev, x_prev, scratch):
+        return SelectionWeights(alpha.weights, alpha.epsilon)
 
-    t_double = adap_rs_adap_mwg_run(
-        target.conditional_density, family, constant_rule(alpha), gamma_rule,
+    def fresh_gamma(n, gamma_prev, x_prev, scratch):
+        return tuple(gamma)
+
+    t_fresh = adap_rs_adap_mwg_run(
+        target.conditional_density, family, fresh_alpha, fresh_gamma,
         (0.0, 0.0), alpha, gamma, 1_000, seed=11,
     )
-    t_single = adap_rsmwg_run(
-        target.conditional_density, family, gamma, constant_rule(alpha),
-        (0.0, 0.0), alpha, 1_000, seed=11,
+    t_kept = mwg_run(target.conditional_density, family, gamma, alpha, (0.0, 0.0), 1_000, seed=11)
+    assert t_fresh.states == t_kept.states
+    assert t_fresh.accepted == t_kept.accepted
+    assert t_fresh.gammas == t_kept.gammas == (gamma,) * 1_000
+
+
+def test_mutated_gamma_list_is_honoured_every_step():
+    """A proposal rule that rewrites one list in place and returns it on
+    every step must have each step's values recorded, validated and used."""
+    target = ContinuousProductTarget((1.0, 2.0), raised_cosine, (-1.0, 1.0))
+    family = gaussian_random_walk_family()
+    alpha = SelectionWeights((0.5, 0.5), 0.25)
+    shared = [0.3, 0.2]
+
+    def mutating(n, gamma_prev, x_prev, scratch):
+        shared[:] = (0.1 * n, 0.2)
+        return shared
+
+    traj = adap_rs_adap_mwg_run(
+        target.conditional_density, family, keep_previous, mutating,
+        (0.0, 0.0), alpha, (0.3, 0.2), 300, seed=12,
     )
-    assert t_double.states == t_single.states
-    assert t_double.accepted == t_single.accepted
-    assert t_double.gammas == (gamma,) * 1_000
+    assert traj.gammas == tuple((0.1 * n, 0.2) for n in range(1, 301))
+
+    def turns_bad(n, gamma_prev, x_prev, scratch):
+        shared[:] = (0.3, 0.2) if n < 50 else (0.3, -1.0)
+        return shared
+
+    with pytest.raises(ValueError):
+        adap_rs_adap_mwg_run(
+            target.conditional_density, family, keep_previous, turns_bad,
+            (0.0, 0.0), alpha, (0.3, 0.2), 100, seed=12,
+        )
 
 
 def test_doubly_adaptive_rejects_bad_gamma():
@@ -339,7 +390,7 @@ def test_doubly_adaptive_rejects_bad_gamma():
 
     with pytest.raises(ValueError):
         adap_rs_adap_mwg_run(
-            target.conditional_density, family, constant_rule(alpha), gamma_rule,
+            target.conditional_density, family, keep_previous, gamma_rule,
             (0.0,), alpha, (1.0,), 5, seed=1,
         )
 
