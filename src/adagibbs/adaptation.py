@@ -212,10 +212,10 @@ class ComponentwiseAdaptation:
             )
         self.batch_log: list = []
 
-    def weight_rule(self, n, alpha_prev, x_prev, scratch) -> SelectionWeights:
+    def weight_rule(self, n, alpha_prev, x_prev) -> SelectionWeights:
         return self.state.weights
 
-    def proposal_rule(self, n, gamma_prev, x_prev, scratch) -> tuple:
+    def proposal_rule(self, n, gamma_prev, x_prev) -> tuple:
         return tuple(float(v) for v in self.state.proposal_variances)
 
     def observer(self, n, x, i, accepted):

@@ -14,9 +14,10 @@ import datetime
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -66,15 +67,31 @@ EXPERIMENT_KINDS = (
     "geometric-gap",
 )
 
+
+def _strict_int(v) -> int:
+    """An integer from a config: JSON integers and integral floats (``1e5``),
+    never booleans, strings or fractional floats."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise TypeError(f"expected an integer, got {type(v).__name__}")
+    return int(v)
+
+
+def _strict_bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError(f"expected true or false, got {type(v).__name__}")
+    return v
+
+
 # Per-kind parameter schemas: name -> (caster, predicate, default).
-_POSITIVE_INT = (int, lambda v: v >= 1)
-_SEED_LIKE = (int, lambda v: v >= 0)
+_POSITIVE_INT = (_strict_int, lambda v: v >= 1)
 _UNIT_OPEN = (float, lambda v: 0.0 < v < 1.0)
 
 PARAM_SPECS: dict = {
     "lazy-variance": {
         "n_chains": (*_POSITIVE_INT, 100),
-        "max_states": (int, lambda v: 2 <= v <= 32, 8),
+        "max_states": (_strict_int, lambda v: 2 <= v <= 32, 8),
         "deltas": (
             lambda v: tuple(float(x) for x in v),
             lambda v: all(0.0 < x <= 1.0 for x in v),
@@ -105,10 +122,10 @@ PARAM_SPECS: dict = {
         # speed.
         "workers": (*_POSITIVE_INT, 1),
         "trace_stride": (*_POSITIVE_INT, 100),
-        "emit_traces": (bool, lambda v: True, True),
+        "emit_traces": (_strict_bool, lambda v: True, True),
     },
     "truncated-ladder": {
-        "truncation": (int, lambda v: v >= 2, 20),
+        "truncation": (_strict_int, lambda v: v >= 2, 20),
         "tv_target": (float, lambda v: 0.0 < v < 1.0, 1e-3),
         "max_steps": (*_POSITIVE_INT, 200_000),
         "schedule": (str, lambda v: v in ("linear", "block"), "linear"),
@@ -155,7 +172,7 @@ PARAM_SPECS: dict = {
             (0.34, 0.54),
         ),
         "eval_steps": (*_POSITIVE_INT, 200_000),
-        "eval_burn_in": (int, lambda v: v >= 0, 2_000),
+        "eval_burn_in": (_strict_int, lambda v: v >= 0, 2_000),
         "variance_ratio_slack": (float, lambda v: v >= 1.0, 1.25),
     },
 }
@@ -177,7 +194,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed: must be a nonnegative integer, got {self.seed!r}")
         spec = PARAM_SPECS[self.kind]
         cleaned = {}
@@ -469,21 +486,31 @@ def bounds_experiment(config: ExperimentConfig) -> ExperimentResult:
 # counterexample
 
 
-def counterexample_experiment(
-    config: ExperimentConfig, trace_sink: Optional[Callable] = None
-) -> ExperimentResult:
-    """Transience of the adaptive ladder against its fixed-weight control."""
+def counterexample_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Transience of the adaptive ladder against its fixed-weight control.
+
+    With ``emit_traces`` every replicate's height trace, taken every
+    ``trace_stride`` steps, becomes a table ``trace_{arm}_{run:02d}``
+    (``step,x_1``), and ``plot_adaptive_run0`` repeats the first adaptive one
+    as the plot file of the runaway chain.
+    """
     p = config.params
+    traces = {}
     hook = None
-    if trace_sink is not None and p["emit_traces"]:
+    if p["emit_traces"]:
         stride = p["trace_stride"]
 
         def hook(arm, run, heights):
-            trace_sink(arm, run, heights[::stride], stride)
+            traces[f"trace_{arm}_{run:02d}"] = (
+                ["step", "x_1"],
+                [[k * stride, float(h)] for k, h in enumerate(heights[::stride])],
+            )
 
     summary = transience_experiment(
         p["n_steps"], p["n_runs"], config.seed, trace_hook=hook
     )
+    if "trace_adaptive_00" in traces:
+        traces["plot_adaptive_run0"] = traces["trace_adaptive_00"]
     rows = []
     for arm, records in (("adaptive", summary.adaptive), ("control", summary.control)):
         for run, rec in enumerate(records):
@@ -499,7 +526,10 @@ def counterexample_experiment(
             "final_threshold": p["final_threshold"],
             "control_threshold": p["control_threshold"],
         },
-        tables={"runs": (["arm", "run", "seed", "final_height", "last_half_slope"], rows)},
+        tables={
+            "runs": (["arm", "run", "seed", "final_height", "last_half_slope"], rows),
+            **traces,
+        },
     )
     _record_check(
         result,
@@ -646,7 +676,8 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     alpha0 = SelectionWeights((1.0 / d,) * d, epsilon)
     gamma0 = tuple(float(v) for v in adaptation.state.proposal_variances)
 
-    trajectory = adap_rs_adap_mwg_run(
+    # Only the final state is used: the run's history is released at once.
+    x_eval = adap_rs_adap_mwg_run(
         target.conditional_density,
         proposals,
         adaptation.weight_rule,
@@ -657,7 +688,7 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
         n_steps,
         config.seed,
         observer=adaptation.observer,
-    )
+    ).states[-1]
 
     ideal = make_selection_weights([1.0 / c for c in scales], epsilon)
     window = adaptation.batch_log[-p["window_batches"]:]
@@ -685,7 +716,6 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     final_weights = adaptation.state.weights
     final_gamma = tuple(float(v) for v in adaptation.state.proposal_variances)
     uniform_alpha = SelectionWeights((1.0 / d,) * d, epsilon)
-    x_eval = trajectory.states[-1]
     ratio, arm_stats = _variance_ratio(
         target,
         proposals,
@@ -766,18 +796,21 @@ def _variance_ratio(
         ("adaptive", adapted_alpha, seed ^ 0x5CA1AB1E),
         ("uniform", uniform_alpha, seed ^ 0x0DDBA11),
     ):
-        traj = adap_rs_adap_mwg_run(
-            target.conditional_density,
-            proposals,
-            keep_previous,
-            keep_previous,
-            x0,
-            alpha,
-            gamma,
-            eval_steps,
-            arm_seed,
+        # Only the observable trace outlives this statement, so one arm's
+        # history is released before the next arm runs.
+        trace = target.observable_trace(
+            adap_rs_adap_mwg_run(
+                target.conditional_density,
+                proposals,
+                keep_previous,
+                keep_previous,
+                x0,
+                alpha,
+                gamma,
+                eval_steps,
+                arm_seed,
+            ).states[burn_in:]
         )
-        trace = target.observable_trace(traj.states[burn_in:])
         tau = iact_estimate(trace)
         var = float(np.var(trace))
         sigmas[label] = tau * var
@@ -814,31 +847,6 @@ def _cell(v):
     return v
 
 
-def emit_plot_data(trace_file, columns, out_path):
-    """Extract two named columns from a CSV into a two-column plot file."""
-    if len(columns) != 2:
-        raise ValueError(f"need exactly two columns, got {columns!r}")
-    with open(trace_file, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"trace file {trace_file} is empty")
-        try:
-            idx = [header.index(c) for c in columns]
-        except ValueError as exc:
-            raise ValueError(
-                f"trace file {trace_file} lacks a requested column: {exc}"
-            ) from exc
-        rows = [[row[idx[0]], row[idx[1]]] for row in reader]
-    if not rows:
-        raise ValueError(f"trace file {trace_file} holds no data rows")
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(columns))
-        writer.writerows(rows)
-    return out_path
-
-
 def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None):
     """Execute one experiment and persist tables, summary and manifest.
 
@@ -848,28 +856,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None):
     out = out_dir or config.out or os.path.join("runs", f"{config.kind}-{digest[:8]}")
     os.makedirs(out, exist_ok=True)
     outputs = []
-
-    if config.kind == "counterexample":
-        trace_paths = {}
-
-        def trace_sink(arm, run, heights, stride):
-            path = os.path.join(out, f"trace_{arm}_{run:02d}.csv")
-            _write_table(
-                path,
-                ["step", "x_1"],
-                [[k * stride, float(h)] for k, h in enumerate(heights)],
-            )
-            trace_paths[(arm, run)] = path
-            outputs.append(os.path.basename(path))
-
-        result = counterexample_experiment(config, trace_sink=trace_sink)
-        if ("adaptive", 0) in trace_paths:
-            plot_path = os.path.join(out, "plot_adaptive_run0.csv")
-            emit_plot_data(trace_paths[("adaptive", 0)], ("step", "x_1"), plot_path)
-            outputs.append(os.path.basename(plot_path))
-    else:
-        result = EXPERIMENT_FUNCTIONS[config.kind](config)
-
+    result = EXPERIMENT_FUNCTIONS[config.kind](config)
     for name, (header, rows) in result.tables.items():
         path = os.path.join(out, f"{name}.csv")
         _write_table(path, header, rows)

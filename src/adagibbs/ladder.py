@@ -12,9 +12,10 @@ Everything computable around that construction lives here: the block
 schedule, the two-point conditionals, the exact one-step increment law of
 ``X_1 + X_2 - 2``, the dominating three-point walk with its stochastic-order
 certificate, the Hoeffding tail budget showing the escape event has positive
-probability, and seeded transience experiments (with a fixed-weight control
-arm).  A truncated variant of the space is ergodic again; the exact chain-law
-evolution for that case is also provided.
+probability, and seeded transience experiments (the adaptive arm's sampler
+rule is ``rule(n, alpha_prev, x_prev) = ladder_update_rule(x_prev, n)``,
+against a fixed-weight control arm).  A truncated variant of the space is
+ergodic again; the exact chain-law evolution for that case is also provided.
 """
 
 from __future__ import annotations
@@ -65,11 +66,9 @@ class Schedule:
     binary search over the memoised boundaries.
     """
 
-    def __init__(self, b1: float = 1000.0):
-        if b1 <= 0:
-            raise ValueError(f"first block length must be positive, got {b1}")
-        self._b = [0.0, float(b1)]
-        self._c = [0.0, float(b1)]
+    def __init__(self):
+        self._b = [0.0, 1000.0]
+        self._c = [0.0, 1000.0]
 
     def _extend_to_block(self, k: int):
         while len(self._b) <= k:
@@ -105,18 +104,18 @@ class Schedule:
 _DEFAULT_SCHEDULE = Schedule()
 
 
-def schedule_a(n: int, schedule: Optional[Schedule] = None) -> float:
+def schedule_a(n: int) -> float:
     """Tuning value a_n for step ``n`` under the block schedule."""
-    return (_DEFAULT_SCHEDULE if schedule is None else schedule).a(n)
+    return _DEFAULT_SCHEDULE.a(n)
 
 
-def ladder_epsilon(schedule: Optional[Schedule] = None) -> float:
+def ladder_epsilon() -> float:
     """Weight floor valid for the whole run: the first block has the
     smallest tuning value, hence the most lopsided weights."""
-    return 0.5 - 4.0 / schedule_a(1, schedule)
+    return 0.5 - 4.0 / schedule_a(1)
 
 
-def ladder_update_rule(x, n: int, schedule: Optional[Schedule] = None) -> SelectionWeights:
+def ladder_update_rule(x, n: int) -> SelectionWeights:
     """Weight rule of the counter-example.
 
     Returns ``(1/2 + 4/a_n, 1/2 - 4/a_n)`` on diagonal states (i = j) and the
@@ -124,13 +123,13 @@ def ladder_update_rule(x, n: int, schedule: Optional[Schedule] = None) -> Select
     schedule keeps ``a_n > 8``.
     """
     i, j = _ij(x)
-    a = schedule_a(n, schedule)
+    a = schedule_a(n)
     tilt = 4.0 / a
     if i == j:
         w = (0.5 + tilt, 0.5 - tilt)
     else:
         w = (0.5 - tilt, 0.5 + tilt)
-    return SelectionWeights(w, ladder_epsilon(schedule))
+    return SelectionWeights(w, ladder_epsilon())
 
 
 def ladder_conditionals(x):
@@ -141,14 +140,8 @@ def ladder_conditionals(x):
     the law of the second coordinate given ``i`` (masses proportional to
     ``(i**2, (i-1)**2)`` on ``(i-1, i)``; a point mass at 1 when ``i = 1``).
     """
-    i, j = _ij(x)
-    first = ((j, j + 1), (0.5, 0.5))
-    if i == 1:
-        second = ((1,), (1.0,))
-    else:
-        denom = float(i * i + (i - 1) * (i - 1))
-        second = ((i - 1, i), (i * i / denom, (i - 1) * (i - 1) / denom))
-    return first, second
+    target = LadderTarget()
+    return target.conditional(0, x), target.conditional(1, x)
 
 
 class LadderTarget:
@@ -207,7 +200,7 @@ def truncated_ladder_target(truncation: int) -> FiniteProductTarget:
     )
 
 
-def ladder_step_law(x, n: int, schedule: Optional[Schedule] = None) -> dict:
+def ladder_step_law(x, n: int) -> dict:
     """Exact one-step law of the increment of ``X_1 + X_2 - 2``.
 
     Composed from the weight rule and the conditionals exactly as the
@@ -215,7 +208,7 @@ def ladder_step_law(x, n: int, schedule: Optional[Schedule] = None) -> dict:
     rung where the naive closed form would assign mass to a missing state.
     """
     i, j = _ij(x)
-    alpha = ladder_update_rule((i, j), n, schedule).weights
+    alpha = ladder_update_rule((i, j), n).weights
     (first_vals, first_probs), (second_vals, second_probs) = ladder_conditionals((i, j))
     law = {-1: 0.0, 0: 0.0, 1: 0.0}
     for v, p in zip(first_vals, first_probs):
@@ -225,17 +218,17 @@ def ladder_step_law(x, n: int, schedule: Optional[Schedule] = None) -> dict:
     return law
 
 
-def dominating_walk_law(n: int, schedule: Optional[Schedule] = None) -> dict:
+def dominating_walk_law(n: int) -> dict:
     """Three-point increment law of the comparison walk.
 
     ``{1/4 - 1/a_n, 1/2, 1/4 + 1/a_n}`` on {-1, 0, +1}; its mean is
     ``2 / a_n``, the drift the ladder inherits once it is high enough.
     """
-    a = schedule_a(n, schedule)
+    a = schedule_a(n)
     return {-1: 0.25 - 1.0 / a, 0: 0.5, 1: 0.25 + 1.0 / a}
 
 
-def ladder_increment_floor(i: int, n: int, schedule: Optional[Schedule] = None) -> dict:
+def ladder_increment_floor(i: int, n: int) -> dict:
     """Three-point law dominated by the ladder increment at height ``i``.
 
     The down mass is inflated by ``(1 + 2/i)`` and the up mass deflated by
@@ -244,7 +237,7 @@ def ladder_increment_floor(i: int, n: int, schedule: Optional[Schedule] = None) 
     """
     if i < 1:
         raise ValueError(f"height must be >= 1, got {i}")
-    a = schedule_a(n, schedule)
+    a = schedule_a(n)
     down = (0.25 - 2.0 / a) * (1.0 + 2.0 / i)
     up = (0.25 + 2.0 / a) * (1.0 - 2.0 / max(4, i))
     return {-1: down, 0: 1.0 - down - up, 1: up}
@@ -265,15 +258,13 @@ def stochastically_dominates(law_hi: dict, law_lo: dict, tol: float = _DOMINANCE
     return cdf_hi <= cdf_lo + tol
 
 
-def dominance_holds(i: int, n: int, schedule: Optional[Schedule] = None) -> bool:
+def dominance_holds(i: int, n: int) -> bool:
     """Whether the floor law at height ``i`` dominates the comparison walk.
 
     Decided by direct CDF comparison; it coincides with the analytic
     criterion ``2 i - 8 >= a_n`` (checked property-wise in the tests).
     """
-    return stochastically_dominates(
-        ladder_increment_floor(i, n, schedule), dominating_walk_law(n, schedule)
-    )
+    return stochastically_dominates(ladder_increment_floor(i, n), dominating_walk_law(n))
 
 
 def hoeffding_tail(n_terms: int, t: float) -> float:
@@ -298,9 +289,7 @@ class FailureBudget:
     product: float
 
 
-def failure_probability_budget(
-    n_max: int, schedule: Optional[Schedule] = None
-) -> FailureBudget:
+def failure_probability_budget(n_max: int) -> FailureBudget:
     """Hoeffding failure budget over the first ``n_max`` blocks.
 
     Block ``k`` fails with probability at most
@@ -309,10 +298,10 @@ def failure_probability_budget(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    sched = _DEFAULT_SCHEDULE if schedule is None else schedule
     log_p = np.empty(n_max)
     for k in range(1, n_max + 1):
-        log_p[k - 1] = -0.5 * sched.block_length(k) / (10.0 + math.log(k)) ** 2
+        b_k = _DEFAULT_SCHEDULE.block_length(k)
+        log_p[k - 1] = -0.5 * b_k / (10.0 + math.log(k)) ** 2
     p = np.exp(log_p)
     survival = math.fsum(math.log1p(-v) for v in p[1:] if v > 0.0)
     return FailureBudget(p=p, log_p=log_p, product=math.exp(survival))
@@ -344,12 +333,8 @@ class TransienceSummary:
     n_steps: int
     base_seed: int
 
-    def adaptive_escapes(self, height: int, require_positive_slope: bool = True) -> int:
-        return sum(
-            1
-            for r in self.adaptive
-            if r.final_height > height and (not require_positive_slope or r.slope > 0.0)
-        )
+    def adaptive_escapes(self, height: int) -> int:
+        return sum(1 for r in self.adaptive if r.final_height > height and r.slope > 0.0)
 
     def control_contained(self, height: int) -> int:
         return sum(1 for r in self.control if r.final_height <= height)
@@ -359,7 +344,6 @@ def transience_experiment(
     n_steps: int,
     n_runs: int,
     base_seed: int,
-    schedule: Optional[Schedule] = None,
     trace_hook: Optional[Callable] = None,
 ) -> TransienceSummary:
     """Escape experiment: adaptive ladder runs against a fixed-weight control.
@@ -368,38 +352,31 @@ def transience_experiment(
     the control arm fixes the weights at (1/2, 1/2), which is positive
     recurrent.  Per run the final height ``X_{n,1}`` and the last-half slope
     of its trace are recorded; ``trace_hook(arm, run_index, trace)`` sees each
-    height trace before it is discarded (used for emitting plot data).
+    height trace before it is discarded (the counterexample experiment keeps
+    strided copies as output tables).
     """
     target = LadderTarget()
-    sched = _DEFAULT_SCHEDULE if schedule is None else schedule
-    eps = ladder_epsilon(sched)
-    alpha0 = SelectionWeights((0.5, 0.5), eps)
-    control_alpha = SelectionWeights((0.5, 0.5), 0.5)
 
-    def rule(n, alpha_prev, x_prev, scratch):
-        return ladder_update_rule(x_prev, n, sched)
+    def rule(n, alpha_prev, x_prev):
+        return ladder_update_rule(x_prev, n)
 
-    adaptive = []
-    control = []
-    for r in range(n_runs):
-        seed = derive_seed(base_seed, r)
-        traj = adap_rsg_run(target, rule, (1, 1), alpha0, n_steps, seed)
-        heights = traj.coordinate_trace(0)
-        if trace_hook is not None:
-            trace_hook("adaptive", r, heights)
-        adaptive.append(
-            RunRecord(seed, int(heights[-1]), last_half_slope(heights))
-        )
-    for r in range(n_runs):
-        seed = derive_seed(base_seed, n_runs + r)
-        traj = adap_rsg_run(target, keep_previous, (1, 1), control_alpha, n_steps, seed)
-        heights = traj.coordinate_trace(0)
-        if trace_hook is not None:
-            trace_hook("control", r, heights)
-        control.append(
-            RunRecord(seed, int(heights[-1]), last_half_slope(heights))
-        )
-    return TransienceSummary(tuple(adaptive), tuple(control), n_steps, base_seed)
+    arms = (
+        ("adaptive", rule, SelectionWeights((0.5, 0.5), ladder_epsilon()), 0),
+        ("control", keep_previous, SelectionWeights((0.5, 0.5), 0.5), n_runs),
+    )
+    records = {}
+    for arm, arm_rule, alpha0, offset in arms:
+        runs = []
+        for r in range(n_runs):
+            seed = derive_seed(base_seed, offset + r)
+            heights = adap_rsg_run(
+                target, arm_rule, (1, 1), alpha0, n_steps, seed
+            ).coordinate_trace(0)
+            if trace_hook is not None:
+                trace_hook(arm, r, heights)
+            runs.append(RunRecord(seed, int(heights[-1]), last_half_slope(heights)))
+        records[arm] = tuple(runs)
+    return TransienceSummary(records["adaptive"], records["control"], n_steps, base_seed)
 
 
 def linear_schedule(offset: float = 10.0, slope: float = 5.0) -> Callable[[int], float]:

@@ -2,13 +2,16 @@
 
 Two run functions cover every sampler: :func:`adap_rsg_run` (random scan
 Gibbs with adaptive weights) and :func:`adap_rs_adap_mwg_run` (random scan
-Metropolis-within-Gibbs with adaptive weights and proposals).  The
-non-adaptive special cases are these loops driven by :func:`keep_previous`:
-fixed weights RSG(alpha) as the weight rule, fixed proposals as the proposal
-rule.  All runs are driven by a Philox counter-based generator keyed by a
-64-bit seed, so identical inputs produce bit-identical trajectories;
-replicate seeds come from :func:`derive_seed`, a splitmix-style mix of the
-base seed and the replicate index, so replicates never share a stream.
+Metropolis-within-Gibbs with adaptive weights and proposals).  Update rules
+are called once per step as ``rule(n, prev, x_prev)`` and return the step's
+weights (or proposal parameters); a rule that needs history keeps it on
+itself.  The non-adaptive special cases are these loops driven by
+:func:`keep_previous`: fixed weights RSG(alpha) as the weight rule, fixed
+proposals as the proposal rule.  All runs are driven by a Philox
+counter-based generator keyed by a 64-bit seed, so identical inputs produce
+bit-identical trajectories; replicate seeds come from :func:`derive_seed`, a
+splitmix-style mix of the base seed and the replicate index, so replicates
+never share a stream.
 
 RNG consumption contracts (relied on by the straight-line oracles in the
 tests): exact-conditional runs pre-draw ``2 * n_steps`` uniforms, consuming
@@ -132,6 +135,11 @@ def _check_initial_state(target, x0) -> tuple:
     return x0
 
 
+def _check_n_steps(n_steps: int):
+    if n_steps < 1:
+        raise ValueError(f"need at least one step, got n_steps={n_steps!r}")
+
+
 def _coerce_weights(out, epsilon: float) -> SelectionWeights:
     """Force a rule's output into the floored simplex."""
     if isinstance(out, SelectionWeights) and out.epsilon == epsilon:
@@ -143,8 +151,9 @@ def _coerce_weights(out, epsilon: float) -> SelectionWeights:
     return make_selection_weights(values, epsilon)
 
 
-def keep_previous(n, prev, x_prev, scratch):
-    """Update rule that never adapts: hands back the value it was given.
+def keep_previous(n, prev, x_prev):
+    """Update rule that never adapts: ``keep_previous(n, prev, x_prev)``
+    hands back ``prev``, the value the loop used at the previous step.
 
     As the weight rule it turns :func:`adap_rsg_run` into the fixed-weight
     sampler RSG(alpha0); as the proposal rule it fixes the proposals of
@@ -164,26 +173,27 @@ def adap_rsg_run(
 ) -> Trajectory:
     """Adaptive random scan Gibbs sampler.
 
-    Per step, in this order: set ``alpha_n = rule(n, alpha_prev, x_prev,
-    scratch)`` (coerced into the floored simplex), choose the coordinate from
+    Per step, in this order: set ``alpha_n = rule(n, alpha_prev, x_prev)``
+    (coerced into the floored simplex), choose the coordinate from
     ``alpha_n``, redraw it from its exact conditional, record the new state.
-    ``scratch`` is a per-run dict in which history-dependent rules may keep
-    their own accumulated statistics.  A rule that returns ``alpha_prev``
-    itself (such as :func:`keep_previous`) costs no coercion: the weights are
-    an immutable :class:`SelectionWeights`, so its cumulative sums carry over.
+    History-dependent rules keep their accumulated statistics on themselves
+    (as :class:`~adagibbs.adaptation.ComponentwiseAdaptation` does).  A rule
+    that returns ``alpha_prev`` itself (such as :func:`keep_previous`) costs
+    no coercion: the weights are an immutable :class:`SelectionWeights`, so
+    its cumulative sums carry over.
     """
+    _check_n_steps(n_steps)
     x = _check_initial_state(target, x0)
     rng = generator(seed)
     u = rng.random(2 * n_steps)
     alpha = alpha0
     epsilon = alpha0.epsilon
     cum_alpha = alpha0.cumulative()
-    scratch: dict = {}
     states = [x]
     coords = []
     alphas = []
     for n in range(1, n_steps + 1):
-        out = rule(n, alpha, x, scratch)
+        out = rule(n, alpha, x)
         if out is not alpha:
             alpha = _coerce_weights(out, epsilon)
             cum_alpha = alpha.cumulative()
@@ -250,6 +260,7 @@ def adap_rs_adap_mwg_run(
     ``gamma_prev`` the loop built) is taken as is; any other return value is
     coerced and validated.
     """
+    _check_n_steps(n_steps)
     x = tuple(x0)
     rng = generator(seed)
     gamma_prev = tuple(float(g) for g in gamma0)
@@ -257,7 +268,6 @@ def adap_rs_adap_mwg_run(
     alpha = alpha0
     epsilon = alpha0.epsilon
     cum_alpha = alpha0.cumulative()
-    scratch: dict = {}
     states = [x]
     coords = []
     accepted = []
@@ -266,11 +276,11 @@ def adap_rs_adap_mwg_run(
     if observer is not None:
         observer(0, x, None, None)
     for n in range(1, n_steps + 1):
-        out = weight_rule(n, alpha, x, scratch)
+        out = weight_rule(n, alpha, x)
         if out is not alpha:
             alpha = _coerce_weights(out, epsilon)
             cum_alpha = alpha.cumulative()
-        gamma_n = proposal_rule(n, gamma_prev, x, scratch)
+        gamma_n = proposal_rule(n, gamma_prev, x)
         if gamma_n is not gamma_prev:
             gamma_n = tuple(float(g) for g in gamma_n)
             proposals.check_gamma(gamma_n)

@@ -67,9 +67,6 @@ class SelectionWeights:
     def d(self) -> int:
         return len(self.weights)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
-
     def cumulative(self) -> tuple:
         """Cumulative sums, for inverse-CDF coordinate draws."""
         out = []

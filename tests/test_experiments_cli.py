@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,6 @@ from adagibbs.experiments import (
     ConfigError,
     ExperimentConfig,
     counterexample_experiment,
-    emit_plot_data,
     run_experiment,
 )
 from adagibbs.samplers import adap_rsg_run, keep_previous, write_trajectory_csv
@@ -35,6 +35,51 @@ def test_config_validation_errors_name_the_field():
         ExperimentConfig.from_dict({"kind": "counterexample", "seed": 1, "bogus": 2})
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig.from_dict({"kind": "counterexample", "seed": -3})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("emit_traces", "false"),
+        ("emit_traces", []),
+        ("emit_traces", 1),
+        ("n_runs", 2.7),
+        ("n_runs", "3"),
+        ("n_steps", True),
+        ("trace_stride", float("inf")),
+        ("seed", True),
+    ],
+)
+def test_config_casters_are_strict(field, value):
+    data = {"kind": "counterexample", "seed": 1, field: value}
+    name = "seed" if field == "seed" else f"params.{field}"
+    with pytest.raises(ConfigError, match=name):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_accepts_integral_floats():
+    config = ExperimentConfig.from_dict(
+        {"kind": "counterexample", "seed": 1, "n_steps": 1e5, "emit_traces": False}
+    )
+    assert config.params["n_steps"] == 100_000
+    assert type(config.params["n_steps"]) is int
+    assert config.params["emit_traces"] is False
+
+
+SHIPPED_DIGESTS = {
+    "bounds.json": "8a1fad4b472111ff98c1a87548bb0e265643a5b1084542d53528871cbf7df61f",
+    "counterexample.json": "141a21f3184bcc9209404ef98cb504866193bc7c7fc027837bc0dee6eabf26a2",
+    "geometric_gap.json": "aa12643d15c9799c696cbab52495debfd7debaccebe5d4442a7596efe004889d",
+    "lazy_variance.json": "a40df536c232354f158a255f1c36a4fbfa1d6dc1968b0043a9d2ee518c0b7018",
+    "optimal_scan.json": "5226f8edae41c18275df10b7c0df418b3b2d4eff8028c48d68dba3b45c6c971b",
+    "truncated_ladder.json": "113a757b8c771341023a28cf145a82d78a55e2b26ed1538712af2967129d87e8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
+def test_shipped_config_digests_are_unchanged(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / name
+    assert ExperimentConfig.from_file(path).digest() == SHIPPED_DIGESTS[name]
 
 
 def test_config_defaults_and_digest_stability():
@@ -96,22 +141,34 @@ def test_counterexample_small_run_passes_its_checks():
     assert result.summary["escapes"] == 3
 
 
-def test_emit_plot_data(tmp_path):
-    trace = tmp_path / "trace.csv"
-    trace.write_text("step,x_1,x_2\n0,1,1\n1,2,1\n")
-    out = emit_plot_data(trace, ("step", "x_1"), tmp_path / "plot.csv")
-    lines = (tmp_path / "plot.csv").read_text().strip().splitlines()
-    assert lines == ["step,x_1", "0,1", "1,2"]
-    with pytest.raises(ValueError, match="column"):
-        emit_plot_data(trace, ("step", "missing"), tmp_path / "plot2.csv")
-    empty = tmp_path / "empty.csv"
-    empty.write_text("step,x_1\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        emit_plot_data(empty, ("step", "x_1"), tmp_path / "plot3.csv")
-    headerless = tmp_path / "null.csv"
-    headerless.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        emit_plot_data(headerless, ("step", "x_1"), tmp_path / "plot4.csv")
+def test_counterexample_trace_and_plot_outputs(tmp_path):
+    base = {"kind": "counterexample", "seed": 17, **SMALL_COUNTEREXAMPLE}
+    on = tmp_path / "on"
+    manifest, _ = run_experiment(ExperimentConfig.from_dict(base), out_dir=str(on))
+    runs = SMALL_COUNTEREXAMPLE["n_runs"]
+    traces = [f"trace_{arm}_{r:02d}.csv" for arm in ("adaptive", "control") for r in range(runs)]
+    assert set(traces + ["plot_adaptive_run0.csv"]) <= set(manifest.outputs)
+    assert (on / "plot_adaptive_run0.csv").read_bytes() == (
+        on / "trace_adaptive_00.csv"
+    ).read_bytes()
+    stride = SMALL_COUNTEREXAMPLE["trace_stride"]
+    n_steps = SMALL_COUNTEREXAMPLE["n_steps"]  # a multiple of the stride
+    finals = {}
+    for line in (on / "runs.csv").read_text().splitlines()[1:]:
+        arm, run, _, final_height, _ = line.split(",")
+        finals[f"trace_{arm}_{int(run):02d}.csv"] = float(final_height)
+    for name in traces:
+        lines = (on / name).read_text().splitlines()
+        assert lines[0] == "step,x_1"
+        steps = [int(line.split(",")[0]) for line in lines[1:]]
+        assert steps == list(range(0, n_steps + 1, stride))
+        assert float(lines[-1].split(",")[1]) == finals[name]
+
+    off = tmp_path / "off"
+    config = ExperimentConfig.from_dict({**base, "emit_traces": False})
+    manifest, _ = run_experiment(config, out_dir=str(off))
+    assert sorted(os.listdir(off)) == ["manifest.json", "runs.csv", "summary.json"]
+    assert sorted(manifest.outputs) == ["runs.csv", "summary.json"]
 
 
 def write_config(tmp_path, name, payload):

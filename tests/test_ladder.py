@@ -293,7 +293,7 @@ def test_unbounded_law_is_exact_at_finite_horizons():
     target = LadderTarget()
     alpha0 = SelectionWeights((0.5, 0.5), 0.1)
 
-    def rule(n, alpha_prev, x_prev, scratch):
+    def rule(n, alpha_prev, x_prev):
         return ladder_update_rule(x_prev, n)
 
     n_rep = 4000

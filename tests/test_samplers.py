@@ -135,7 +135,7 @@ def test_fresh_equal_weights_match_keep_previous():
     target = small_target()
     alpha = make_selection_weights((0.4, 0.6), 0.1)
 
-    def fresh(n, alpha_prev, x_prev, scratch):
+    def fresh(n, alpha_prev, x_prev):
         return SelectionWeights(alpha.weights, alpha.epsilon)
 
     t_fresh = adap_rsg_run(target, fresh, (0, 0), alpha, 2_000, seed=5)
@@ -152,7 +152,7 @@ def test_mutated_weight_list_is_honoured_every_step():
     alpha0 = make_selection_weights((0.5, 0.5), 0.1)
     shared = [0.5, 0.5]
 
-    def mutating(n, alpha_prev, x_prev, scratch):
+    def mutating(n, alpha_prev, x_prev):
         shared[:] = (0.2, 0.8) if n % 2 else (0.7, 0.3)
         return shared
 
@@ -171,7 +171,7 @@ def test_adaptive_rule_nonfinite_output_rejected():
     target = small_target()
     alpha = make_selection_weights((0.5, 0.5), 0.1)
 
-    def rule(n, alpha_prev, x_prev, scratch):
+    def rule(n, alpha_prev, x_prev):
         return (math.inf, 0.5)
 
     with pytest.raises(ValueError):
@@ -186,7 +186,7 @@ def test_ladder_run_matches_straight_line_oracle():
     target = LadderTarget()
     alpha0 = SelectionWeights((0.5, 0.5), 0.1)
 
-    def rule(n, alpha_prev, x_prev, scratch):
+    def rule(n, alpha_prev, x_prev):
         return ladder_update_rule(x_prev, n)
 
     traj = adap_rsg_run(target, rule, (1, 1), alpha0, n_steps, seed)
@@ -228,7 +228,7 @@ def test_ladder_weight_history_change_bound():
     target = LadderTarget()
     alpha0 = SelectionWeights((0.5, 0.5), 0.1)
 
-    def rule(n, alpha_prev, x_prev, scratch):
+    def rule(n, alpha_prev, x_prev):
         return ladder_update_rule(x_prev, n)
 
     traj = adap_rsg_run(target, rule, (1, 1), alpha0, n_steps, seed=8)
@@ -335,10 +335,10 @@ def test_fresh_equal_parameters_match_keep_previous():
     alpha = SelectionWeights((0.5, 0.5), 0.25)
     gamma = (0.3, 0.2)
 
-    def fresh_alpha(n, alpha_prev, x_prev, scratch):
+    def fresh_alpha(n, alpha_prev, x_prev):
         return SelectionWeights(alpha.weights, alpha.epsilon)
 
-    def fresh_gamma(n, gamma_prev, x_prev, scratch):
+    def fresh_gamma(n, gamma_prev, x_prev):
         return tuple(gamma)
 
     t_fresh = adap_rs_adap_mwg_run(
@@ -359,7 +359,7 @@ def test_mutated_gamma_list_is_honoured_every_step():
     alpha = SelectionWeights((0.5, 0.5), 0.25)
     shared = [0.3, 0.2]
 
-    def mutating(n, gamma_prev, x_prev, scratch):
+    def mutating(n, gamma_prev, x_prev):
         shared[:] = (0.1 * n, 0.2)
         return shared
 
@@ -369,7 +369,7 @@ def test_mutated_gamma_list_is_honoured_every_step():
     )
     assert traj.gammas == tuple((0.1 * n, 0.2) for n in range(1, 301))
 
-    def turns_bad(n, gamma_prev, x_prev, scratch):
+    def turns_bad(n, gamma_prev, x_prev):
         shared[:] = (0.3, 0.2) if n < 50 else (0.3, -1.0)
         return shared
 
@@ -385,7 +385,7 @@ def test_doubly_adaptive_rejects_bad_gamma():
     family = gaussian_random_walk_family()
     alpha = SelectionWeights((1.0,), 1.0)
 
-    def gamma_rule(n, gamma_prev, x_prev, scratch):
+    def gamma_rule(n, gamma_prev, x_prev):
         return (-1.0,)
 
     with pytest.raises(ValueError):
@@ -427,3 +427,21 @@ def test_trajectory_csv_round_trip(tmp_path):
     np.testing.assert_allclose(columns["x_1"][1:], [s[0] for s in traj.states[1:]])
     np.testing.assert_allclose(columns["alpha_2"][1:], [a[1] for a in traj.alphas])
     assert columns["coordinate"][3] == traj.coordinates[2] + 1
+
+
+@pytest.mark.parametrize("n_steps", [0, -5])
+def test_gibbs_loop_rejects_fewer_than_one_step(n_steps):
+    alpha = make_selection_weights((0.5, 0.5), 0.1)
+    with pytest.raises(ValueError, match="n_steps"):
+        adap_rsg_run(small_target(), keep_previous, (0, 0), alpha, n_steps, seed=1)
+
+
+@pytest.mark.parametrize("n_steps", [0, -5])
+def test_metropolis_loop_rejects_fewer_than_one_step(n_steps):
+    target = ContinuousProductTarget((1.0, 2.0), raised_cosine, (-1.0, 1.0))
+    alpha = make_selection_weights((0.5, 0.5), 0.1)
+    with pytest.raises(ValueError, match="n_steps"):
+        mwg_run(
+            target.conditional_density, gaussian_random_walk_family(), (1.0, 1.0),
+            alpha, (0.0, 0.0), n_steps, seed=1,
+        )
