@@ -91,10 +91,7 @@ from .variance import (
     stationary_variance,
 )
 from .adaptation import (
-    AdaptState,
     ComponentwiseAdaptation,
     diminishing_monitor,
-    hst_variance,
-    rr_scale_update,
     weight_update,
 )

@@ -1,12 +1,17 @@
 """Concrete adaptation rules for the doubly adaptive sampler.
 
-Two proposal-variance tuners are provided: the running-moments rule
-``5.76 * (sample_variance + 0.05)`` ("hst") and the batched acceptance-rate
-rule that nudges a clamped log-scale up or down by ``min(0.1, b^{-1/2})``
-per 50-iteration batch depending on whether the batch acceptance fraction
-beat 0.44 ("rr").  Both feed the same square-root weight rule.  Updates are
+:class:`ComponentwiseAdaptation` is the one adaptation object: its observer
+keeps per-batch proposal and acceptance counts (and, for "hst", running
+moments), and every ``BATCH_SIZE`` steps it refreshes the proposal variances
+and the selection weights.  Two proposal-variance tuners are provided: the
+running-moments rule ``5.76 * (sample_variance + 0.05)`` ("hst") and the
+batched acceptance-rate rule that nudges a log-scale, clamped to
+``[-10, 10]``, up or down by ``min(0.1, b^{-1/2})`` per 50-iteration batch
+depending on whether the batch acceptance fraction beat 0.44 ("rr").  Both
+feed the same square-root weight rule, :func:`weight_update`.  Updates are
 applied at batch boundaries only, so the per-step weight change is bounded by
-the per-batch change and adaptation provably dies out.
+the per-batch change and adaptation provably dies out; between boundaries the
+two rules hand the sampler the same two immutable objects.
 
 A small monitor summarises how fast adaptation is dying out along a run.
 """
@@ -14,7 +19,7 @@ A small monitor summarises how fast adaptation is dying out along a run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,97 +31,7 @@ BATCH_SIZE = 50
 TARGET_ACCEPTANCE = 0.44
 HST_SCALE = 2.4**2
 HST_FLOOR = 0.05
-
-
-class BatchBoundaryError(RuntimeError):
-    """Raised when a batch-boundary update is requested off-boundary."""
-
-
-@dataclass
-class AdaptState:
-    """All adaptation bookkeeping owned by a single run.
-
-    Running count/mean/second-moment per coordinate (single-pass, stable),
-    clamped log-scales, per-coordinate batch proposal/acceptance counters,
-    and the current weights and proposal variances.
-    """
-
-    d: int
-    epsilon: float
-    batch_size: int = BATCH_SIZE
-    clamp: float = 10.0
-    counts: int = 0
-    means: np.ndarray = field(default=None)
-    m2: np.ndarray = field(default=None)
-    log_scales: np.ndarray = field(default=None)
-    batch_proposals: np.ndarray = field(default=None)
-    batch_accepts: np.ndarray = field(default=None)
-    steps_in_batch: int = 0
-    completed_batches: int = 0
-    burn_in_exclude: int = 0
-    weights: SelectionWeights = None
-    proposal_variances: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"need d >= 1, got {self.d}")
-        if self.means is None:
-            self.means = np.zeros(self.d)
-        if self.m2 is None:
-            self.m2 = np.zeros(self.d)
-        if self.log_scales is None:
-            self.log_scales = np.zeros(self.d)
-        if self.batch_proposals is None:
-            self.batch_proposals = np.zeros(self.d, dtype=np.int64)
-        if self.batch_accepts is None:
-            self.batch_accepts = np.zeros(self.d, dtype=np.int64)
-        if self.weights is None:
-            self.weights = SelectionWeights((1.0 / self.d,) * self.d, self.epsilon)
-        if self.proposal_variances is None:
-            self.proposal_variances = np.exp(self.log_scales)
-        self._observed = 0
-
-    def observe_state(self, x: Sequence[float]):
-        """Fold a full state vector into the running moments (Welford)."""
-        self._observed += 1
-        if self._observed <= self.burn_in_exclude:
-            return
-        self.counts += 1
-        arr = np.asarray(x, dtype=np.float64)
-        delta = arr - self.means
-        self.means += delta / self.counts
-        self.m2 += delta * (arr - self.means)
-
-    def record_proposal(self, i: int, accepted: bool):
-        self.batch_proposals[i] += 1
-        if accepted:
-            self.batch_accepts[i] += 1
-        self.steps_in_batch += 1
-
-    @property
-    def at_batch_boundary(self) -> bool:
-        return self.steps_in_batch == self.batch_size
-
-    def start_new_batch(self):
-        if not self.at_batch_boundary:
-            raise BatchBoundaryError(
-                f"batch has {self.steps_in_batch} of {self.batch_size} steps"
-            )
-        self.completed_batches += 1
-        self.batch_proposals[:] = 0
-        self.batch_accepts[:] = 0
-        self.steps_in_batch = 0
-
-    def sample_variance(self, i: int) -> float:
-        """Unbiased sample variance of coordinate ``i``; zero below 2 points."""
-        if self.counts < 2:
-            return 0.0
-        return float(self.m2[i] / (self.counts - 1))
-
-
-def hst_variance(state: AdaptState, i: int) -> float:
-    """Moment-tracking proposal variance ``5.76 * (s^2 + 0.05)``."""
-    return HST_SCALE * (state.sample_variance(i) + HST_FLOOR)
+LOG_SCALE_CLAMP = 10.0
 
 
 def adaptation_step_size(batch_index: int) -> float:
@@ -127,132 +42,115 @@ def adaptation_step_size(batch_index: int) -> float:
     return min(0.1, batch_index**-0.5)
 
 
-def rr_scale_update(state: AdaptState, i: int, batch_index: int) -> float:
-    """Acceptance-targeting log-scale update for coordinate ``i``.
-
-    Must be called exactly at a batch boundary.  The log-scale moves up when
-    the batch acceptance fraction exceeds 0.44 and down otherwise, then is
-    clamped to ``[-clamp, clamp]``; a coordinate that was never proposed in
-    the batch keeps its scale (its fraction is undefined).  Returns the new
-    log-scale and refreshes the stored proposal variance ``exp(ls_i)``.
-    """
-    if not state.at_batch_boundary:
-        raise BatchBoundaryError(
-            f"scale update off-boundary: {state.steps_in_batch} of {state.batch_size}"
-        )
-    proposals = int(state.batch_proposals[i])
-    if proposals > 0:
-        fraction = state.batch_accepts[i] / proposals
-        step = adaptation_step_size(batch_index)
-        ls = state.log_scales[i] + (step if fraction > TARGET_ACCEPTANCE else -step)
-        state.log_scales[i] = min(max(ls, -state.clamp), state.clamp)
-    state.proposal_variances[i] = math.exp(state.log_scales[i])
-    return float(state.log_scales[i])
-
-
 def weight_update(
-    state: AdaptState, variant: str, a: Sequence[float], epsilon: float
+    variances: Sequence[float], a: Sequence[float], epsilon: float
 ) -> SelectionWeights:
-    """Square-root weight rule fed by the variant's proposal variances.
+    """Square-root weights for one batch's proposal variances.
 
-    ``alpha_i`` is proportional to ``sqrt(sigma2_i * a_i^2)`` with
-    ``sigma2_i`` the hst moment rule or the rr log-scale rule, then projected
+    ``alpha_i`` is proportional to ``sqrt(variances_i * a_i^2)``, projected
     onto the floored simplex.  The projection preserves the coordinate
     ordering of the raw scores.
     """
-    if variant == "hst":
-        sigma2 = [hst_variance(state, i) for i in range(state.d)]
-    elif variant == "rr":
-        sigma2 = [float(v) for v in state.proposal_variances]
-    else:
-        raise ValueError(f"unknown variant {variant!r}; expected 'hst' or 'rr'")
-    weights = optimal_selection_weights(a, sigma2, epsilon)
-    state.weights = weights
-    return weights
+    return optimal_selection_weights(a, variances, epsilon)
 
 
 class ComponentwiseAdaptation:
     """Weight rule, proposal rule and observer for the doubly adaptive runs.
 
-    Wires one :class:`AdaptState` into the ``adap_rs_adap_mwg_run`` loop:
-    the observer accumulates moments and batch acceptance counts, and at
-    every batch boundary refreshes the proposal variances and the selection
-    weights, which the two rules then hand to the sampler unchanged until
-    the next boundary.
+    Wire ``weight_rule``, ``proposal_rule`` and ``observer`` into
+    :func:`~adagibbs.samplers.adap_rs_adap_mwg_run`, starting it from
+    ``proposal_variances``.  The observer folds every state into the running
+    moments ("hst" only) and counts each coordinate's proposals and
+    acceptances; at every batch boundary it computes the new
+    ``proposal_variances`` (a tuple of floats) and the square-root
+    ``weights`` once, and records the batch in ``batch_log``.  The two rules
+    return those same objects until the next boundary.
     """
 
-    def __init__(
-        self,
-        variant: str,
-        a: Sequence[float],
-        epsilon: float,
-        batch_size: int = BATCH_SIZE,
-        clamp: float = 10.0,
-        initial_log_scales: Optional[Sequence[float]] = None,
-        burn_in_exclude: int = 0,
-    ):
+    def __init__(self, variant: str, a: Sequence[float], epsilon: float):
         if variant not in ("hst", "rr"):
-            raise ValueError(f"unknown variant {variant!r}")
+            raise ValueError(f"unknown variant {variant!r}; expected 'hst' or 'rr'")
         self.variant = variant
         self.a = tuple(float(v) for v in a)
         self.epsilon = float(epsilon)
-        self.state = AdaptState(
-            d=len(self.a),
-            epsilon=self.epsilon,
-            batch_size=batch_size,
-            clamp=clamp,
-            burn_in_exclude=burn_in_exclude,
-        )
-        if initial_log_scales is not None:
-            self.state.log_scales = np.asarray(initial_log_scales, dtype=np.float64)
-            self.state.proposal_variances = np.exp(self.state.log_scales)
-        if variant == "hst":
-            self.state.proposal_variances = np.asarray(
-                [hst_variance(self.state, i) for i in range(self.state.d)]
-            )
+        d = len(self.a)
+        if d < 1:
+            raise ValueError("need at least one coordinate")
+        self.log_scales = [0.0] * d
+        self._count = 0
+        self._means = [0.0] * d
+        self._m2 = [0.0] * d
+        self._proposals = [0] * d
+        self._accepts = [0] * d
+        self._steps_in_batch = 0
+        self.proposal_variances = self._variances()
+        self.weights = SelectionWeights((1.0 / d,) * d, self.epsilon)
         self.batch_log: list = []
 
     def weight_rule(self, n, alpha_prev, x_prev) -> SelectionWeights:
-        return self.state.weights
+        return self.weights
 
     def proposal_rule(self, n, gamma_prev, x_prev) -> tuple:
-        return tuple(float(v) for v in self.state.proposal_variances)
+        return self.proposal_variances
 
     def observer(self, n, x, i, accepted):
+        if self.variant == "hst":
+            # Welford's single-pass update over every state, the first included.
+            self._count += 1
+            for k, v in enumerate(x):
+                delta = v - self._means[k]
+                self._means[k] += delta / self._count
+                self._m2[k] += delta * (v - self._means[k])
         if i is None:
-            self.state.observe_state(x)
             return
-        self.state.observe_state(x)
-        self.state.record_proposal(i, accepted)
-        if self.state.at_batch_boundary:
-            self._refresh_at_boundary()
+        self._proposals[i] += 1
+        if accepted:
+            self._accepts[i] += 1
+        self._steps_in_batch += 1
+        if self._steps_in_batch == BATCH_SIZE:
+            self._refresh()
 
-    def _refresh_at_boundary(self):
-        batch_index = self.state.completed_batches + 1
-        proposals = tuple(int(v) for v in self.state.batch_proposals)
-        accepts = tuple(int(v) for v in self.state.batch_accepts)
+    def _variances(self) -> tuple:
+        if self.variant == "rr":
+            return tuple(math.exp(ls) for ls in self.log_scales)
+        count = self._count
+        return tuple(
+            HST_SCALE * ((m2 / (count - 1) if count >= 2 else 0.0) + HST_FLOOR)
+            for m2 in self._m2
+        )
+
+    def _refresh(self):
+        batch = len(self.batch_log) + 1
+        proposals = tuple(self._proposals)
+        accepts = tuple(self._accepts)
         fractions = tuple(
-            (a / p) if p > 0 else math.nan for a, p in zip(accepts, proposals)
+            (acc / p) if p > 0 else math.nan for acc, p in zip(accepts, proposals)
         )
         if self.variant == "rr":
-            for i in range(self.state.d):
-                rr_scale_update(self.state, i, batch_index)
-        else:
-            self.state.proposal_variances = np.asarray(
-                [hst_variance(self.state, i) for i in range(self.state.d)]
-            )
-        weights = weight_update(self.state, self.variant, self.a, self.epsilon)
+            step = adaptation_step_size(batch)
+            for k, fraction in enumerate(fractions):
+                # a coordinate not proposed in the batch keeps its scale
+                if proposals[k] > 0:
+                    ls = self.log_scales[k] + (
+                        step if fraction > TARGET_ACCEPTANCE else -step
+                    )
+                    self.log_scales[k] = min(max(ls, -LOG_SCALE_CLAMP), LOG_SCALE_CLAMP)
+        self.proposal_variances = self._variances()
+        self.weights = weight_update(self.proposal_variances, self.a, self.epsilon)
         self.batch_log.append(
             {
-                "batch": batch_index,
-                "weights": weights.weights,
-                "variances": tuple(float(v) for v in self.state.proposal_variances),
+                "batch": batch,
+                "weights": self.weights.weights,
+                "variances": self.proposal_variances,
                 "acceptance": fractions,
                 "proposals": proposals,
                 "accepts": accepts,
             }
         )
-        self.state.start_new_batch()
+        d = len(self.a)
+        self._proposals = [0] * d
+        self._accepts = [0] * d
+        self._steps_in_batch = 0
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,13 @@ SUBCOMMAND_KINDS = {
 }
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adagibbs",
@@ -55,7 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
                 help="trajectory CSV to analyse instead of running a config",
             )
             p.add_argument(
-                "--burn-in", type=int, default=0, help="samples to drop before analysis"
+                "--burn-in",
+                type=_nonnegative_int,
+                default=0,
+                help="samples to drop before analysis",
             )
     return parser
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .adaptation import ComponentwiseAdaptation
+from .adaptation import BATCH_SIZE, ComponentwiseAdaptation
 from .bounds import (
     geometric_counterexample_gap,
     minorization_search,
@@ -84,24 +84,44 @@ def _strict_bool(v) -> bool:
     return v
 
 
+def _strict_float(v) -> float:
+    """A float from a config: JSON numbers, never booleans or strings."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"expected a number, got {type(v).__name__}")
+    return float(v)
+
+
+def _array_of(caster):
+    """A tuple from a config array (JSON list; tuples for the defaults), each
+    item through ``caster``; a string is not taken as a list of characters."""
+
+    def cast(v) -> tuple:
+        if not isinstance(v, (list, tuple)):
+            raise TypeError(f"expected an array, got {type(v).__name__}")
+        return tuple(caster(x) for x in v)
+
+    return cast
+
+
 # Per-kind parameter schemas: name -> (caster, predicate, default).
 _POSITIVE_INT = (_strict_int, lambda v: v >= 1)
-_UNIT_OPEN = (float, lambda v: 0.0 < v < 1.0)
+_UNIT_OPEN = (_strict_float, lambda v: 0.0 < v < 1.0)
+_FLOATS = _array_of(_strict_float)
 
 PARAM_SPECS: dict = {
     "lazy-variance": {
         "n_chains": (*_POSITIVE_INT, 100),
         "max_states": (_strict_int, lambda v: 2 <= v <= 32, 8),
         "deltas": (
-            lambda v: tuple(float(x) for x in v),
+            _FLOATS,
             lambda v: all(0.0 < x <= 1.0 for x in v),
             (0.1, 0.3, 0.5, 0.9, 1.0),
         ),
-        "tolerance": (float, lambda v: v > 0.0, 1e-10),
+        "tolerance": (_strict_float, lambda v: v > 0.0, 1e-10),
     },
     "bounds": {
         "families": (
-            lambda v: tuple(str(x) for x in v),
+            _array_of(str),
             lambda v: all(x in ("lipschitz", "uniform", "strong") for x in v),
             ("lipschitz", "uniform", "strong"),
         ),
@@ -126,16 +146,16 @@ PARAM_SPECS: dict = {
     },
     "truncated-ladder": {
         "truncation": (_strict_int, lambda v: v >= 2, 20),
-        "tv_target": (float, lambda v: 0.0 < v < 1.0, 1e-3),
+        "tv_target": (_strict_float, lambda v: 0.0 < v < 1.0, 1e-3),
         "max_steps": (*_POSITIVE_INT, 200_000),
         "schedule": (str, lambda v: v in ("linear", "block"), "linear"),
-        "schedule_offset": (float, lambda v: v > 8.0, 10.0),
-        "schedule_slope": (float, lambda v: v > 0.0, 2.0),
-        "tail_fraction": (float, lambda v: 0.0 < v <= 0.5, 0.1),
+        "schedule_offset": (_strict_float, lambda v: v > 8.0, 10.0),
+        "schedule_slope": (_strict_float, lambda v: v > 0.0, 2.0),
+        "tail_fraction": (_strict_float, lambda v: 0.0 < v <= 0.5, 0.1),
     },
     "geometric-gap": {
         "p_values": (
-            lambda v: tuple(float(x) for x in v),
+            _FLOATS,
             lambda v: all(0.0 < x < 1.0 for x in v),
             (0.3, 0.5, 0.7),
         ),
@@ -143,37 +163,37 @@ PARAM_SPECS: dict = {
         "n_max": (*_POSITIVE_INT, 40),
         "check_p": (_UNIT_OPEN[0], _UNIT_OPEN[1], 0.5),
         "proposal_n": (*_POSITIVE_INT, 30),
-        "proposal_tolerance": (float, lambda v: v > 0.0, 1e-8),
+        "proposal_tolerance": (_strict_float, lambda v: v > 0.0, 1e-8),
         "kernel_n": (*_POSITIVE_INT, 25),
         "kernel_band": (
-            lambda v: tuple(float(x) for x in v),
+            _FLOATS,
             lambda v: len(v) == 2 and v[0] < v[1],
             (0.45, 0.5),
         ),
     },
     "optimal-scan": {
         "scales": (
-            lambda v: tuple(float(x) for x in v),
+            _FLOATS,
             lambda v: all(x > 0.0 for x in v),
             (1.0, 2.0, 4.0, 8.0, 16.0),
         ),
         "a": (
-            lambda v: tuple(float(x) for x in v),
+            _FLOATS,
             lambda v: True,
             (1.0, 1.0, 1.0, 1.0, 1.0),
         ),
         "epsilon": (_UNIT_OPEN[0], _UNIT_OPEN[1], 0.02),
         "n_batches": (*_POSITIVE_INT, 2000),
         "window_batches": (*_POSITIVE_INT, 100),
-        "weight_tolerance": (float, lambda v: v > 0.0, 0.05),
+        "weight_tolerance": (_strict_float, lambda v: v > 0.0, 0.05),
         "acceptance_band": (
-            lambda v: tuple(float(x) for x in v),
+            _FLOATS,
             lambda v: len(v) == 2 and 0.0 < v[0] < v[1] < 1.0,
             (0.34, 0.54),
         ),
         "eval_steps": (*_POSITIVE_INT, 200_000),
         "eval_burn_in": (_strict_int, lambda v: v >= 0, 2_000),
-        "variance_ratio_slack": (float, lambda v: v >= 1.0, 1.25),
+        "variance_ratio_slack": (_strict_float, lambda v: v >= 1.0, 1.25),
     },
 }
 
@@ -671,10 +691,8 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     target = ContinuousProductTarget(scales, raised_cosine, (-1.0, 1.0), a=a)
     proposals = gaussian_random_walk_family()
     adaptation = ComponentwiseAdaptation("rr", a, epsilon)
-    n_steps = p["n_batches"] * adaptation.state.batch_size
+    n_steps = p["n_batches"] * BATCH_SIZE
     x0 = (0.0,) * d
-    alpha0 = SelectionWeights((1.0 / d,) * d, epsilon)
-    gamma0 = tuple(float(v) for v in adaptation.state.proposal_variances)
 
     # Only the final state is used: the run's history is released at once.
     x_eval = adap_rs_adap_mwg_run(
@@ -683,8 +701,8 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
         adaptation.weight_rule,
         adaptation.proposal_rule,
         x0,
-        alpha0,
-        gamma0,
+        adaptation.weights,
+        adaptation.proposal_variances,
         n_steps,
         config.seed,
         observer=adaptation.observer,
@@ -707,19 +725,18 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
         + [f"acceptance_{k}" for k in range(1, d + 1)]
     )
 
-    window_fractions = _window_acceptance(adaptation, p["window_batches"])
+    window_fractions = _window_acceptance(window, d)
     lo, hi = p["acceptance_band"]
     acceptance_ok = all(lo <= frac <= hi for frac in window_fractions)
 
     # Variance arms: freeze the adapted proposal scales, compare the adapted
     # weights against the uniform scan on the same kernels.
-    final_weights = adaptation.state.weights
-    final_gamma = tuple(float(v) for v in adaptation.state.proposal_variances)
+    final_weights = adaptation.weights
     uniform_alpha = SelectionWeights((1.0 / d,) * d, epsilon)
     ratio, arm_stats = _variance_ratio(
         target,
         proposals,
-        final_gamma,
+        adaptation.proposal_variances,
         final_weights,
         uniform_alpha,
         x_eval,
@@ -768,9 +785,7 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _window_acceptance(adaptation: ComponentwiseAdaptation, window_batches: int):
-    window = adaptation.batch_log[-window_batches:]
-    d = adaptation.state.d
+def _window_acceptance(window: list, d: int):
     fractions = []
     for i in range(d):
         accepts = sum(e["accepts"][i] for e in window)

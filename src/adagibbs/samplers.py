@@ -5,11 +5,14 @@ Gibbs with adaptive weights) and :func:`adap_rs_adap_mwg_run` (random scan
 Metropolis-within-Gibbs with adaptive weights and proposals).  Update rules
 are called once per step as ``rule(n, prev, x_prev)`` and return the step's
 weights (or proposal parameters); a rule that needs history keeps it on
-itself.  The non-adaptive special cases are these loops driven by
-:func:`keep_previous`: fixed weights RSG(alpha) as the weight rule, fixed
-proposals as the proposal rule.  All runs are driven by a Philox
-counter-based generator keyed by a 64-bit seed, so identical inputs produce
-bit-identical trajectories; replicate seeds come from :func:`derive_seed`, a
+itself.  Immutable return values (a :class:`SelectionWeights` on the run's
+floor, a tuple of Python floats) are checked when they first appear and
+reused without further checks while the rule keeps returning them; lists and
+arrays are copied and checked on every step.  The non-adaptive special cases
+are these loops driven by :func:`keep_previous`: fixed weights RSG(alpha) as
+the weight rule, fixed proposals as the proposal rule.  All runs are driven
+by a Philox counter-based generator keyed by a 64-bit seed, so identical
+inputs produce bit-identical trajectories; replicate seeds come from :func:`derive_seed`, a
 splitmix-style mix of the base seed and the replicate index, so replicates
 never share a stream.
 
@@ -151,6 +154,16 @@ def _coerce_weights(out, epsilon: float) -> SelectionWeights:
     return make_selection_weights(values, epsilon)
 
 
+def _coerce_gamma(out, proposals: ProposalFamily) -> tuple:
+    """Validate a rule's proposal parameters.  A tuple of Python floats is
+    immutable and kept as it is; anything else (a list, an array, a tuple of
+    other numbers) is first copied into one."""
+    if type(out) is not tuple or any(type(g) is not float for g in out):
+        out = tuple(float(g) for g in out)
+    proposals.check_gamma(out)
+    return out
+
+
 def keep_previous(n, prev, x_prev):
     """Update rule that never adapts: ``keep_previous(n, prev, x_prev)``
     hands back ``prev``, the value the loop used at the previous step.
@@ -256,15 +269,17 @@ def adap_rs_adap_mwg_run(
     coordinate ``i`` at value ``y`` up to normalisation (the acceptance ratio
     only needs unnormalised values).  Rejected steps repeat the state and are
     recorded with ``accepted=False``.  As in :func:`adap_rsg_run`, a rule that
-    returns the object it was given (``alpha_prev``, or the tuple
-    ``gamma_prev`` the loop built) is taken as is; any other return value is
-    coerced and validated.
+    returns the object it was given (``alpha_prev`` or ``gamma_prev``) is
+    taken as is.  A new tuple of Python floats is validated once and then
+    kept, so a rule that returns the same tuple until it next adapts (as
+    :class:`~adagibbs.adaptation.ComponentwiseAdaptation` does between batch
+    boundaries) is checked once per change; lists, arrays and other tuples
+    are copied and validated on every return.
     """
     _check_n_steps(n_steps)
     x = tuple(x0)
     rng = generator(seed)
-    gamma_prev = tuple(float(g) for g in gamma0)
-    proposals.check_gamma(gamma_prev)
+    gamma_prev = _coerce_gamma(gamma0, proposals)
     alpha = alpha0
     epsilon = alpha0.epsilon
     cum_alpha = alpha0.cumulative()
@@ -282,8 +297,7 @@ def adap_rs_adap_mwg_run(
             cum_alpha = alpha.cumulative()
         gamma_n = proposal_rule(n, gamma_prev, x)
         if gamma_n is not gamma_prev:
-            gamma_n = tuple(float(g) for g in gamma_n)
-            proposals.check_gamma(gamma_n)
+            gamma_n = _coerce_gamma(gamma_n, proposals)
         i = bisect_right(cum_alpha, rng.random())
         y, ok = _metropolis_coordinate_step(
             rng, conditional_density, proposals, x, i, gamma_prev[i]

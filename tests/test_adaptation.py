@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from adagibbs.adaptation import (
-    AdaptState,
-    BatchBoundaryError,
+    BATCH_SIZE,
     ComponentwiseAdaptation,
     adaptation_step_size,
     diminishing_monitor,
-    hst_variance,
-    rr_scale_update,
     weight_update,
 )
 from adagibbs.ladder import ladder_update_rule, schedule_a
@@ -20,39 +17,40 @@ from adagibbs.targets import (
     RAISED_COSINE_VARIANCE,
     raised_cosine,
 )
-from adagibbs.weights import SelectionWeights
+from adagibbs.weights import SelectionWeights, make_selection_weights
 
 
-def fill_batch(state, coordinate=0, accept_every=1):
-    for k in range(state.batch_size):
-        state.record_proposal(coordinate, k % accept_every == 0)
+def drive(adaptation, states, coordinate=0, accepted=True):
+    """Feed the observer a run that proposes ``coordinate`` at every step."""
+    adaptation.observer(0, states[0], None, None)
+    for n, x in enumerate(states[1:], start=1):
+        adaptation.observer(n, x, coordinate, accepted)
 
 
 def test_streaming_variance_matches_batch_recompute():
     rng = np.random.default_rng(1)
-    state = AdaptState(d=3, epsilon=0.1)
-    data = rng.normal(size=(1_000, 3)) * np.array([1.0, 0.3, 7.0])
-    for row in data:
-        state.observe_state(row)
+    data = rng.normal(size=(20 * BATCH_SIZE + 1, 3)) * np.array([1.0, 0.3, 7.0])
+    adaptation = ComponentwiseAdaptation("hst", (1.0, 1.0, 1.0), 0.1)
+    drive(adaptation, [tuple(row) for row in data])
+    assert len(adaptation.batch_log) == 20
     for i in range(3):
-        assert state.sample_variance(i) == pytest.approx(
-            float(np.var(data[:, i], ddof=1)), abs=1e-10
+        sample_variance = float(np.var(data[:, i], ddof=1))
+        assert adaptation.proposal_variances[i] == pytest.approx(
+            5.76 * (sample_variance + 0.05), rel=1e-12
         )
 
 
 def test_hst_variance_examples():
-    state = AdaptState(d=1, epsilon=1.0)
-    assert hst_variance(state, 0) == pytest.approx(0.288)
-    state.observe_state((5.0,))
-    assert hst_variance(state, 0) == pytest.approx(0.288)  # one point: s^2 = 0
-    state2 = AdaptState(d=1, epsilon=1.0)
-    for v in (3.0, 3.0, 3.0):
-        state2.observe_state((v,))
-    assert hst_variance(state2, 0) == pytest.approx(0.288)
-    state3 = AdaptState(d=1, epsilon=1.0)
-    state3.observe_state((0.0,))
-    state3.observe_state((2.0,))
-    assert hst_variance(state3, 0) == pytest.approx(5.76 * 2.05)
+    adaptation = ComponentwiseAdaptation("hst", (1.0,), 1.0)
+    assert adaptation.proposal_variances == pytest.approx((0.288,))
+    drive(adaptation, [(3.0,)] * (BATCH_SIZE + 1))  # constant states: s^2 = 0
+    assert adaptation.proposal_variances == pytest.approx((0.288,))
+    states = [(float(2 * (n % 2)),) for n in range(BATCH_SIZE + 1)]
+    adaptation = ComponentwiseAdaptation("hst", (1.0,), 1.0)
+    drive(adaptation, states)
+    s2 = float(np.var([x[0] for x in states], ddof=1))
+    assert adaptation.proposal_variances == pytest.approx((5.76 * (s2 + 0.05),))
+    assert type(adaptation.proposal_variances) is tuple
 
 
 def test_adaptation_step_size():
@@ -63,66 +61,61 @@ def test_adaptation_step_size():
 
 
 def test_rr_update_direction_and_clamp():
-    state = AdaptState(d=2, epsilon=0.25, clamp=0.15)
-    fill_batch(state, coordinate=0, accept_every=1)  # all accepted
-    ls0 = rr_scale_update(state, 0, 1)
-    assert ls0 == pytest.approx(0.1)
-    ls1 = rr_scale_update(state, 1, 1)  # no proposals: unchanged
-    assert ls1 == 0.0
-    state.start_new_batch()
-    fill_batch(state, coordinate=0, accept_every=1)
-    assert rr_scale_update(state, 0, 2) == pytest.approx(0.15)  # clamped
-    state.start_new_batch()
-    fill_batch(state, coordinate=0, accept_every=10**9)  # none accepted
-    assert rr_scale_update(state, 0, 3) < 0.15
-    assert state.proposal_variances[0] == pytest.approx(
-        math.exp(state.log_scales[0])
-    )
-
-
-def test_rr_update_off_boundary_rejected():
-    state = AdaptState(d=1, epsilon=1.0)
-    state.record_proposal(0, True)
-    with pytest.raises(BatchBoundaryError):
-        rr_scale_update(state, 0, 1)
-    with pytest.raises(BatchBoundaryError):
-        state.start_new_batch()
+    adaptation = ComponentwiseAdaptation("rr", (1.0, 1.0), 0.25)
+    origin = (0.0, 0.0)
+    drive(adaptation, [origin] * (BATCH_SIZE + 1))  # coordinate 0, all accepted
+    assert adaptation.log_scales == pytest.approx([0.1, 0.0])
+    assert adaptation.log_scales[1] == 0.0  # never proposed: unchanged
+    assert adaptation.proposal_variances == (math.exp(adaptation.log_scales[0]), 1.0)
+    # the step is 0.1 up to batch 100, so batch 101 reaches the clamp at 10
+    for n in range(BATCH_SIZE + 1, 105 * BATCH_SIZE + 1):
+        adaptation.observer(n, origin, 0, True)
+    log = adaptation.batch_log
+    assert len(log) == 105
+    for entry in log[:99]:
+        assert entry["variances"][0] == pytest.approx(math.exp(0.1 * entry["batch"]))
+        assert entry["variances"][0] < math.exp(10.0)
+    assert [entry["variances"][0] for entry in log[100:]] == [math.exp(10.0)] * 5
+    assert adaptation.log_scales[0] == 10.0
+    for n in range(105 * BATCH_SIZE + 1, 106 * BATCH_SIZE + 1):
+        adaptation.observer(n, origin, 0, False)  # none accepted: step down
+    assert adaptation.log_scales[0] == pytest.approx(10.0 - 106**-0.5)
+    assert adaptation.proposal_variances[0] == math.exp(adaptation.log_scales[0])
 
 
 def test_weight_update_examples():
-    state = AdaptState(d=2, epsilon=0.1)
-    state.proposal_variances = np.array([1.0, 1.0])
-    w = weight_update(state, "rr", (1.0, 1.0), 0.1)
+    w = weight_update((1.0, 1.0), (1.0, 1.0), 0.1)
     assert w.weights == pytest.approx((0.5, 0.5))
-    w = weight_update(state, "rr", (1.0, 2.0), 0.1)
+    w = weight_update((1.0, 1.0), (1.0, 2.0), 0.1)
     assert w.weights == pytest.approx((1.0 / 3.0, 2.0 / 3.0))
-    w = weight_update(state, "rr", (0.0, 1.0), 0.1)
+    w = weight_update((1.0, 1.0), (0.0, 1.0), 0.1)
     assert w.weights == pytest.approx((0.1, 0.9))
-    with pytest.raises(ValueError):
-        weight_update(state, "other", (1.0, 1.0), 0.1)
+    w = weight_update((4.0, 1.0), (1.0, 1.0), 0.1)
+    assert w.weights == pytest.approx((2.0 / 3.0, 1.0 / 3.0))
 
 
 def test_weight_update_preserves_score_ordering():
     rng = np.random.default_rng(5)
     for _ in range(30):
         d = int(rng.integers(2, 6))
-        state = AdaptState(d=d, epsilon=0.02)
-        state.proposal_variances = rng.uniform(0.1, 4.0, size=d)
+        variances = rng.uniform(0.1, 4.0, size=d)
         a = rng.uniform(0.1, 2.0, size=d)
-        w = np.asarray(weight_update(state, "rr", a, 0.02).weights)
-        scores = np.sqrt(state.proposal_variances * a * a)
+        w = np.asarray(weight_update(tuple(variances), a, 0.02).weights)
+        scores = np.sqrt(variances * a * a)
         order = np.argsort(scores, kind="stable")
         assert np.all(np.diff(w[order]) >= -1e-15)
 
 
-def run_componentwise(variant, n_batches, seed, scales=(1.0, 2.0), burn_in_exclude=0):
+def test_unknown_variant_rejected():
+    with pytest.raises(ValueError):
+        ComponentwiseAdaptation("other", (1.0, 1.0), 0.1)
+
+
+def run_componentwise(variant, n_batches, seed, scales=(1.0, 2.0)):
     target = ContinuousProductTarget(scales, raised_cosine, (-1.0, 1.0))
-    adaptation = ComponentwiseAdaptation(
-        variant, (1.0,) * len(scales), 0.1, burn_in_exclude=burn_in_exclude
-    )
+    adaptation = ComponentwiseAdaptation(variant, (1.0,) * len(scales), 0.1)
     d = len(scales)
     alpha0 = SelectionWeights((1.0 / d,) * d, 0.1)
-    gamma0 = tuple(float(v) for v in adaptation.state.proposal_variances)
     trajectory = adap_rs_adap_mwg_run(
         target.conditional_density,
         gaussian_random_walk_family(),
@@ -130,19 +123,101 @@ def run_componentwise(variant, n_batches, seed, scales=(1.0, 2.0), burn_in_exclu
         adaptation.proposal_rule,
         (0.0,) * d,
         alpha0,
-        gamma0,
-        n_batches * adaptation.state.batch_size,
+        adaptation.proposal_variances,
+        n_batches * BATCH_SIZE,
         seed,
         observer=adaptation.observer,
     )
     return adaptation, trajectory
 
 
+def replay_batches(variant, trajectory, a, epsilon):
+    """Straight-line recomputation of every batch refresh of a run from its
+    states, coordinates and acceptances: Welford moments over every state
+    (the initial one included), per-batch proposal and acceptance counts,
+    and at each boundary the rr log-scale step or the hst moment variance,
+    then the square-root weights."""
+    d = trajectory.d
+    count, means, m2 = 0, [0.0] * d, [0.0] * d
+    log_scales = [0.0] * d
+    proposals, accepts = [0] * d, [0] * d
+    entries = []
+    for n, x in enumerate(trajectory.states):
+        count += 1
+        for k in range(d):
+            delta = x[k] - means[k]
+            means[k] += delta / count
+            m2[k] += delta * (x[k] - means[k])
+        if n == 0:
+            continue
+        i = trajectory.coordinates[n - 1]
+        proposals[i] += 1
+        accepts[i] += int(trajectory.accepted[n - 1])
+        if n % 50:
+            continue
+        b = n // 50
+        fractions = tuple(
+            acc / p if p > 0 else math.nan for acc, p in zip(accepts, proposals)
+        )
+        if variant == "rr":
+            step = min(0.1, b**-0.5)
+            for k in range(d):
+                if proposals[k] > 0:
+                    up = accepts[k] / proposals[k] > 0.44
+                    ls = log_scales[k] + (step if up else -step)
+                    log_scales[k] = min(max(ls, -10.0), 10.0)
+            variances = tuple(math.exp(ls) for ls in log_scales)
+        else:
+            variances = tuple(
+                2.4**2 * ((m2[k] / (count - 1) if count >= 2 else 0.0) + 0.05)
+                for k in range(d)
+            )
+        raw = [abs(ak) * math.sqrt(v) for ak, v in zip(a, variances)]
+        entries.append(
+            {
+                "batch": b,
+                "weights": make_selection_weights(raw, epsilon).weights,
+                "variances": variances,
+                "acceptance": fractions,
+                "proposals": tuple(proposals),
+                "accepts": tuple(accepts),
+            }
+        )
+        proposals, accepts = [0] * d, [0] * d
+    return entries
+
+
+@pytest.mark.parametrize("variant, seed", [("hst", 41), ("rr", 43)])
+def test_batch_refresh_matches_straight_line_replay(variant, seed):
+    n_batches = 120
+    adaptation, traj = run_componentwise(variant, n_batches, seed=seed)
+    entries = replay_batches(variant, traj, (1.0, 1.0), 0.1)
+    assert len(entries) == len(adaptation.batch_log) == n_batches
+    for got, want in zip(adaptation.batch_log, entries):
+        assert not any(math.isnan(f) for f in want["acceptance"])
+        assert got == want
+    # each batch's weights and variances drive the next batch's steps
+    first_variance = 1.0 if variant == "rr" else 2.4**2 * 0.05
+    gammas = [(first_variance,) * 2] + [e["variances"] for e in entries]
+    alphas = [(0.5, 0.5)] + [e["weights"] for e in entries]
+    for n in range(traj.n_steps):
+        assert traj.gammas[n] == gammas[n // 50]
+        assert traj.alphas[n] == alphas[n // 50]
+
+
+@pytest.mark.parametrize("variant", ["hst", "rr"])
+def test_rules_hand_out_one_object_per_batch(variant):
+    n_batches = 40
+    adaptation, traj = run_componentwise(variant, n_batches, seed=47)
+    assert len({id(g) for g in traj.gammas}) <= n_batches + 1
+    assert traj.gammas[-1] is adaptation.batch_log[-2]["variances"]
+
+
 def test_hst_variance_stabilises_near_moment_rule():
     adaptation, _ = run_componentwise("hst", 400, seed=13)
     for i, scale in enumerate((1.0, 2.0)):
         expected = 5.76 * (RAISED_COSINE_VARIANCE / scale**2 + 0.05)
-        final = adaptation.state.proposal_variances[i]
+        final = adaptation.proposal_variances[i]
         assert final == pytest.approx(expected, rel=0.15)
 
 
@@ -161,22 +236,7 @@ def test_rr_scale_replay_is_deterministic():
     adaptation_b, traj_b = run_componentwise("rr", 50, seed=23)
     assert traj_a.states == traj_b.states
     assert adaptation_a.batch_log == adaptation_b.batch_log
-    assert np.array_equal(adaptation_a.state.log_scales, adaptation_b.state.log_scales)
-
-
-def test_burn_in_exclusion_flag_changes_moments():
-    rng = np.random.default_rng(29)
-    data = rng.normal(size=(200, 1))
-    with_burn = AdaptState(d=1, epsilon=1.0, burn_in_exclude=100)
-    without = AdaptState(d=1, epsilon=1.0)
-    for row in data:
-        with_burn.observe_state(row)
-        without.observe_state(row)
-    assert with_burn.counts == 100
-    assert with_burn.sample_variance(0) == pytest.approx(
-        float(np.var(data[100:, 0], ddof=1)), abs=1e-12
-    )
-    assert without.counts == 200
+    assert adaptation_a.log_scales == adaptation_b.log_scales
 
 
 def test_monitor_constant_weights():

@@ -37,6 +37,17 @@ def test_config_validation_errors_name_the_field():
         ExperimentConfig.from_dict({"kind": "counterexample", "seed": -3})
 
 
+# Kind of the config each strict-caster case is checked in; the rest are
+# counterexample parameters.
+CASTER_FIELD_KINDS = {
+    "a": "optimal-scan",
+    "scales": "optimal-scan",
+    "epsilon": "optimal-scan",
+    "schedule_slope": "truncated-ladder",
+    "tv_target": "truncated-ladder",
+}
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -48,10 +59,17 @@ def test_config_validation_errors_name_the_field():
         ("n_steps", True),
         ("trace_stride", float("inf")),
         ("seed", True),
+        ("a", "11111"),
+        ("scales", "12"),
+        ("scales", [True, 2, "4"]),
+        ("epsilon", "0.1"),
+        ("schedule_slope", True),
+        ("tv_target", "0.001"),
     ],
 )
 def test_config_casters_are_strict(field, value):
-    data = {"kind": "counterexample", "seed": 1, field: value}
+    kind = CASTER_FIELD_KINDS.get(field, "counterexample")
+    data = {"kind": kind, "seed": 1, field: value}
     name = "seed" if field == "seed" else f"params.{field}"
     with pytest.raises(ConfigError, match=name):
         ExperimentConfig.from_dict(data)
@@ -260,6 +278,10 @@ def test_cli_trajectory_analysis(tmp_path, capsys):
     )
     for row in rows[:-1]:
         assert float(row[1]) > 0.0
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["variance", "--trajectory", str(path), "--burn-in", "-2000"])
+    assert exc.value.code == 2
+    assert "--burn-in" in capsys.readouterr().err
 
 
 def test_simulate_subcommand_runs_truncated_ladder(tmp_path, capsys):

@@ -380,6 +380,38 @@ def test_mutated_gamma_list_is_honoured_every_step():
         )
 
 
+def test_tuple_of_floats_from_rule_is_recorded_as_is():
+    """A rule's tuple of Python floats is validated once and then kept: the
+    trajectory records that very object.  Tuples of other numbers are copied
+    into Python floats."""
+    target = ContinuousProductTarget((1.0, 2.0), raised_cosine, (-1.0, 1.0))
+    family = gaussian_random_walk_family()
+    alpha = SelectionWeights((0.5, 0.5), 0.25)
+    early, late = tuple([0.3, 0.2]), tuple([0.5, 0.4])
+
+    def switching(n, gamma_prev, x_prev):
+        return early if n <= 100 else late
+
+    traj = adap_rs_adap_mwg_run(
+        target.conditional_density, family, keep_previous, switching,
+        (0.0, 0.0), alpha, (1.0, 1.0), 200, seed=13,
+    )
+    assert all(g is early for g in traj.gammas[:100])
+    assert all(g is late for g in traj.gammas[100:])
+
+    mixed = (np.float64(0.3), 1)
+
+    def other_numbers(n, gamma_prev, x_prev):
+        return mixed
+
+    traj = adap_rs_adap_mwg_run(
+        target.conditional_density, family, keep_previous, other_numbers,
+        (0.0, 0.0), alpha, (1.0, 1.0), 50, seed=13,
+    )
+    assert all(g == (0.3, 1.0) and g is not mixed for g in traj.gammas)
+    assert all(type(v) is float for g in traj.gammas for v in g)
+
+
 def test_doubly_adaptive_rejects_bad_gamma():
     target = ContinuousProductTarget((1.0,), raised_cosine, (-1.0, 1.0))
     family = gaussian_random_walk_family()
