@@ -50,14 +50,12 @@ from .samplers import (
     write_trajectory_csv,
 )
 from .ladder import (
-    LadderState,
     LadderTarget,
     Schedule,
     dominance_holds,
     dominating_walk_law,
     failure_probability_budget,
     hoeffding_tail,
-    ladder_conditionals,
     ladder_step_law,
     ladder_update_rule,
     linear_schedule,

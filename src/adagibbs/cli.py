@@ -49,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMAND_KINDS:
         p = sub.add_parser(name, help=f"run a {'/'.join(SUBCOMMAND_KINDS[name])} config")
         p.add_argument("--config", help="path to a JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument(
+            "--seed", type=_nonnegative_int, default=None, help="override the config seed"
+        )
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument(
             "--check",

@@ -37,8 +37,8 @@ from .kernels import (
     random_reversible_chain,
 )
 from .ladder import (
-    Schedule,
     linear_schedule,
+    schedule_a,
     transience_experiment,
     truncated_ladder_evolution,
 )
@@ -132,7 +132,8 @@ PARAM_SPECS: dict = {
         "n_chains": (*_POSITIVE_INT, 50),
     },
     "counterexample": {
-        "n_steps": (*_POSITIVE_INT, 100_000),
+        # The last-half slope of a height trace needs two points.
+        "n_steps": (_strict_int, lambda v: v >= 2, 100_000),
         "n_runs": (*_POSITIVE_INT, 20),
         "final_threshold": (*_POSITIVE_INT, 500),
         "control_threshold": (*_POSITIVE_INT, 50),
@@ -578,7 +579,7 @@ def truncated_ladder_experiment(config: ExperimentConfig) -> ExperimentResult:
     if p["schedule"] == "linear":
         a_of_n = linear_schedule(p["schedule_offset"], p["schedule_slope"])
     else:
-        a_of_n = Schedule().a
+        a_of_n = schedule_a
     evolution = truncated_ladder_evolution(
         p["truncation"], a_of_n, tv_target=p["tv_target"], max_steps=p["max_steps"]
     )
@@ -622,6 +623,8 @@ def truncated_ladder_experiment(config: ExperimentConfig) -> ExperimentResult:
 def geometric_gap_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Proposal-TV versus kernel-TV gaps for the geometric-target example."""
     p = config.params
+    if p["n_min"] > p["n_max"]:
+        raise ConfigError("params.n_min: must not exceed params.n_max")
     rows = []
     by_p = {}
     for pv in p["p_values"]:
@@ -687,6 +690,9 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     d = len(scales)
     if len(a) != d:
         raise ConfigError("params.a: must match the length of params.scales")
+    # iact_estimate needs 1000 points of the eval_steps + 1 states.
+    if p["eval_steps"] - p["eval_burn_in"] < 999:
+        raise ConfigError("params.eval_burn_in: must leave at least 1000 evaluation states")
     epsilon = p["epsilon"]
     target = ContinuousProductTarget(scales, raised_cosine, (-1.0, 1.0), a=a)
     proposals = gaussian_random_walk_family()

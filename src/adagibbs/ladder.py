@@ -16,10 +16,17 @@ probability, and seeded transience experiments (the adaptive arm's sampler
 rule is ``rule(n, alpha_prev, x_prev) = ladder_update_rule(x_prev, n)``,
 against a fixed-weight control arm).  A truncated variant of the space is
 ergodic again; the exact chain-law evolution for that case is also provided.
+
+Within a block the rule has only two weight vectors, one for diagonal and
+one for off-diagonal states; each is built once per block and handed out on
+every step of that block, and the weight floor is the constant
+:data:`LADDER_EPSILON`.  Ladder membership is checked in one place,
+``_ij``, which every conditional and rule call goes through.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -27,34 +34,24 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import single_coordinate_kernel, target_distribution
+from .kernels import single_coordinate_kernel
 from .samplers import adap_rsg_run, derive_seed, keep_previous
 from .targets import FiniteProductTarget
 from .weights import SelectionWeights
 
 
-@dataclass(frozen=True)
-class LadderState:
-    """A rung of the ladder: either (i, i) or (i + 1, i)."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.i < 1 or self.j < 1:
-            raise ValueError(f"ladder coordinates must be >= 1, got {(self.i, self.j)}")
-        if self.i != self.j and self.i != self.j + 1:
-            raise ValueError(f"({self.i}, {self.j}) is not on the ladder")
-
-    def as_tuple(self) -> tuple:
-        return (self.i, self.j)
-
-
 def _ij(x) -> tuple:
-    if isinstance(x, LadderState):
-        return x.as_tuple()
-    state = LadderState(int(x[0]), int(x[1]))
-    return state.as_tuple()
+    """``(i, j)`` of a rung of the ladder, either (j, j) or (j + 1, j) with
+    ``j >= 1``; ``ValueError`` for anything else."""
+    i, j = int(x[0]), int(x[1])
+    if j < 1 or (i != j and i != j + 1):
+        raise ValueError(f"{(i, j)} is not on the ladder")
+    return i, j
+
+
+def _block_a(k: int) -> float:
+    """Tuning value ``10 + log k`` on the k-th block."""
+    return 10.0 + math.log(k)
 
 
 class Schedule:
@@ -73,7 +70,7 @@ class Schedule:
     def _extend_to_block(self, k: int):
         while len(self._b) <= k:
             n = len(self._b)
-            b = self._b[-1] * (1.0 + 1.0 / (10.0 + math.log(n)))
+            b = self._b[-1] * (1.0 + 1.0 / _block_a(n))
             self._b.append(b)
             self._c.append(self._c[-1] + b)
 
@@ -98,7 +95,7 @@ class Schedule:
         return bisect_left(self._c, n)
 
     def a(self, n: int) -> float:
-        return 10.0 + math.log(self.block_of(n))
+        return _block_a(self.block_of(n))
 
 
 _DEFAULT_SCHEDULE = Schedule()
@@ -109,10 +106,19 @@ def schedule_a(n: int) -> float:
     return _DEFAULT_SCHEDULE.a(n)
 
 
-def ladder_epsilon() -> float:
-    """Weight floor valid for the whole run: the first block has the
-    smallest tuning value, hence the most lopsided weights."""
-    return 0.5 - 4.0 / schedule_a(1)
+# Weight floor valid for the whole run: the first block has the smallest
+# tuning value, a_1 = 10, hence the most lopsided weights.
+LADDER_EPSILON = 0.5 - 4 / 10
+
+
+@functools.cache
+def _block_weights(k: int) -> tuple:
+    """The rule's two weight vectors on block ``k``: (diagonal, off-diagonal)."""
+    tilt = 4.0 / _block_a(k)
+    return (
+        SelectionWeights((0.5 + tilt, 0.5 - tilt), LADDER_EPSILON),
+        SelectionWeights((0.5 - tilt, 0.5 + tilt), LADDER_EPSILON),
+    )
 
 
 def ladder_update_rule(x, n: int) -> SelectionWeights:
@@ -120,28 +126,12 @@ def ladder_update_rule(x, n: int) -> SelectionWeights:
 
     Returns ``(1/2 + 4/a_n, 1/2 - 4/a_n)`` on diagonal states (i = j) and the
     swap on off-diagonal states; both entries stay inside (0, 1) because the
-    schedule keeps ``a_n > 8``.
+    schedule keeps ``a_n > 8``.  Within a block the same two objects are
+    returned every time.
     """
     i, j = _ij(x)
-    a = schedule_a(n)
-    tilt = 4.0 / a
-    if i == j:
-        w = (0.5 + tilt, 0.5 - tilt)
-    else:
-        w = (0.5 - tilt, 0.5 + tilt)
-    return SelectionWeights(w, ladder_epsilon())
-
-
-def ladder_conditionals(x):
-    """Exact full conditionals at a ladder state.
-
-    Returns two ``(values, probs)`` pairs: the law of the first coordinate
-    given ``j`` (uniform on {j, j+1}, both rungs carry mass ``j**-2``) and
-    the law of the second coordinate given ``i`` (masses proportional to
-    ``(i**2, (i-1)**2)`` on ``(i-1, i)``; a point mass at 1 when ``i = 1``).
-    """
-    target = LadderTarget()
-    return target.conditional(0, x), target.conditional(1, x)
+    diagonal, off_diagonal = _block_weights(_DEFAULT_SCHEDULE.block_of(n))
+    return diagonal if i == j else off_diagonal
 
 
 class LadderTarget:
@@ -171,6 +161,13 @@ class LadderTarget:
         return True
 
     def conditional(self, coord: int, x):
+        """Exact full conditional ``(values, probs)`` of one coordinate.
+
+        The first coordinate given ``j`` is uniform on {j, j+1} (both rungs
+        carry mass ``j**-2``; a point mass at the top rung of a truncated
+        ladder); the second given ``i`` has masses proportional to
+        ``(i**2, (i-1)**2)`` on ``(i-1, i)``, a point mass at 1 when ``i = 1``.
+        """
         i, j = _ij(x)
         if coord == 0:
             if self.truncation is not None and j == self.truncation:
@@ -207,14 +204,14 @@ def ladder_step_law(x, n: int) -> dict:
     sampler executes them, so it remains valid on the degenerate bottom
     rung where the naive closed form would assign mass to a missing state.
     """
-    i, j = _ij(x)
-    alpha = ladder_update_rule((i, j), n).weights
-    (first_vals, first_probs), (second_vals, second_probs) = ladder_conditionals((i, j))
+    x = _ij(x)
+    alpha = ladder_update_rule(x, n).weights
+    target = LadderTarget()
     law = {-1: 0.0, 0: 0.0, 1: 0.0}
-    for v, p in zip(first_vals, first_probs):
-        law[v - i] += alpha[0] * p
-    for v, p in zip(second_vals, second_probs):
-        law[v - j] += alpha[1] * p
+    for coord in (0, 1):
+        values, probs = target.conditional(coord, x)
+        for v, p in zip(values, probs):
+            law[v - x[coord]] += alpha[coord] * p
     return law
 
 
@@ -301,7 +298,7 @@ def failure_probability_budget(n_max: int) -> FailureBudget:
     log_p = np.empty(n_max)
     for k in range(1, n_max + 1):
         b_k = _DEFAULT_SCHEDULE.block_length(k)
-        log_p[k - 1] = -0.5 * b_k / (10.0 + math.log(k)) ** 2
+        log_p[k - 1] = -0.5 * b_k / _block_a(k) ** 2
     p = np.exp(log_p)
     survival = math.fsum(math.log1p(-v) for v in p[1:] if v > 0.0)
     return FailureBudget(p=p, log_p=log_p, product=math.exp(survival))
@@ -361,7 +358,7 @@ def transience_experiment(
         return ladder_update_rule(x_prev, n)
 
     arms = (
-        ("adaptive", rule, SelectionWeights((0.5, 0.5), ladder_epsilon()), 0),
+        ("adaptive", rule, SelectionWeights((0.5, 0.5), LADDER_EPSILON), 0),
         ("control", keep_previous, SelectionWeights((0.5, 0.5), 0.5), n_runs),
     )
     records = {}
@@ -432,9 +429,9 @@ def truncated_ladder_evolution(
     a_of_n: Callable[[int], float],
     tv_target: float = 1e-3,
     max_steps: int = 200_000,
-    start=(1, 1),
 ) -> TruncatedLadderEvolution:
-    """Exact evolution of the adaptive chain law on the truncated ladder.
+    """Exact evolution of the adaptive chain law on the truncated ladder,
+    started at (1, 1).
 
     The law is pushed forward (see :func:`_law_step`) until the total
     variation distance to the target drops below ``tv_target`` (the horizon)
@@ -444,7 +441,7 @@ def truncated_ladder_evolution(
     step = _law_step(target)
     pi = target.probabilities()
     v = np.zeros(len(target.states))
-    v[target.states.index(tuple(start))] = 1.0
+    v[target.states.index((1, 1))] = 1.0
 
     tv = np.empty(max_steps + 1)
     tv[0] = 0.5 * np.abs(v - pi).sum()
@@ -476,26 +473,23 @@ class UnboundedLadderLaw:
     tv_to_target: float
 
 
-def unbounded_ladder_law(
-    n_steps: int, a_of_n: Optional[Callable[[int], float]] = None, start=(1, 1)
-) -> UnboundedLadderLaw:
-    """Exact chain law of the unbounded adaptive ladder after ``n_steps``.
+def unbounded_ladder_law(n_steps: int) -> UnboundedLadderLaw:
+    """Exact chain law of the unbounded adaptive ladder after ``n_steps``,
+    started at (1, 1) and run on the block schedule.
 
     The height climbs at most one rung per step, so the reachable support at
-    the horizon fits inside the truncation at ``start height + n_steps + 1``
-    and the truncated dynamics agree with the unbounded ones on every state
-    the law can touch: no truncation bias.  The total variation distance to
+    the horizon fits inside the truncation at ``n_steps + 2`` and the
+    truncated dynamics agree with the unbounded ones on every state the law
+    can touch: no truncation bias.  The total variation distance to
     the unbounded target is then exact, the unreachable tail contributing its
     full target mass.
     """
-    sched = a_of_n if a_of_n is not None else (_DEFAULT_SCHEDULE).a
-    truncation = int(max(start)) + n_steps + 1
-    target = truncated_ladder_target(truncation)
+    target = truncated_ladder_target(n_steps + 2)
     step = _law_step(target)
     v = np.zeros(len(target.states))
-    v[target.states.index(tuple(start))] = 1.0
+    v[target.states.index((1, 1))] = 1.0
     for n in range(1, n_steps + 1):
-        v = step(v, sched(n))
+        v = step(v, schedule_a(n))
 
     # unbounded target: mass j**-2 on both (j, j) and (j+1, j)
     total = 2.0 * (math.pi**2 / 6.0)
@@ -526,6 +520,3 @@ def truncated_ladder_kernel(
 
     return state_dependent_gibbs_kernel(target, weights_at)
 
-
-def truncated_ladder_target_vector(truncation: int):
-    return target_distribution(truncated_ladder_target(truncation))

@@ -206,6 +206,38 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     wrong_kind = write_config(tmp_path, "wrong.json", {"kind": "bounds", "seed": 1})
     assert cli_main(["geometric-gap", "--config", wrong_kind]) == 2
     capsys.readouterr()
+    lazy = write_config(tmp_path, "lazy.json", {"kind": "lazy-variance", "seed": 3})
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["variance", "--config", lazy, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+# Configs that pass the per-field checks but that no run could finish: each
+# is rejected before any sampling, naming the field.
+UNFINISHABLE_CONFIGS = {
+    "counterexample-one-step": (
+        "counterexample", "n_steps", {**SMALL_COUNTEREXAMPLE, "n_steps": 1}
+    ),
+    "geometric-gap-empty-range": (
+        "geometric-gap", "n_min", {"n_min": 20, "n_max": 10}
+    ),
+    "optimal-scan-short-evaluation": (
+        "optimal-scan", "eval_burn_in", {"eval_steps": 900, "eval_burn_in": 0}
+    ),
+    "optimal-scan-burn-in-past-end": (
+        "optimal-scan", "eval_burn_in", {"eval_steps": 4_000, "eval_burn_in": 5_000}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNFINISHABLE_CONFIGS))
+def test_cli_rejects_configs_a_run_cannot_finish(case, tmp_path, capsys):
+    kind, field, params = UNFINISHABLE_CONFIGS[case]
+    path = write_config(tmp_path, "bad.json", {"kind": kind, "seed": 1, **params})
+    # each of these kinds has the subcommand of the same name
+    assert cli_main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"params.{field}" in capsys.readouterr().err
 
 
 def test_cli_check_pass_and_fail(tmp_path, capsys):

@@ -6,19 +6,18 @@ import pytest
 from adagibbs.kernels import (
     DistributionVector,
     exact_marginal_evolution,
+    target_distribution,
     tv_distance,
 )
 from adagibbs.ladder import (
+    LADDER_EPSILON,
     FailureBudget,
-    LadderState,
     LadderTarget,
     Schedule,
     dominance_holds,
     dominating_walk_law,
     failure_probability_budget,
     hoeffding_tail,
-    ladder_conditionals,
-    ladder_epsilon,
     ladder_increment_floor,
     ladder_step_law,
     ladder_update_rule,
@@ -29,19 +28,19 @@ from adagibbs.ladder import (
     truncated_ladder_evolution,
     truncated_ladder_kernel,
     truncated_ladder_target,
-    truncated_ladder_target_vector,
 )
 
 
 def test_ladder_state_invariants():
-    LadderState(3, 3)
-    LadderState(4, 3)
-    with pytest.raises(ValueError):
-        LadderState(3, 4)
-    with pytest.raises(ValueError):
-        LadderState(5, 3)
-    with pytest.raises(ValueError):
-        LadderState(0, 0)
+    target = LadderTarget()
+    assert target.contains((3, 3))
+    assert target.contains((4, 3))
+    ladder_update_rule((3, 3), 1)
+    ladder_update_rule((4, 3), 1)
+    for off_ladder in ((3, 4), (5, 3), (0, 0)):
+        assert not target.contains(off_ladder)
+        with pytest.raises(ValueError):
+            ladder_update_rule(off_ladder, 1)
 
 
 def test_schedule_first_blocks():
@@ -83,19 +82,58 @@ def test_update_rule_limit_and_floor():
         assert tilt == pytest.approx(4.0 / schedule_a(n), abs=1e-15)
         assert tilt <= last + 1e-15
         last = tilt
-    assert ladder_epsilon() == pytest.approx(0.1)
+    assert LADDER_EPSILON == pytest.approx(0.1)
+
+
+def test_update_rule_matches_straight_line_block_replay():
+    # Replay the block boundaries, b_1 = 1000 and
+    # b_k = b_{k-1} (1 + 1/(10 + log k)), and check every step of the first
+    # four blocks on both kinds of state.
+    length = boundary = 0.0
+    n = 1
+    for k in range(1, 5):
+        length = 1000.0 if k == 1 else length * (1.0 + 1.0 / (10.0 + math.log(k)))
+        boundary += length
+        tilt = 4.0 / (10.0 + math.log(k))
+        while n <= boundary:
+            diagonal = ladder_update_rule((6, 6), n)
+            off_diagonal = ladder_update_rule((7, 6), n)
+            assert diagonal.weights == (0.5 + tilt, 0.5 - tilt), n
+            assert off_diagonal.weights == (0.5 - tilt, 0.5 + tilt), n
+            assert diagonal.epsilon == off_diagonal.epsilon == 0.5 - 4 / 10
+            n += 1
+    assert n == int(Schedule().block_boundary(4)) + 1
+
+
+def test_update_rule_hands_out_two_objects_per_block():
+    sched = Schedule()
+    for k in (1, 2, 7):
+        lo = int(sched.block_boundary(k - 1)) + 1
+        hi = int(sched.block_boundary(k))
+        steps = (lo, (lo + hi) // 2, hi)
+        # the lists keep every object alive, so equal ids mean one object
+        diagonal = [ladder_update_rule((i, i), n) for n in steps for i in (1, 2, 40)]
+        off_diagonal = [
+            ladder_update_rule((i + 1, i), n) for n in steps for i in (1, 2, 40)
+        ]
+        assert len({id(w) for w in diagonal}) == 1, k
+        assert len({id(w) for w in off_diagonal}) == 1, k
+        assert diagonal[0] is not off_diagonal[0]
+        assert ladder_update_rule((1, 1), hi + 1) is not diagonal[0]
 
 
 def test_conditionals():
-    (vals1, probs1), (vals2, probs2) = ladder_conditionals((2, 2))
+    target = LadderTarget()
+    vals1, probs1 = target.conditional(0, (2, 2))
+    vals2, probs2 = target.conditional(1, (2, 2))
     assert vals1 == (2, 3) and probs1 == (0.5, 0.5)
     assert vals2 == (1, 2)
     assert probs2 == pytest.approx((4.0 / 5.0, 1.0 / 5.0))
-    _, (vals2, probs2) = ladder_conditionals((1, 1))
+    vals2, probs2 = target.conditional(1, (1, 1))
     assert vals2 == (1,) and probs2 == (1.0,)
     # first-coordinate conditional is always uniform: both rungs share j**-2
     for state in ((1, 1), (5, 4), (9, 9)):
-        (_, probs1), _ = ladder_conditionals(state)
+        _, probs1 = target.conditional(0, state)
         assert probs1 == (0.5, 0.5)
 
 
@@ -240,7 +278,7 @@ def test_fast_evolution_matches_generic_evolution():
     laws = exact_marginal_evolution(
         init, lambda n: truncated_ladder_kernel(truncation, n, a_of_n), 60
     )
-    pi = truncated_ladder_target_vector(truncation)
+    pi = target_distribution(truncated_ladder_target(truncation))
     for n, law in enumerate(laws):
         assert abs(tv_distance(law, pi) - fast.tv[n]) <= 1e-12
 
