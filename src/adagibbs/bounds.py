@@ -5,7 +5,8 @@ bound they imply, the Lipschitz dependence of a random scan kernel on its
 selection weights, strong-uniform constants for reversible chains, transfer
 of a systematic-scan certificate to the random scan sampler, the proposal-TV
 versus kernel-TV comparison for Metropolis kernels, and the geometric-target
-example showing why that comparison genuinely needs its side condition.
+example showing why that comparison genuinely needs its side condition, on
+Metropolis kernels from :func:`adagibbs.kernels.metropolis_kernel_matrix`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import DistributionVector, TransitionMatrix
+from .kernels import DistributionVector, TransitionMatrix, metropolis_kernel_matrix
 from .weights import sup_distance
 
 ENTRYWISE_TOL = 1e-12
@@ -131,32 +132,6 @@ def systematic_to_random_scan(cert: MinorizationCertificate, d: int) -> Minoriza
     return MinorizationCertificate(
         cert.m * d, (1.0 / d) ** (cert.m * d) * cert.s, cert.mu
     )
-
-
-def metropolis_kernel_matrix(pi: np.ndarray, proposal: np.ndarray) -> np.ndarray:
-    """Exact Metropolis kernel on a finite space.
-
-    ``pi`` is an unnormalised positive target vector and ``proposal`` a
-    row-stochastic matrix; rejected mass is returned to the diagonal.
-    """
-    pi = np.asarray(pi, dtype=np.float64)
-    q = np.asarray(proposal, dtype=np.float64)
-    n = len(pi)
-    if q.shape != (n, n):
-        raise ValueError(f"proposal shape {q.shape} does not match {n} states")
-    if pi.min() <= 0.0:
-        raise ValueError("target entries must be strictly positive")
-    m = np.zeros((n, n))
-    for x in range(n):
-        moved = 0.0
-        for y in range(n):
-            if y == x or q[x, y] == 0.0:
-                continue
-            accept = min(1.0, (pi[y] * q[y, x]) / (pi[x] * q[x, y]))
-            m[x, y] = q[x, y] * accept
-            moved += m[x, y]
-        m[x, x] = 1.0 - moved
-    return m
 
 
 def _sup_row_tv(a: np.ndarray, b: np.ndarray) -> float:

@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -871,40 +872,47 @@ def _cell(v):
 def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None):
     """Execute one experiment and persist tables, summary and manifest.
 
+    Outputs go to a temporary directory beside the target, renamed into place
+    after the manifest: a failed run leaves no directory and an existing
+    target untouched.  A non-empty target without ``manifest.json`` is refused.
+
     Returns ``(manifest, result)``.
     """
     digest = config.digest()
     out = out_dir or config.out or os.path.join("runs", f"{config.kind}-{digest[:8]}")
-    os.makedirs(out, exist_ok=True)
-    outputs = []
+    if os.path.isdir(out) and os.listdir(out) and "manifest.json" not in os.listdir(out):
+        raise ConfigError(f"out: {out} is neither empty nor an earlier run's directory")
     result = EXPERIMENT_FUNCTIONS[config.kind](config)
-    for name, (header, rows) in result.tables.items():
-        path = os.path.join(out, f"{name}.csv")
-        _write_table(path, header, rows)
-        outputs.append(os.path.basename(path))
+    parent = os.path.dirname(os.path.abspath(out))
+    os.makedirs(parent, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".adagibbs-", dir=parent) as scratch:
+        tmp = os.path.join(scratch, "run")
+        os.mkdir(tmp)
+        for name, (header, rows) in result.tables.items():
+            _write_table(os.path.join(tmp, f"{name}.csv"), header, rows)
+        with open(os.path.join(tmp, "summary.json"), "w") as fh:
+            json.dump(
+                {"summary": result.summary, "checks": result.checks, "passed": result.passed},
+                fh,
+                indent=2,
+                sort_keys=True,
+                default=_json_default,
+            )
+            fh.write("\n")
 
-    summary_path = os.path.join(out, "summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(
-            {"summary": result.summary, "checks": result.checks, "passed": result.passed},
-            fh,
-            indent=2,
-            sort_keys=True,
-            default=_json_default,
+        manifest = RunManifest(
+            digest=digest,
+            kind=config.kind,
+            seed=config.seed,
+            version=__version__,
+            created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            config=json.loads(config.canonical_json()),
+            outputs=tuple(sorted([*(f"{name}.csv" for name in result.tables), "summary.json"])),
         )
-        fh.write("\n")
-    outputs.append(os.path.basename(summary_path))
-
-    manifest = RunManifest(
-        digest=digest,
-        kind=config.kind,
-        seed=config.seed,
-        version=__version__,
-        created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        config=json.loads(config.canonical_json()),
-        outputs=tuple(sorted(outputs)),
-    )
-    manifest.write(os.path.join(out, "manifest.json"))
+        manifest.write(os.path.join(tmp, "manifest.json"))
+        if os.path.isdir(out):
+            os.rename(out, os.path.join(scratch, "old"))
+        os.rename(tmp, out)
     return manifest, result
 
 

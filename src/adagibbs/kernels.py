@@ -4,14 +4,15 @@ This is the oracle layer: random scan Gibbs and Metropolis-within-Gibbs
 kernels are materialised as row-stochastic matrices, the law of the chain is
 pushed forward exactly, and total-variation quantities are computed without
 sampling error.  Every closed-form bound elsewhere in the package is checked
-against numbers produced here.
+against numbers produced here.  :func:`metropolis_kernel_matrix` is the one
+finite Metropolis kernel; Metropolis-within-Gibbs applies it on every fibre.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -123,16 +124,26 @@ def target_distribution(target: FiniteProductTarget) -> DistributionVector:
     return DistributionVector(target.states, target.probabilities())
 
 
+def _fibres(target: FiniteProductTarget, i: int) -> list:
+    """State indices of each set of states that agree off coordinate ``i``, in
+    enumeration order: the order of the values ``target.conditional`` returns."""
+    groups: dict = {}
+    for k, x in enumerate(target.states):
+        groups.setdefault(x[:i] + x[i + 1:], []).append(k)
+    return list(groups.values())
+
+
 def single_coordinate_kernel(target: FiniteProductTarget, i: int) -> TransitionMatrix:
     """One Gibbs step that redraws coordinate ``i`` from its conditional."""
-    n = len(target.states)
-    m = np.zeros((n, n))
-    index = {x: k for k, x in enumerate(target.states)}
-    for r, x in enumerate(target.states):
-        values, probs = target.conditional(i, x)
-        for v, p in zip(values, probs):
-            y = x[:i] + (v,) + x[i + 1:]
-            m[r, index[y]] += p
+    m = np.zeros((len(target.states),) * 2)
+    rows, cols, probs = [], [], []
+    for fibre in _fibres(target, i):
+        _, p = target.conditional(i, target.states[fibre[0]])
+        for r in fibre:
+            rows += [r] * len(fibre)
+            cols += fibre
+            probs += p
+    m[rows, cols] = probs
     return TransitionMatrix(target.states, m)
 
 
@@ -141,12 +152,7 @@ def gibbs_kernel_matrix(
 ) -> TransitionMatrix:
     """Random scan Gibbs kernel: coordinate ``i`` with probability ``alpha_i``,
     then an exact conditional redraw of that coordinate."""
-    if alpha.d != target.d:
-        raise ValueError(f"weights have d={alpha.d}, target has d={target.d}")
-    m = np.zeros((len(target.states),) * 2)
-    for i, w in enumerate(alpha.weights):
-        m += w * single_coordinate_kernel(target, i).matrix
-    return TransitionMatrix(target.states, m)
+    return _random_scan_kernel(target, lambda x: alpha)
 
 
 def state_dependent_gibbs_kernel(
@@ -159,15 +165,20 @@ def state_dependent_gibbs_kernel(
     ``alpha_n = R(n, X_{n-1})`` as an ordinary (time-frozen) kernel; the
     resulting matrix is generally not stationary for the target.
     """
-    parts = [single_coordinate_kernel(target, i).matrix for i in range(target.d)]
-    n = len(target.states)
-    m = np.zeros((n, n))
-    for r, x in enumerate(target.states):
+    return _random_scan_kernel(target, weights_at)
+
+
+def _random_scan_kernel(target: FiniteProductTarget, weights_at) -> TransitionMatrix:
+    rows = []
+    for x in target.states:
         w = weights_at(x)
         if w.d != target.d:
             raise ValueError(f"weights have d={w.d}, target has d={target.d}")
-        for i, wi in enumerate(w.weights):
-            m[r, :] += wi * parts[i][r, :]
+        rows.append(w.weights)
+    weights = np.array(rows)
+    m = np.zeros((len(target.states),) * 2)
+    for i in range(target.d):
+        m += weights[:, i, np.newaxis] * single_coordinate_kernel(target, i).matrix
     return TransitionMatrix(target.states, m)
 
 
@@ -179,65 +190,68 @@ def systematic_scan_kernel(target: FiniteProductTarget) -> TransitionMatrix:
     return TransitionMatrix(target.states, m)
 
 
+def metropolis_kernel_matrix(pi: np.ndarray, proposal: np.ndarray) -> np.ndarray:
+    """Exact Metropolis kernel on a finite space.
+
+    ``pi`` is an unnormalised positive target vector and ``proposal`` a
+    non-negative matrix whose rows sum to at most 1; the mass a row does not
+    propose, and the rejected mass, return to the diagonal.  A move ``x -> y``
+    with ``q_xy > 0`` has probability ``q_xy min(1, pi_y q_yx / (pi_x q_xy))``.
+    This is the package's one statement of the Metropolis acceptance rule.
+    """
+    pi = np.asarray(pi, dtype=np.float64)
+    q = np.asarray(proposal, dtype=np.float64)
+    n = len(pi)
+    if q.shape != (n, n):
+        raise ValueError(f"proposal shape {q.shape} does not match {n} states")
+    if pi.min() <= 0.0:
+        raise ValueError("target entries must be strictly positive")
+    bad = (q.min(axis=1, initial=0.0) < -NEGATIVE_TOL) | (q.sum(axis=1) > 1.0 + ROW_SUM_TOL)
+    if bad.any():
+        raise ValueError(f"proposal row {int(np.argmax(bad))} has a negative entry or sums above 1")
+    proposed = q > 0.0
+    np.fill_diagonal(proposed, False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (pi[np.newaxis, :] * q.T) / (pi[:, np.newaxis] * q)
+    m = np.where(proposed, q * np.minimum(1.0, ratio), 0.0)
+    # the loop's order of summation, so the diagonal is reproducible bit for bit
+    np.fill_diagonal(m, 1.0 - np.cumsum(m, axis=1)[:, -1])
+    return m
+
+
 def mwg_kernel_matrix(
     target: FiniteProductTarget,
     alpha: SelectionWeights,
-    proposals: Union[Sequence[np.ndarray], Mapping[int, np.ndarray]],
+    proposals: Sequence[np.ndarray],
 ) -> TransitionMatrix:
     """Random scan Metropolis-within-Gibbs kernel with finite proposals.
 
     ``proposals[i]`` is a row-stochastic matrix over coordinate ``i``'s state
-    list.  A proposed value is accepted with the usual ratio
-    ``min(1, pi(y) q(y -> x) / (pi(x) q(x -> y)))`` where the target masses are
-    taken with the other coordinates frozen; proposals leaving the support are
-    rejected through a zero numerator rather than treated as errors.
+    list.  On each fibre of coordinate ``i`` (the states that agree off
+    ``i``) the step is the Metropolis kernel of the target masses and
+    ``proposals[i]`` restricted to the fibre's values; a proposal leaving the
+    support is not in the fibre and so is rejected.
     """
     if alpha.d != target.d:
         raise ValueError(f"weights have d={alpha.d}, target has d={target.d}")
-    prop = {}
-    for i in range(target.d):
+    masses = np.array([target.mass(x) for x in target.states])
+    m = np.zeros((len(target.states),) * 2)
+    for i, wi in enumerate(alpha.weights):
         q = np.asarray(proposals[i], dtype=np.float64)
         size = len(target.coordinate_states[i])
-        if q.shape != (size, size):
-            raise ValueError(f"proposal {i} has shape {q.shape}, expected {(size, size)}")
-        if q.min(initial=0.0) < -NEGATIVE_TOL or np.abs(q.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-            raise ValueError(f"proposal {i} is not row-stochastic")
-        prop[i] = q
-    value_index = [
-        {v: k for k, v in enumerate(states)} for states in target.coordinate_states
-    ]
-
-    n = len(target.states)
-    m = np.zeros((n, n))
-    index = {x: k for k, x in enumerate(target.states)}
-    for r, x in enumerate(target.states):
-        mass_x = target.mass(x)
-        if mass_x <= 0.0:
-            raise ValueError(f"state {x!r} has zero mass; invariant violated upstream")
-        moved = 0.0
-        for i, wi in enumerate(alpha.weights):
-            q = prop[i]
-            xi = value_index[i][x[i]]
-            for yi, v in enumerate(target.coordinate_states[i]):
-                if yi == xi:
-                    continue
-                q_fwd = q[xi, yi]
-                if q_fwd == 0.0:
-                    continue
-                y = x[:i] + (v,) + x[i + 1:]
-                mass_y = target.mass(y)
-                accept = min(1.0, (mass_y * q[yi, xi]) / (mass_x * q_fwd))
-                p_move = wi * q_fwd * accept
-                if p_move > 0.0:
-                    m[r, index[y]] += p_move
-                    moved += p_move
-        m[r, r] += 1.0 - moved
+        if (q.shape != (size, size) or q.min(initial=0.0) < -NEGATIVE_TOL
+                or np.abs(q.sum(axis=1) - 1.0).max() > ROW_SUM_TOL):
+            raise ValueError(f"proposal {i} is not a {size} x {size} row-stochastic matrix")
+        for fibre in _fibres(target, i):
+            values = [target.coordinate_states[i].index(target.states[k][i]) for k in fibre]
+            block = metropolis_kernel_matrix(masses[fibre], q[np.ix_(values, values)])
+            m[np.ix_(fibre, fibre)] += wi * block
     return TransitionMatrix(target.states, m)
 
 
 def exact_marginal_evolution(
     init: DistributionVector,
-    kernel_at_step: Union[Callable[[int], TransitionMatrix], Mapping[int, TransitionMatrix]],
+    kernel_at_step: Callable[[int], TransitionMatrix],
     n_steps: int,
 ):
     """Push the chain law forward exactly: returns ``[pi_0, ..., pi_n]``.
@@ -249,15 +263,11 @@ def exact_marginal_evolution(
     current law (useful when the reachable support grows with the horizon);
     any other mismatch is an error.
     """
-    if isinstance(kernel_at_step, Mapping):
-        lookup = kernel_at_step.__getitem__
-    else:
-        lookup = kernel_at_step
     out = [init]
     states = init.states
     v = np.array(init.probs)
     for n in range(1, n_steps + 1):
-        kernel = lookup(n)
+        kernel = kernel_at_step(n)
         if kernel.states != states:
             embedded = _embed(v, states, kernel.states)
             states = kernel.states
@@ -287,13 +297,12 @@ POWER_RESIDUAL = 1e-13
 def stationary_distribution(
     p: TransitionMatrix,
     method: str = "power",
-    residual: float = POWER_RESIDUAL,
     max_iterations: int = POWER_ITERATION_CAP,
 ) -> DistributionVector:
     """Left fixed probability vector of ``p``.
 
     ``method="power"`` iterates ``v <- v P`` until the sup-norm residual drops
-    below ``residual``, falling back to a linear solve if the cap is hit;
+    below ``POWER_RESIDUAL``, falling back to a linear solve if the cap is hit;
     ``method="solve"`` goes straight to the linear solve.  The caller is
     responsible for irreducibility and aperiodicity; failure to converge is
     reported, naming the iteration cap.
@@ -305,7 +314,7 @@ def stationary_distribution(
         v = np.full(p.n, 1.0 / p.n)
         for _ in range(max_iterations):
             w = v @ m
-            if np.abs(w - v).max() <= residual:
+            if np.abs(w - v).max() <= POWER_RESIDUAL:
                 w = np.maximum(w, 0.0)
                 return DistributionVector(p.states, w / w.sum())
             v = w
@@ -314,7 +323,7 @@ def stationary_distribution(
         return DistributionVector(p.states, solved)
     raise StationaryConvergenceError(
         f"no stationary vector within {max_iterations} power iterations "
-        f"(residual target {residual}) and the linear solve did not help"
+        f"(residual target {POWER_RESIDUAL}) and the linear solve did not help"
     )
 
 

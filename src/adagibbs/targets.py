@@ -18,7 +18,10 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
+
+QUAD_PANELS = 32
+QUAD_NODES = 16
 
 
 class TargetError(ValueError):
@@ -141,7 +144,9 @@ class ContinuousProductTarget:
 
     ``g`` must be a one dimensional density with compact support
     ``[support[0], support[1]]`` and finite positive variance; both are
-    verified by quadrature at construction.  ``a0`` and ``a`` define the
+    verified by composite Gauss-Legendre quadrature (``QUAD_PANELS`` panels of
+    ``QUAD_NODES`` nodes), which assumes ``g`` smooth on its support: a jump
+    inside it can fail the normalisation check.  ``a0`` and ``a`` define the
     linear observable ``f(x) = a0 + sum_i a_i x_i``.
     """
 
@@ -168,11 +173,13 @@ class ContinuousProductTarget:
         if len(self.a) != len(self.scales):
             raise TargetError("linear coefficients and scales must share the dimension")
 
-        total, _ = quad(g, lo, hi, limit=200)
+        nodes, weights = leggauss(QUAD_NODES)
+        half = 0.5 * (hi - lo) / QUAD_PANELS
+        z = (lo + half * (2 * np.arange(QUAD_PANELS)[:, np.newaxis] + 1 + nodes)).ravel()
+        wg = np.tile(half * weights, QUAD_PANELS) * [g(float(v)) for v in z]
+        total, mean, second = (float(wg @ z**k) for k in range(3))
         if abs(total - 1.0) > self.DENSITY_QUAD_TOL:
             raise TargetError(f"base density integrates to {total!r}, expected 1")
-        mean, _ = quad(lambda z: z * g(z), lo, hi, limit=200)
-        second, _ = quad(lambda z: z * z * g(z), lo, hi, limit=200)
         var = second - mean * mean
         if not math.isfinite(var) or var <= 0.0:
             raise TargetError(f"base density variance {var!r} is not positive and finite")

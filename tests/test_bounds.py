@@ -180,6 +180,72 @@ def test_metropolis_kernel_hand_case():
     np.testing.assert_allclose(m, [[0.0, 1.0], [1.0 / 3.0, 2.0 / 3.0]])
 
 
+def loop_metropolis_kernel(pi, q):
+    """Straight-line oracle: the acceptance rule entry by entry, with the
+    rejected and unproposed mass summed onto the diagonal in row order."""
+    n = len(pi)
+    m = np.zeros((n, n))
+    for x in range(n):
+        moved = 0.0
+        for y in range(n):
+            if y == x or q[x, y] == 0.0:
+                continue
+            accept = min(1.0, (pi[y] * q[y, x]) / (pi[x] * q[x, y]))
+            m[x, y] = q[x, y] * accept
+            moved += m[x, y]
+        m[x, x] = 1.0 - moved
+    return m
+
+
+def test_metropolis_kernel_matches_loop_oracle_bitwise():
+    rng = np.random.default_rng(41)
+    for k in range(200):
+        n = int(rng.integers(1, 30))
+        pi = rng.exponential(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        q = rng.exponential(size=(n, n))
+        q[rng.uniform(size=(n, n)) < 0.4] = 0.0
+        rows = q.sum(axis=1, keepdims=True)
+        q = q / np.where(rows > 0.0, rows, 1.0)
+        if k % 2:
+            q *= rng.uniform(0.3, 1.0, size=(n, 1))  # sub-stochastic rows
+        np.testing.assert_array_equal(
+            metropolis_kernel_matrix(pi, q), loop_metropolis_kernel(pi, q)
+        )
+    # the geometric-gap example's tiled independence proposals
+    for p in (0.3, 0.5, 0.7):
+        for n in (10, 25, 40):
+            grid = np.arange(n + 30, dtype=np.float64)
+            pi = p**grid * (1.0 - p)
+            q = p**grid
+            q[n] = p ** (2 * n)
+            q = np.tile(q / q.sum(), (len(grid), 1))
+            np.testing.assert_array_equal(
+                metropolis_kernel_matrix(pi, q), loop_metropolis_kernel(pi, q)
+            )
+
+
+def test_metropolis_kernel_rejects_invalid_proposals():
+    pi = np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match="row 0"):
+        metropolis_kernel_matrix(pi, [[1.5, -0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="row 1"):
+        metropolis_kernel_matrix(pi, [[0.5, 0.5], [0.7, 0.7]])
+    with pytest.raises(ValueError):
+        metropolis_kernel_matrix([1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]])
+    # rows may propose less than all their mass: the rest stays put, and the
+    # move 1 -> 0 is accepted with probability q_10 / q_01 = 1/2
+    m = metropolis_kernel_matrix(pi, [[0.0, 0.25], [0.5, 0.0]])
+    np.testing.assert_array_equal(m, [[0.75, 0.25], [0.25, 0.75]])
+
+
+def test_metropolis_kernel_is_shared_with_bounds():
+    import adagibbs
+    import adagibbs.kernels
+
+    assert metropolis_kernel_matrix is adagibbs.kernels.metropolis_kernel_matrix
+    assert adagibbs.metropolis_kernel_matrix is metropolis_kernel_matrix
+
+
 def test_proposal_vs_kernel_tv_symmetric():
     pi = np.array([0.1, 0.4, 0.5])
     q_flat = np.full((3, 3), 1.0 / 3.0)

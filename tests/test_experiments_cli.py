@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from adagibbs import experiments
 from adagibbs.cli import main as cli_main
 from adagibbs.experiments import (
+    EXPERIMENT_FUNCTIONS,
     ConfigError,
     ExperimentConfig,
     counterexample_experiment,
@@ -238,6 +242,88 @@ def test_cli_rejects_configs_a_run_cannot_finish(case, tmp_path, capsys):
     # each of these kinds has the subcommand of the same name
     assert cli_main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"params.{field}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["bad.json"]  # no output directory
+
+
+SMALL_GAP = {
+    "kind": "geometric-gap", "seed": 1, "n_min": 10, "n_max": 12, "p_values": [0.5]
+}
+SMALL_LAZY = {"kind": "lazy-variance", "seed": 3, "n_chains": 5, "max_states": 4}
+
+
+def _snapshot(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+def test_failed_run_leaves_earlier_output_untouched(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run_experiment(ExperimentConfig.from_dict(SMALL_GAP), out_dir=str(out))
+    before = _snapshot(out)
+
+    def crash(config):
+        raise RuntimeError("experiment crashed")
+
+    def write_then_crash(path, header, rows):
+        open(path, "w").close()
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiments, "_write_table", write_then_crash)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(ExperimentConfig.from_dict(SMALL_LAZY), out_dir=str(out))
+    monkeypatch.setitem(EXPERIMENT_FUNCTIONS, "lazy-variance", crash)
+    with pytest.raises(RuntimeError, match="crashed"):
+        run_experiment(ExperimentConfig.from_dict(SMALL_LAZY), out_dir=str(out))
+    assert _snapshot(out) == before
+    assert os.listdir(tmp_path) == ["out"]  # the temporary directory is gone
+
+
+def test_rerun_replaces_the_earlier_run_whole(tmp_path):
+    out = tmp_path / "out"
+    run_experiment(ExperimentConfig.from_dict(SMALL_GAP), out_dir=str(out))
+    manifest, _ = run_experiment(ExperimentConfig.from_dict(SMALL_LAZY), out_dir=str(out))
+    assert sorted(os.listdir(out)) == sorted([*manifest.outputs, "manifest.json"])
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_cli_refuses_to_replace_a_directory_that_is_not_a_run(tmp_path, capsys):
+    out = tmp_path / "notes"
+    out.mkdir()
+    (out / "keep.txt").write_text("mine")
+    path = write_config(tmp_path, "gap.json", SMALL_GAP)
+    assert cli_main(["geometric-gap", "--config", path, "--out", str(out)]) == 2
+    assert "out:" in capsys.readouterr().err
+    assert _snapshot(out) == {"keep.txt": b"mine"}
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _python(code, *args):
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = _python("import sys, adagibbs.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_runs_without_scipy(tmp_path):
+    code = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from adagibbs.targets import ContinuousProductTarget, raised_cosine
+ContinuousProductTarget((1.0, 2.0), raised_cosine, (-1.0, 1.0))
+from adagibbs.cli import main
+sys.exit(main(["geometric-gap", "--config", sys.argv[1], "--check", "--out", sys.argv[2]]))
+"""
+    config = REPO / "configs" / "geometric_gap.json"
+    proc = _python(code, str(config), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_check_pass_and_fail(tmp_path, capsys):

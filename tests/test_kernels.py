@@ -25,6 +25,15 @@ from adagibbs.targets import FiniteProductTarget
 from adagibbs.weights import SelectionWeights, make_selection_weights
 
 
+def ladder_target(rng, size=4):
+    """Two coordinates restricted to the ladder ``x0 in {x1, x1 + 1}``."""
+    coords = (tuple(range(1, size + 1)),) * 2
+    masses = {x: float(np.exp(rng.normal())) for x in itertools.product(*coords)}
+    return FiniteProductTarget(
+        coords, masses.__getitem__, support=lambda x: x[0] in (x[1], x[1] + 1)
+    )
+
+
 def uniform_two_bit_target():
     return FiniteProductTarget(((0, 1), (0, 1)), mass=lambda x: 1.0)
 
@@ -159,6 +168,20 @@ def test_gibbs_kernel_reversible_and_stationary():
         assert np.abs(flux - flux.T).max() <= 1e-10
 
 
+def test_single_coordinate_kernel_matches_per_state_loop():
+    rng = np.random.default_rng(4)
+    for target in (random_target(rng, 2, (3, 4)), ladder_target(rng, 6)):
+        index = {x: k for k, x in enumerate(target.states)}
+        for i in range(target.d):
+            expected = np.zeros((len(target.states),) * 2)
+            for r, x in enumerate(target.states):
+                values, probs = target.conditional(i, x)
+                for v, p in zip(values, probs):
+                    expected[r, index[x[:i] + (v,) + x[i + 1:]]] += p
+            kernel = single_coordinate_kernel(target, i)
+            np.testing.assert_array_equal(kernel.matrix, expected)
+
+
 def test_state_dependent_kernel_reduces_to_constant():
     rng = np.random.default_rng(6)
     target = random_target(rng)
@@ -209,8 +232,8 @@ def test_mwg_two_point_symmetric_acceptance():
 
 def test_mwg_random_target_stationary_and_reversible():
     rng = np.random.default_rng(8)
-    for _ in range(5):
-        target = random_target(rng, 2, (3, 3))
+    for k in range(10):
+        target = random_target(rng, 2, (3, 3)) if k % 2 else ladder_target(rng)
         alpha = make_selection_weights(rng.dirichlet(np.ones(2)), 0.1)
         kernel = mwg_kernel_matrix(target, alpha, symmetric_proposals(target, rng))
         assert np.abs(kernel.matrix.sum(axis=1) - 1.0).max() <= 1e-12
@@ -222,9 +245,15 @@ def test_mwg_random_target_stationary_and_reversible():
 
 def test_mwg_brute_force_row_oracle():
     rng = np.random.default_rng(9)
-    target = random_target(rng, 2, (3, 3))
+    rectangular = random_target(rng, 2, (3, 3))
+    check_mwg_rows_by_brute_force(rectangular, symmetric_proposals(rectangular, rng))
+    ladder = ladder_target(rng)
+    asymmetric = [rng.dirichlet(np.ones(len(c)), size=len(c)) for c in ladder.coordinate_states]
+    check_mwg_rows_by_brute_force(ladder, asymmetric)
+
+
+def check_mwg_rows_by_brute_force(target, proposals):
     alpha = make_selection_weights((0.4, 0.6), 0.1)
-    proposals = symmetric_proposals(target, rng)
     kernel = mwg_kernel_matrix(target, alpha, proposals)
     index = {x: k for k, x in enumerate(kernel.states)}
     value_index = [{v: k for k, v in enumerate(c)} for c in target.coordinate_states]
@@ -243,6 +272,9 @@ def test_mwg_brute_force_row_oracle():
                 expected[y] = expected.get(y, 0.0) + w * q[xi, yi] * accept
         stay = 1.0 - sum(expected.values())
         for y, p in expected.items():
+            if not target.contains(y):
+                assert p == 0.0  # proposals off the support are rejected
+                continue
             assert kernel.matrix[index[x], index[y]] == pytest.approx(p, abs=1e-14)
         assert kernel.matrix[index[x], index[x]] == pytest.approx(stay, abs=1e-12)
 

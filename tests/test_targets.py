@@ -71,6 +71,15 @@ def test_raised_cosine_density_constants():
     assert target.conditional_density(0, (0.0, 0.0), 2.0) == 0.0
 
 
+def test_asymmetric_support_density_constants():
+    def g(z):
+        return 2.0 * z if 0.0 <= z <= 1.0 else 0.0
+
+    target = ContinuousProductTarget((1.0,), g, (0.0, 1.0))
+    assert target.g_mean == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert target.g_variance == pytest.approx(1.0 / 18.0, abs=1e-12)
+
+
 def test_unnormalised_base_density_rejected():
     with pytest.raises(TargetError):
         ContinuousProductTarget((1.0,), lambda z: raised_cosine(z) * 1.1, (-1.0, 1.0))
