@@ -118,7 +118,7 @@ def main(argv=None) -> int:
         return 2
     config = config.with_overrides(seed=args.seed, out=args.out)
     try:
-        manifest, result = run_experiment(config, out_dir=args.out)
+        manifest, result = run_experiment(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

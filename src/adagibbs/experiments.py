@@ -713,7 +713,7 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
         n_steps,
         config.seed,
         observer=adaptation.observer,
-    ).states[-1]
+    ).final_state
 
     ideal = make_selection_weights([1.0 / c for c in scales], epsilon)
     window = adaptation.batch_log[-p["window_batches"]:]
@@ -869,17 +869,21 @@ def _cell(v):
     return v
 
 
-def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None):
+def run_experiment(config: ExperimentConfig):
     """Execute one experiment and persist tables, summary and manifest.
 
-    Outputs go to a temporary directory beside the target, renamed into place
-    after the manifest: a failed run leaves no directory and an existing
-    target untouched.  A non-empty target without ``manifest.json`` is refused.
+    Outputs go to ``config.out`` (default ``runs/<kind>-<digest prefix>``)
+    through a temporary directory beside it, renamed into place after the
+    manifest: a failed run leaves no directory and an existing target
+    untouched.  A file, or a non-empty directory without ``manifest.json``,
+    is refused with :class:`ConfigError` before the experiment runs.
 
     Returns ``(manifest, result)``.
     """
     digest = config.digest()
-    out = out_dir or config.out or os.path.join("runs", f"{config.kind}-{digest[:8]}")
+    out = config.out or os.path.join("runs", f"{config.kind}-{digest[:8]}")
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"out: {out} exists and is not a directory")
     if os.path.isdir(out) and os.listdir(out) and "manifest.json" not in os.listdir(out):
         raise ConfigError(f"out: {out} is neither empty nor an earlier run's directory")
     result = EXPERIMENT_FUNCTIONS[config.kind](config)

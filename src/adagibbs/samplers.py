@@ -2,17 +2,21 @@
 
 Two run functions cover every sampler: :func:`adap_rsg_run` (random scan
 Gibbs with adaptive weights) and :func:`adap_rs_adap_mwg_run` (random scan
-Metropolis-within-Gibbs with adaptive weights and proposals).  Update rules
-are called once per step as ``rule(n, prev, x_prev)`` and return the step's
-weights (or proposal parameters); a rule that needs history keeps it on
-itself.  Immutable return values (a :class:`SelectionWeights` on the run's
-floor, a tuple of Python floats) are checked when they first appear and
-reused without further checks while the rule keeps returning them; lists and
-arrays are copied and checked on every step.  The non-adaptive special cases
-are these loops driven by :func:`keep_previous`: fixed weights RSG(alpha) as
-the weight rule, fixed proposals as the proposal rule.  All runs are driven
-by a Philox counter-based generator keyed by a 64-bit seed, so identical
-inputs produce bit-identical trajectories; replicate seeds come from :func:`derive_seed`, a
+Metropolis-within-Gibbs with adaptive weights and proposals).  Both run one
+loop, :func:`_random_scan`, and differ only in the coordinate update.  Per
+step, in this order: the weight rule sets ``alpha_n``, one uniform chooses
+coordinate ``i``, the update moves it (the Metropolis update first sets
+``gamma_n`` from its proposal rule, then proposes and accepts with
+``gamma_{n-1}``), and the step is recorded in a :class:`Trajectory`, from
+which states are derived.  Update rules are called as ``rule(n, prev,
+x_prev)``; a rule that needs history keeps it on itself.  Immutable return
+values (a :class:`SelectionWeights` on the run's floor, a tuple of Python
+floats) are checked when they first appear and reused without further
+checks while the rule keeps returning them; lists and arrays are copied and
+checked on every step.  The non-adaptive special cases are these loops
+driven by :func:`keep_previous`.  All runs are driven by a Philox
+counter-based generator keyed by a 64-bit seed, so identical inputs produce
+bit-identical trajectories; replicate seeds come from :func:`derive_seed`, a
 splitmix-style mix of the base seed and the replicate index, so replicates
 never share a stream.
 
@@ -21,7 +25,7 @@ tests): exact-conditional runs pre-draw ``2 * n_steps`` uniforms, consuming
 one for the coordinate choice and one for the conditional inverse-CDF draw
 per step.  Metropolis runs draw, per step and in this order: one uniform for
 the coordinate, the proposal sampler's own draws, one uniform for the
-accept decision.
+accept decision.  Update rules draw nothing.
 """
 
 from __future__ import annotations
@@ -55,36 +59,33 @@ def generator(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Record of one seeded run.
+    """Record of one seeded run: the initial state and what each step did.
 
-    ``states`` has ``n_steps + 1`` entries (the initial state first);
-    ``coordinates`` (0-based), ``accepted``, and ``alphas`` have one entry per
-    step.  ``gammas`` tracks per-coordinate proposal parameters for the
-    Metropolis-within-Gibbs runs (fixed or adapted) and is ``None`` for the
-    exact-conditional Gibbs runs.
+    Per step, the numpy columns ``coordinates`` (0-based), ``values`` (the
+    chosen coordinate's value after the step) and ``accepted``, the weight
+    tuples ``alphas`` and, for Metropolis-within-Gibbs runs, the proposal
+    parameters ``gammas`` (``None`` for exact-conditional runs).  States are
+    derived from the record by forward fill, never kept.
     """
 
-    states: tuple
-    coordinates: tuple
-    accepted: tuple
+    x0: tuple
+    coordinates: np.ndarray
+    values: np.ndarray
+    accepted: np.ndarray
     alphas: tuple
     seed: int
     gammas: Optional[tuple] = None
 
     def __post_init__(self):
+        for name, dtype in (("coordinates", np.intp), ("values", np.float64), ("accepted", bool)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         n = len(self.coordinates)
-        if len(self.states) != n + 1:
-            raise ValueError("states must have one more entry than steps")
-        if len(self.accepted) != n or len(self.alphas) != n:
+        if len(self.values) != n or len(self.accepted) != n or len(self.alphas) != n:
             raise ValueError("per-step records must share the step count")
         if self.gammas is not None and len(self.gammas) != n:
             raise ValueError("gamma history must share the step count")
-        for prev, cur in zip(self.states, self.states[1:]):
-            if cur is prev:
-                continue
-            diffs = sum(1 for a, b in zip(prev, cur) if a != b)
-            if diffs > 1:
-                raise ValueError(f"states {prev!r} -> {cur!r} differ in {diffs} coordinates")
+        if n and not (0 <= self.coordinates.min() and self.coordinates.max() < self.d):
+            raise ValueError(f"coordinates must lie in 0..{self.d - 1}")
 
     @property
     def n_steps(self) -> int:
@@ -92,10 +93,29 @@ class Trajectory:
 
     @property
     def d(self) -> int:
-        return len(self.states[0])
+        return len(self.x0)
 
     def coordinate_trace(self, i: int) -> np.ndarray:
-        return np.asarray([s[i] for s in self.states], dtype=np.float64)
+        """Coordinate ``i`` at steps ``0..n_steps``: the value of the last step
+        that chose it, or its initial value before any did."""
+        filled = np.concatenate(([self.x0[i]], self.values))
+        last = np.arange(self.n_steps + 1)
+        last[1:][self.coordinates != i] = 0
+        np.maximum.accumulate(last, out=last)
+        return filled[last]
+
+    @property
+    def states(self) -> np.ndarray:
+        """Every state, initial one first, as an ``(n_steps + 1, d)`` array."""
+        out = np.empty((self.n_steps + 1, self.d))
+        for i in range(self.d):
+            out[:, i] = self.coordinate_trace(i)
+        return out
+
+    @property
+    def final_state(self) -> tuple:
+        """The last state as a tuple of Python floats."""
+        return tuple(self.coordinate_trace(i)[-1].item() for i in range(self.d))
 
 
 @dataclass(frozen=True)
@@ -176,6 +196,34 @@ def keep_previous(n, prev, x_prev):
     return prev
 
 
+def _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer=None):
+    """The loop both samplers run, in the step order of the module docstring:
+    ``draw()`` gives the uniform that picks the coordinate, ``move(n, x, i)``
+    returns its ``(new value, accepted)``.  Returns the per-step records
+    ``(coordinates, values, accepted, alphas)``."""
+    x = x0
+    alpha = alpha0
+    epsilon = alpha0.epsilon
+    coords, values, accepted, alphas = [], [], [], []
+    if observer is not None:
+        observer(0, x, None, None)
+    for n in range(1, n_steps + 1):
+        out = weight_rule(n, alpha, x)
+        if out is not alpha:
+            alpha = _coerce_weights(out, epsilon)
+        i = bisect_right(alpha.cumulative, draw())
+        y, ok = move(n, x, i)
+        if y != x[i]:
+            x = x[:i] + (y,) + x[i + 1:]
+        coords.append(i)
+        values.append(y)
+        accepted.append(ok)
+        alphas.append(alpha.weights)
+        if observer is not None:
+            observer(n, x, i, ok)
+    return coords, values, accepted, tuple(alphas)
+
+
 def adap_rsg_run(
     target,
     rule: Callable,
@@ -188,60 +236,21 @@ def adap_rsg_run(
 
     Per step, in this order: set ``alpha_n = rule(n, alpha_prev, x_prev)``
     (coerced into the floored simplex), choose the coordinate from
-    ``alpha_n``, redraw it from its exact conditional, record the new state.
-    History-dependent rules keep their accumulated statistics on themselves
-    (as :class:`~adagibbs.adaptation.ComponentwiseAdaptation` does).  A rule
-    that returns ``alpha_prev`` itself (such as :func:`keep_previous`) costs
-    no coercion: the weights are an immutable :class:`SelectionWeights`, so
-    its cumulative sums carry over.
+    ``alpha_n``, redraw it from its exact conditional by inverting
+    ``target.conditional_cdf``.  A rule that returns ``alpha_prev`` itself
+    (such as :func:`keep_previous`) costs no coercion: the weights are an
+    immutable :class:`SelectionWeights`, which caches its cumulative sums.
     """
     _check_n_steps(n_steps)
-    x = _check_initial_state(target, x0)
-    rng = generator(seed)
-    u = rng.random(2 * n_steps)
-    alpha = alpha0
-    epsilon = alpha0.epsilon
-    cum_alpha = alpha0.cumulative()
-    states = [x]
-    coords = []
-    alphas = []
-    for n in range(1, n_steps + 1):
-        out = rule(n, alpha, x)
-        if out is not alpha:
-            alpha = _coerce_weights(out, epsilon)
-            cum_alpha = alpha.cumulative()
-        i = bisect_right(cum_alpha, u[2 * n - 2])
+    x0 = _check_initial_state(target, x0)
+    draw = iter(generator(seed).random(2 * n_steps)).__next__
+
+    def move(n, x, i):
         values, cum = target.conditional_cdf(i, x)
-        y = values[bisect_right(cum, u[2 * n - 1])] if len(values) > 1 else values[0]
-        if y != x[i]:
-            x = x[:i] + (y,) + x[i + 1:]
-        states.append(x)
-        coords.append(i)
-        alphas.append(alpha.weights)
-    return Trajectory(
-        tuple(states), tuple(coords), (True,) * n_steps, tuple(alphas), seed
-    )
+        u = draw()
+        return (values[bisect_right(cum, u)] if len(values) > 1 else values[0]), True
 
-
-def _metropolis_coordinate_step(
-    rng, conditional_density, proposals, x, i, gamma_i
-):
-    """One Metropolis update of coordinate ``i``; returns (new value, accepted)."""
-    xi = x[i]
-    current = conditional_density(i, x, xi)
-    if current <= 0.0:
-        raise ValueError(f"zero conditional density at the current state {x!r}")
-    y = proposals.sample(rng, i, xi, gamma_i)
-    proposed = conditional_density(i, x, y)
-    u = rng.random()
-    if proposed <= 0.0:
-        return xi, False
-    ratio = (proposed * proposals.density(i, y, xi, gamma_i)) / (
-        current * proposals.density(i, xi, y, gamma_i)
-    )
-    if u < min(1.0, ratio):
-        return y, True
-    return xi, False
+    return Trajectory(x0, *_random_scan(rule, move, x0, alpha0, n_steps, draw), seed)
 
 
 def adap_rs_adap_mwg_run(
@@ -258,16 +267,16 @@ def adap_rs_adap_mwg_run(
 ) -> Trajectory:
     """Doubly adaptive sampler: weights and proposal parameters both adapt.
 
-    Step order: set ``alpha_n``, set ``gamma_n``, choose the coordinate from
-    ``alpha_n``, then propose and accept using the *previous* parameters
-    ``gamma_{n-1}`` (the new parameters take effect from the next step).  If
-    given, ``observer(n, x, i, accepted)`` is invoked once with
+    Step order: set ``alpha_n``, choose the coordinate from ``alpha_n``, set
+    ``gamma_n = proposal_rule(n, gamma_prev, x_prev)``, then propose and
+    accept using the *previous* parameters ``gamma_{n-1}``.  If given,
+    ``observer(n, x, i, accepted)`` is invoked once with
     ``(0, x0, None, None)`` before the loop and again after every step;
     adaptation rules use it to accumulate statistics.
 
     ``conditional_density(i, x, y)`` evaluates the target conditional of
     coordinate ``i`` at value ``y`` up to normalisation (the acceptance ratio
-    only needs unnormalised values).  Rejected steps repeat the state and are
+    only needs unnormalised values).  Rejected steps keep the state and are
     recorded with ``accepted=False``.  As in :func:`adap_rsg_run`, a rule that
     returns the object it was given (``alpha_prev`` or ``gamma_prev``) is
     taken as is.  A new tuple of Python floats is validated once and then
@@ -277,49 +286,35 @@ def adap_rs_adap_mwg_run(
     are copied and validated on every return.
     """
     _check_n_steps(n_steps)
-    x = tuple(x0)
+    x0 = tuple(x0)
     rng = generator(seed)
-    gamma_prev = _coerce_gamma(gamma0, proposals)
-    alpha = alpha0
-    epsilon = alpha0.epsilon
-    cum_alpha = alpha0.cumulative()
-    states = [x]
-    coords = []
-    accepted = []
-    alphas = []
+    gamma = _coerce_gamma(gamma0, proposals)
     gammas = []
-    if observer is not None:
-        observer(0, x, None, None)
-    for n in range(1, n_steps + 1):
-        out = weight_rule(n, alpha, x)
-        if out is not alpha:
-            alpha = _coerce_weights(out, epsilon)
-            cum_alpha = alpha.cumulative()
-        gamma_n = proposal_rule(n, gamma_prev, x)
-        if gamma_n is not gamma_prev:
+
+    def move(n, x, i):
+        nonlocal gamma
+        gamma_i = gamma[i]
+        gamma_n = proposal_rule(n, gamma, x)
+        if gamma_n is not gamma:
             gamma_n = _coerce_gamma(gamma_n, proposals)
-        i = bisect_right(cum_alpha, rng.random())
-        y, ok = _metropolis_coordinate_step(
-            rng, conditional_density, proposals, x, i, gamma_prev[i]
-        )
-        if ok and y != x[i]:
-            x = x[:i] + (y,) + x[i + 1:]
-        states.append(x)
-        coords.append(i)
-        accepted.append(ok)
-        alphas.append(alpha.weights)
         gammas.append(gamma_n)
-        gamma_prev = gamma_n
-        if observer is not None:
-            observer(n, x, i, ok)
-    return Trajectory(
-        tuple(states),
-        tuple(coords),
-        tuple(accepted),
-        tuple(alphas),
-        seed,
-        gammas=tuple(gammas),
-    )
+        gamma = gamma_n
+        xi = x[i]
+        current = conditional_density(i, x, xi)
+        if current <= 0.0:
+            raise ValueError(f"zero conditional density at the current state {x!r}")
+        y = proposals.sample(rng, i, xi, gamma_i)
+        proposed = conditional_density(i, x, y)
+        u = rng.random()
+        if proposed <= 0.0:
+            return xi, False
+        ratio = (proposed * proposals.density(i, y, xi, gamma_i)) / (
+            current * proposals.density(i, xi, y, gamma_i)
+        )
+        return (y, True) if u < min(1.0, ratio) else (xi, False)
+
+    records = _random_scan(weight_rule, move, x0, alpha0, n_steps, rng.random, observer)
+    return Trajectory(x0, *records, seed, gammas=tuple(gammas))
 
 
 def write_trajectory_csv(trajectory: Trajectory, path):
@@ -330,32 +325,21 @@ def write_trajectory_csv(trajectory: Trajectory, path):
     ``x_i`` / ``alpha_i`` column names.  Metropolis-within-Gibbs runs append
     ``gamma_1..gamma_d`` columns (constant ones when the proposals are fixed).
     """
-    d = trajectory.d
-    with_gamma = trajectory.gammas is not None
+    histories = {"alpha": trajectory.alphas}
+    if trajectory.gammas is not None:
+        histories["gamma"] = trajectory.gammas
     header = ["step", "coordinate", "accepted"]
-    header += [f"x_{k}" for k in range(1, d + 1)]
-    header += [f"alpha_{k}" for k in range(1, d + 1)]
-    if with_gamma:
-        header += [f"gamma_{k}" for k in range(1, d + 1)]
+    header += [f"{name}_{k}" for name in ("x", *histories) for k in range(1, trajectory.d + 1)]
+    steps = zip((trajectory.coordinates + 1).tolist(), trajectory.accepted.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        first = list(trajectory.states[0])
-        row0 = [0, 0, 1] + [repr(float(v)) for v in first]
-        row0 += [repr(float(v)) for v in trajectory.alphas[0]] if trajectory.alphas else []
-        if with_gamma:
-            row0 += [repr(float(v)) for v in trajectory.gammas[0]]
-        writer.writerow(row0)
-        for n in range(trajectory.n_steps):
-            row = [
-                n + 1,
-                trajectory.coordinates[n] + 1,
-                int(trajectory.accepted[n]),
-            ]
-            row += [repr(float(v)) for v in trajectory.states[n + 1]]
-            row += [repr(float(v)) for v in trajectory.alphas[n]]
-            if with_gamma:
-                row += [repr(float(v)) for v in trajectory.gammas[n]]
+        for n, (state, (coordinate, accepted)) in enumerate(
+            zip(trajectory.states.tolist(), [(0, True), *steps])
+        ):
+            row = [n, coordinate, int(accepted)] + [repr(v) for v in state]
+            for history in histories.values():  # row 0 repeats step 1's
+                row += [repr(float(v)) for v in history[max(n - 1, 0)]]
             writer.writerow(row)
 
 

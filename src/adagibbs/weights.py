@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -67,8 +68,9 @@ class SelectionWeights:
     def d(self) -> int:
         return len(self.weights)
 
+    @cached_property
     def cumulative(self) -> tuple:
-        """Cumulative sums, for inverse-CDF coordinate draws."""
+        """Cumulative sums, for inverse-CDF coordinate draws (computed once)."""
         out = []
         acc = 0.0
         for w in self.weights:

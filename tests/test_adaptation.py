@@ -142,7 +142,7 @@ def replay_batches(variant, trajectory, a, epsilon):
     log_scales = [0.0] * d
     proposals, accepts = [0] * d, [0] * d
     entries = []
-    for n, x in enumerate(trajectory.states):
+    for n, x in enumerate(trajectory.states.tolist()):
         count += 1
         for k in range(d):
             delta = x[k] - means[k]
@@ -234,7 +234,7 @@ def test_rr_acceptance_enters_target_band():
 def test_rr_scale_replay_is_deterministic():
     adaptation_a, traj_a = run_componentwise("rr", 50, seed=23)
     adaptation_b, traj_b = run_componentwise("rr", 50, seed=23)
-    assert traj_a.states == traj_b.states
+    assert np.array_equal(traj_a.states, traj_b.states)
     assert adaptation_a.batch_log == adaptation_b.batch_log
     assert adaptation_a.log_scales == adaptation_b.log_scales
 

@@ -119,7 +119,7 @@ def test_manifest_digest_recomputable(tmp_path):
     config = ExperimentConfig.from_dict(
         {"kind": "counterexample", "seed": 11, **SMALL_COUNTEREXAMPLE}
     )
-    manifest, _ = run_experiment(config, out_dir=str(tmp_path))
+    manifest, _ = run_experiment(config.with_overrides(out=str(tmp_path)))
     stored = json.loads((tmp_path / "manifest.json").read_text())
     rebuilt = ExperimentConfig.from_dict(
         {
@@ -143,7 +143,7 @@ def test_outputs_byte_identical_across_runs_and_workers(tmp_path):
     for tag, workers in (("a", 1), ("b", 1), ("c", 3)):
         config = ExperimentConfig.from_dict({**base, "workers": workers})
         out = tmp_path / tag
-        run_experiment(config, out_dir=str(out))
+        run_experiment(config.with_overrides(out=str(out)))
         dirs.append(out)
     names = _data_files(dirs[0])
     assert names == _data_files(dirs[1]) == _data_files(dirs[2])
@@ -166,7 +166,7 @@ def test_counterexample_small_run_passes_its_checks():
 def test_counterexample_trace_and_plot_outputs(tmp_path):
     base = {"kind": "counterexample", "seed": 17, **SMALL_COUNTEREXAMPLE}
     on = tmp_path / "on"
-    manifest, _ = run_experiment(ExperimentConfig.from_dict(base), out_dir=str(on))
+    manifest, _ = run_experiment(ExperimentConfig.from_dict(base).with_overrides(out=str(on)))
     runs = SMALL_COUNTEREXAMPLE["n_runs"]
     traces = [f"trace_{arm}_{r:02d}.csv" for arm in ("adaptive", "control") for r in range(runs)]
     assert set(traces + ["plot_adaptive_run0.csv"]) <= set(manifest.outputs)
@@ -188,7 +188,7 @@ def test_counterexample_trace_and_plot_outputs(tmp_path):
 
     off = tmp_path / "off"
     config = ExperimentConfig.from_dict({**base, "emit_traces": False})
-    manifest, _ = run_experiment(config, out_dir=str(off))
+    manifest, _ = run_experiment(config.with_overrides(out=str(off)))
     assert sorted(os.listdir(off)) == ["manifest.json", "runs.csv", "summary.json"]
     assert sorted(manifest.outputs) == ["runs.csv", "summary.json"]
 
@@ -257,7 +257,7 @@ def _snapshot(path):
 
 def test_failed_run_leaves_earlier_output_untouched(tmp_path, monkeypatch):
     out = tmp_path / "out"
-    run_experiment(ExperimentConfig.from_dict(SMALL_GAP), out_dir=str(out))
+    run_experiment(ExperimentConfig.from_dict(SMALL_GAP).with_overrides(out=str(out)))
     before = _snapshot(out)
 
     def crash(config):
@@ -269,18 +269,20 @@ def test_failed_run_leaves_earlier_output_untouched(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "_write_table", write_then_crash)
     with pytest.raises(OSError, match="disk full"):
-        run_experiment(ExperimentConfig.from_dict(SMALL_LAZY), out_dir=str(out))
+        run_experiment(ExperimentConfig.from_dict(SMALL_LAZY).with_overrides(out=str(out)))
     monkeypatch.setitem(EXPERIMENT_FUNCTIONS, "lazy-variance", crash)
     with pytest.raises(RuntimeError, match="crashed"):
-        run_experiment(ExperimentConfig.from_dict(SMALL_LAZY), out_dir=str(out))
+        run_experiment(ExperimentConfig.from_dict(SMALL_LAZY).with_overrides(out=str(out)))
     assert _snapshot(out) == before
     assert os.listdir(tmp_path) == ["out"]  # the temporary directory is gone
 
 
 def test_rerun_replaces_the_earlier_run_whole(tmp_path):
     out = tmp_path / "out"
-    run_experiment(ExperimentConfig.from_dict(SMALL_GAP), out_dir=str(out))
-    manifest, _ = run_experiment(ExperimentConfig.from_dict(SMALL_LAZY), out_dir=str(out))
+    run_experiment(ExperimentConfig.from_dict(SMALL_GAP).with_overrides(out=str(out)))
+    manifest, _ = run_experiment(
+        ExperimentConfig.from_dict(SMALL_LAZY).with_overrides(out=str(out))
+    )
     assert sorted(os.listdir(out)) == sorted([*manifest.outputs, "manifest.json"])
     assert os.listdir(tmp_path) == ["out"]
 
@@ -293,6 +295,19 @@ def test_cli_refuses_to_replace_a_directory_that_is_not_a_run(tmp_path, capsys):
     assert cli_main(["geometric-gap", "--config", path, "--out", str(out)]) == 2
     assert "out:" in capsys.readouterr().err
     assert _snapshot(out) == {"keep.txt": b"mine"}
+
+
+def test_cli_refuses_an_out_path_that_is_a_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "notes.txt"
+    out.write_text("mine")
+    path = write_config(tmp_path, "gap.json", SMALL_GAP)
+    ran = []
+    monkeypatch.setitem(EXPERIMENT_FUNCTIONS, "geometric-gap", ran.append)
+    assert cli_main(["geometric-gap", "--config", path, "--out", str(out)]) == 2
+    assert "out:" in capsys.readouterr().err
+    assert ran == []  # refused before the experiment runs
+    assert out.read_text() == "mine"
+    assert sorted(os.listdir(tmp_path)) == ["gap.json", "notes.txt"]
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -338,7 +338,7 @@ def test_unbounded_law_is_exact_at_finite_horizons():
     counts = {}
     for r in range(n_rep):
         traj = adap_rsg_run(target, rule, (1, 1), alpha0, 25, derive_seed(99, r))
-        counts[traj.states[-1]] = counts.get(traj.states[-1], 0) + 1
+        counts[traj.final_state] = counts.get(traj.final_state, 0) + 1
     index = {x: k for k, x in enumerate(law.states)}
     for x, c in counts.items():
         p = law.probs[index[x]]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from adagibbs.kernels import mwg_kernel_matrix, stationary_distribution, gibbs_kernel_matrix
@@ -41,20 +43,27 @@ def small_target():
     return FiniteProductTarget(((0, 1), (0, 1)), masses.__getitem__)
 
 
+def state_indices(trajectory, kernel):
+    """Index into ``kernel.states`` of every state of the trajectory; a state
+    outside the kernel's support raises ``KeyError``."""
+    index = {x: k for k, x in enumerate(kernel.states)}
+    rows, inverse = np.unique(trajectory.states, axis=0, return_inverse=True)
+    return np.array([index[tuple(r)] for r in rows.tolist()])[inverse.ravel()]
+
+
 def occupation_within_three_se(trajectory, kernel, pi):
     """Empirical occupation of every state against pi, with the standard
     error taken from the exact asymptotic variance of the indicator."""
     chain = ReversibleChain(kernel, pi)
-    counts = {x: 0 for x in kernel.states}
-    for x in trajectory.states:
-        counts[x] += 1
-    n = len(trajectory.states)
+    visits = state_indices(trajectory, kernel)
+    counts = np.bincount(visits, minlength=len(kernel.states))
+    n = len(visits)
     for k, x in enumerate(kernel.states):
         indicator = np.zeros(len(kernel.states))
         indicator[k] = 1.0
         sigma2 = spectral_asymptotic_variance(chain, indicator)
         se = math.sqrt(max(sigma2, 1e-30) / n)
-        assert abs(counts[x] / n - pi.probs[k]) <= 3.0 * se + 1e-9, x
+        assert abs(counts[k] / n - pi.probs[k]) <= 3.0 * se + 1e-9, x
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -69,11 +78,11 @@ def test_rsg_determinism_and_single_coordinate_moves():
     alpha = make_selection_weights((0.4, 0.6), 0.1)
     t1 = rsg_run(target, alpha, (0, 0), 500, seed=42)
     t2 = rsg_run(target, alpha, (0, 0), 500, seed=42)
-    assert t1.states == t2.states and t1.coordinates == t2.coordinates
+    assert np.array_equal(t1.states, t2.states)
+    assert np.array_equal(t1.coordinates, t2.coordinates)
     t3 = rsg_run(target, alpha, (0, 0), 500, seed=43)
-    assert t3.states != t1.states
-    for prev, cur in zip(t1.states, t1.states[1:]):
-        assert sum(a != b for a, b in zip(prev, cur)) <= 1
+    assert not np.array_equal(t3.states, t1.states)
+    assert (t1.states[1:] != t1.states[:-1]).sum(axis=1).max() <= 1
 
 
 def test_rsg_initial_state_must_be_in_support():
@@ -111,11 +120,10 @@ def test_rsg_transition_frequencies_chi_square():
     target = FiniteProductTarget(((0, 1), (0, 1)), mass=lambda x: 1.0)
     alpha = make_selection_weights((0.3, 0.7), 0.1)
     kernel = gibbs_kernel_matrix(target, alpha)
-    index = {x: k for k, x in enumerate(kernel.states)}
     traj = rsg_run(target, alpha, (0, 0), 1_000_000, seed=99)
+    visits = state_indices(traj, kernel)
     counts = np.zeros((4, 4))
-    for prev, cur in zip(traj.states, traj.states[1:]):
-        counts[index[prev], index[cur]] += 1
+    np.add.at(counts, (visits[:-1], visits[1:]), 1)
     chi2 = 0.0
     dof = 0
     for r in range(4):
@@ -140,8 +148,8 @@ def test_fresh_equal_weights_match_keep_previous():
 
     t_fresh = adap_rsg_run(target, fresh, (0, 0), alpha, 2_000, seed=5)
     t_kept = rsg_run(target, alpha, (0, 0), 2_000, seed=5)
-    assert t_fresh.states == t_kept.states
-    assert t_fresh.coordinates == t_kept.coordinates
+    assert np.array_equal(t_fresh.states, t_kept.states)
+    assert np.array_equal(t_fresh.coordinates, t_kept.coordinates)
     assert t_fresh.alphas == t_kept.alphas == (alpha.weights,) * 2_000
 
 
@@ -164,7 +172,7 @@ def test_mutated_weight_list_is_honoured_every_step():
     expected = tuple(
         0 if u[2 * n - 2] < (0.2 if n % 2 else 0.7) else 1 for n in range(1, 201)
     )
-    assert traj.coordinates == expected
+    assert np.array_equal(traj.coordinates, expected)
 
 
 def test_adaptive_rule_nonfinite_output_rejected():
@@ -220,7 +228,7 @@ def test_ladder_run_matches_straight_line_oracle():
                 new_j = x[0] - 1 if u_draw <= hi / (hi + lo) else x[0]
             x = (x[0], new_j)
         states.append(x)
-    assert traj.states == tuple(states)
+    assert np.array_equal(traj.states, states)
 
 
 def test_ladder_weight_history_change_bound():
@@ -250,7 +258,7 @@ def test_mwg_degenerate_proposal_never_moves():
     traj = mwg_run(
         target.conditional_density, stay, (1.0, 1.0), alpha, (0.1, -0.2), 200, seed=3
     )
-    assert set(traj.states) == {(0.1, -0.2)}
+    assert np.array_equal(traj.states, [(0.1, -0.2)] * 201)
 
 
 def test_mwg_zero_density_at_current_state_rejected():
@@ -288,8 +296,8 @@ def test_mwg_symmetric_proposal_equals_q_free_oracle():
             x = x[:i] + (y,) + x[i + 1:]
         states.append(x)
         accepted.append(ok)
-    assert traj.states == tuple(states)
-    assert traj.accepted == tuple(accepted)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.accepted, accepted)
 
 
 def discrete_proposal_family(target, matrices):
@@ -346,8 +354,8 @@ def test_fresh_equal_parameters_match_keep_previous():
         (0.0, 0.0), alpha, gamma, 1_000, seed=11,
     )
     t_kept = mwg_run(target.conditional_density, family, gamma, alpha, (0.0, 0.0), 1_000, seed=11)
-    assert t_fresh.states == t_kept.states
-    assert t_fresh.accepted == t_kept.accepted
+    assert np.array_equal(t_fresh.states, t_kept.states)
+    assert np.array_equal(t_fresh.accepted, t_kept.accepted)
     assert t_fresh.gammas == t_kept.gammas == (gamma,) * 1_000
 
 
@@ -442,10 +450,83 @@ def test_gaussian_family_sampler_matches_density():
 
 
 def test_trajectory_invariants():
-    with pytest.raises(ValueError):
-        Trajectory(((0, 0), (1, 1)), (0,), (True,), ((0.5, 0.5),), 1)
-    with pytest.raises(ValueError):
-        Trajectory(((0, 0), (0, 1)), (1, 1), (True,), ((0.5, 0.5),), 1)
+    alphas = ((0.5, 0.5),)
+    Trajectory((0, 0), (1,), (1.0,), (True,), alphas, 1)
+    with pytest.raises(ValueError, match="step count"):
+        Trajectory((0, 0), (0,), (1.0, 1.0), (True,), alphas, 1)
+    with pytest.raises(ValueError, match="step count"):
+        Trajectory((0, 0), (1, 1), (1.0, 1.0), (True, True), alphas, 1)
+    with pytest.raises(ValueError, match="gamma"):
+        Trajectory((0, 0), (0,), (1.0,), (True,), alphas, 1, gammas=())
+    with pytest.raises(ValueError, match="coordinates"):
+        Trajectory((0, 0), (2,), (1.0,), (True,), alphas, 1)
+
+
+def replay_record(trajectory):
+    """Straight-line replay of a run's record: start from the initial state
+    and, step by step, set the chosen coordinate to its recorded value."""
+    x = tuple(float(v) for v in trajectory.x0)
+    states = [x]
+    for i, v in zip(trajectory.coordinates.tolist(), trajectory.values.tolist()):
+        x = x[:i] + (v,) + x[i + 1:]
+        states.append(x)
+    return np.array(states, dtype=np.float64)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_record_replays(trajectory):
+    want = replay_record(trajectory)
+    assert_bitwise_equal(trajectory.states, want)
+    for i in range(trajectory.d):
+        assert_bitwise_equal(trajectory.coordinate_trace(i), want[:, i])
+    assert trajectory.final_state == tuple(want[-1].tolist())
+    assert all(type(v) is float for v in trajectory.final_state)
+
+
+def test_ladder_states_match_record_replay():
+    alpha0 = SelectionWeights((0.5, 0.5), 0.1)
+
+    def rule(n, alpha_prev, x_prev):
+        return ladder_update_rule(x_prev, n)
+
+    traj = adap_rsg_run(LadderTarget(), rule, (1, 1), alpha0, 3_000, seed=21)
+    assert traj.final_state[0] > 2  # the run climbed the ladder
+    assert_record_replays(traj)
+
+
+def test_mwg_states_match_record_replay():
+    target = ContinuousProductTarget((1.0, 3.0, 0.5), raised_cosine, (-1.0, 1.0))
+    alpha = SelectionWeights((0.3, 0.3, 0.4), 0.2)
+    traj = mwg_run(
+        target.conditional_density, gaussian_random_walk_family(), (2.0, 0.5, 4.0),
+        alpha, (0.0, 0.1, -0.2), 3_000, seed=22,
+    )
+    assert 0.1 < traj.accepted.mean() < 0.9  # rejections and moves both occur
+    assert_record_replays(traj)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_derived_states_change_only_the_chosen_coordinate(data):
+    d = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 40))
+    x0 = data.draw(st.lists(finite_floats, min_size=d, max_size=d))
+    coordinates = data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+    values = data.draw(st.lists(finite_floats, min_size=n, max_size=n))
+    traj = Trajectory(x0, coordinates, values, [True] * n, ((1.0 / d,) * d,) * n, 0)
+    states = traj.states
+    changed = states[1:] != states[:-1]
+    assert changed.sum(axis=1).max() <= 1
+    changed[np.arange(n), coordinates] = False
+    assert not changed.any()
+    assert_record_replays(traj)
 
 
 def test_trajectory_csv_round_trip(tmp_path):

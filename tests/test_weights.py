@@ -165,3 +165,11 @@ def test_sup_distance():
     assert sup_distance((0.5, 0.5), (0.4, 0.6)) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         sup_distance((0.5, 0.5), (1.0,))
+
+
+def test_cumulative_sums_are_computed_once_per_object():
+    w = make_selection_weights((0.2, 0.3, 0.5), 0.1)
+    first = w.cumulative
+    assert first == (0.2, 0.5, 1.0)
+    assert w.cumulative is first
+    assert w == make_selection_weights((0.2, 0.3, 0.5), 0.1)  # the cache is not a field
