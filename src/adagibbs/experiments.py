@@ -696,15 +696,14 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("params.eval_burn_in: must leave at least 1000 evaluation states")
     epsilon = p["epsilon"]
     target = ContinuousProductTarget(scales, raised_cosine, (-1.0, 1.0), a=a)
-    proposals = gaussian_random_walk_family()
     adaptation = ComponentwiseAdaptation("rr", a, epsilon)
     n_steps = p["n_batches"] * BATCH_SIZE
     x0 = (0.0,) * d
 
     # Only the final state is used: the run's history is released at once.
     x_eval = adap_rs_adap_mwg_run(
-        target.conditional_density,
-        proposals,
+        target,
+        gaussian_random_walk_family(),
         adaptation.weight_rule,
         adaptation.proposal_rule,
         x0,
@@ -741,8 +740,8 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     final_weights = adaptation.weights
     uniform_alpha = SelectionWeights((1.0 / d,) * d, epsilon)
     ratio, arm_stats = _variance_ratio(
-        target,
-        proposals,
+        scales,
+        a,
         adaptation.proposal_variances,
         final_weights,
         uniform_alpha,
@@ -801,40 +800,69 @@ def _window_acceptance(window: list, d: int):
     return fractions
 
 
+def _evaluation_arm(scales, a, gamma, alpha, x0, eval_steps, burn_in, seed):
+    """One fixed-parameter arm of the variance comparison, from plain data so
+    that it can run in another process: returns the IACT and the variance of
+    the observable after burn-in."""
+    target = ContinuousProductTarget(scales, raised_cosine, (-1.0, 1.0), a=a)
+    trace = target.observable_trace(
+        adap_rs_adap_mwg_run(
+            target,
+            gaussian_random_walk_family(),
+            keep_previous,
+            keep_previous,
+            x0,
+            alpha,
+            gamma,
+            eval_steps,
+            seed,
+        ).states[burn_in:]
+    )
+    return iact_estimate(trace), float(np.var(trace))
+
+
+def _in_processes(fn, calls):
+    """``[fn(*args) for args in calls]``, the calls after the first in one
+    forked worker process while this process makes the first.
+
+    Each call must depend on its arguments alone, so the results are those of
+    the calls in turn, and an exception in the worker is raised here.  A
+    forked worker, unlike a spawned one, does not re-run the caller's main
+    module, so neither a script without an ``if __name__ == "__main__":``
+    guard nor a program read from stdin runs twice.  Where ``os.fork`` does
+    not exist the calls run in turn.
+    """
+    if not hasattr(os, "fork"):
+        return [fn(*args) for args in calls]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+        pending = [pool.submit(fn, *args) for args in calls[1:]]
+        first = fn(*calls[0])
+        return [first, *(job.result() for job in pending)]
+
+
 def _variance_ratio(
-    target,
-    proposals,
-    gamma,
-    adapted_alpha,
-    uniform_alpha,
-    x0,
-    eval_steps,
-    burn_in,
-    seed,
+    scales, a, gamma, adapted_alpha, uniform_alpha, x0, eval_steps, burn_in, seed
 ):
+    """Asymptotic variance of the adaptive arm over that of the uniform arm.
+
+    The uniform arm runs in a worker process while this process runs the
+    adaptive arm (:func:`_in_processes`).  Each arm has its own seed, so the
+    result does not depend on where an arm ran.
+    """
+    arms = _in_processes(
+        _evaluation_arm,
+        [
+            (scales, a, gamma, adapted_alpha, x0, eval_steps, burn_in, seed ^ 0x5CA1AB1E),
+            (scales, a, gamma, uniform_alpha, x0, eval_steps, burn_in, seed ^ 0x0DDBA11),
+        ],
+    )
     stats = {}
     sigmas = {}
-    for label, alpha, arm_seed in (
-        ("adaptive", adapted_alpha, seed ^ 0x5CA1AB1E),
-        ("uniform", uniform_alpha, seed ^ 0x0DDBA11),
-    ):
-        # Only the observable trace outlives this statement, so one arm's
-        # history is released before the next arm runs.
-        trace = target.observable_trace(
-            adap_rs_adap_mwg_run(
-                target.conditional_density,
-                proposals,
-                keep_previous,
-                keep_previous,
-                x0,
-                alpha,
-                gamma,
-                eval_steps,
-                arm_seed,
-            ).states[burn_in:]
-        )
-        tau = iact_estimate(trace)
-        var = float(np.var(trace))
+    for label, (tau, var) in zip(("adaptive", "uniform"), arms):
         sigmas[label] = tau * var
         stats[f"tau_{label}"] = tau
         stats[f"var_{label}"] = var

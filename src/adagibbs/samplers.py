@@ -20,12 +20,22 @@ bit-identical trajectories; replicate seeds come from :func:`derive_seed`, a
 splitmix-style mix of the base seed and the replicate index, so replicates
 never share a stream.
 
+The Metropolis update evaluates ``target.conditional_density`` at every
+coordinate of ``x0`` before the first draw, and then once per step at the
+proposal.  The current-state density is recomputed every step, unless the
+target declares ``INDEPENDENT_COORDINATES`` (a product target, whose
+coordinate ``i`` conditional depends on ``x_i`` alone): then the value
+stored when coordinate ``i`` last moved is reused.  A proposal family
+without a density is symmetric, and its acceptance ratio is the ratio of
+the two target densities alone.
+
 RNG consumption contracts (relied on by the straight-line oracles in the
 tests): exact-conditional runs pre-draw ``2 * n_steps`` uniforms, consuming
 one for the coordinate choice and one for the conditional inverse-CDF draw
 per step.  Metropolis runs draw, per step and in this order: one uniform for
 the coordinate, the proposal sampler's own draws, one uniform for the
-accept decision.  Update rules draw nothing.
+accept decision (drawn also when the proposal has zero density).  Update
+rules draw nothing.
 """
 
 from __future__ import annotations
@@ -124,11 +134,13 @@ class ProposalFamily:
 
     ``sample(rng, i, x_i, gamma_i)`` draws a proposed value; ``density(i,
     x_i, y_i, gamma_i)`` evaluates the transition density used in the
-    acceptance ratio.  ``validate_gamma`` may reject inadmissible parameters.
+    acceptance ratio.  A family without a density is symmetric: its density
+    factors cancel and the ratio is the target's alone.  ``validate_gamma``
+    may reject inadmissible parameters.
     """
 
     sample: Callable
-    density: Callable
+    density: Optional[Callable] = None
     validate_gamma: Optional[Callable] = None
 
     def check_gamma(self, gamma: Sequence[float]):
@@ -140,15 +152,13 @@ class ProposalFamily:
 
 
 def gaussian_random_walk_family() -> ProposalFamily:
-    """Normal increments; the parameter is the proposal variance."""
+    """Normal increments, a symmetric family; the parameter is the proposal
+    variance."""
 
     def sample(rng, i, x, gamma):
         return x + math.sqrt(gamma) * rng.standard_normal()
 
-    def density(i, x, y, gamma):
-        return math.exp(-0.5 * (y - x) ** 2 / gamma) / math.sqrt(2.0 * math.pi * gamma)
-
-    return ProposalFamily(sample, density, validate_gamma=lambda i, g: g > 0.0)
+    return ProposalFamily(sample, validate_gamma=lambda i, g: g > 0.0)
 
 
 def _check_initial_state(target, x0) -> tuple:
@@ -254,7 +264,7 @@ def adap_rsg_run(
 
 
 def adap_rs_adap_mwg_run(
-    conditional_density: Callable,
+    target,
     proposals: ProposalFamily,
     weight_rule: Callable,
     proposal_rule: Callable,
@@ -274,20 +284,36 @@ def adap_rs_adap_mwg_run(
     ``(0, x0, None, None)`` before the loop and again after every step;
     adaptation rules use it to accumulate statistics.
 
-    ``conditional_density(i, x, y)`` evaluates the target conditional of
+    ``target.conditional_density(i, x, y)`` evaluates the conditional of
     coordinate ``i`` at value ``y`` up to normalisation (the acceptance ratio
-    only needs unnormalised values).  Rejected steps keep the state and are
-    recorded with ``accepted=False``.  As in :func:`adap_rsg_run`, a rule that
-    returns the object it was given (``alpha_prev`` or ``gamma_prev``) is
-    taken as is.  A new tuple of Python floats is validated once and then
-    kept, so a rule that returns the same tuple until it next adapts (as
+    only needs unnormalised values).  Every coordinate's density at ``x0`` is
+    evaluated before the first draw; a zero one raises ``ValueError`` naming
+    the coordinate.  The current-state density of the chosen coordinate is
+    recomputed on every step, unless the target declares
+    ``INDEPENDENT_COORDINATES``: then it is the one stored when that
+    coordinate last moved.  Rejected steps keep the state and are recorded
+    with ``accepted=False``.  As in :func:`adap_rsg_run`, a rule that returns
+    the object it was given (``alpha_prev`` or ``gamma_prev``) is taken as
+    is.  A new tuple of Python floats is validated once and then kept, so a
+    rule that returns the same tuple until it next adapts (as
     :class:`~adagibbs.adaptation.ComponentwiseAdaptation` does between batch
     boundaries) is checked once per change; lists, arrays and other tuples
     are copied and validated on every return.
     """
     _check_n_steps(n_steps)
     x0 = tuple(x0)
+    conditional_density = target.conditional_density
+    densities = []  # each coordinate's conditional density at the current state
+    for i, xi in enumerate(x0):
+        value = conditional_density(i, x0, xi)
+        if value <= 0.0:
+            raise ValueError(f"zero conditional density for coordinate {i} at x0={x0!r}")
+        densities.append(value)
+    reuse = getattr(target, "INDEPENDENT_COORDINATES", False)
     rng = generator(seed)
+    draw = rng.random
+    sample = proposals.sample
+    q = proposals.density
     gamma = _coerce_gamma(gamma0, proposals)
     gammas = []
 
@@ -300,20 +326,22 @@ def adap_rs_adap_mwg_run(
         gammas.append(gamma_n)
         gamma = gamma_n
         xi = x[i]
-        current = conditional_density(i, x, xi)
-        if current <= 0.0:
-            raise ValueError(f"zero conditional density at the current state {x!r}")
-        y = proposals.sample(rng, i, xi, gamma_i)
+        current = densities[i] if reuse else conditional_density(i, x, xi)
+        y = sample(rng, i, xi, gamma_i)
         proposed = conditional_density(i, x, y)
-        u = rng.random()
+        u = draw()
         if proposed <= 0.0:
             return xi, False
-        ratio = (proposed * proposals.density(i, y, xi, gamma_i)) / (
-            current * proposals.density(i, xi, y, gamma_i)
-        )
-        return (y, True) if u < min(1.0, ratio) else (xi, False)
+        if q is None:
+            ratio = proposed / current
+        else:
+            ratio = (proposed * q(i, y, xi, gamma_i)) / (current * q(i, xi, y, gamma_i))
+        if u < ratio:
+            densities[i] = proposed
+            return y, True
+        return xi, False
 
-    records = _random_scan(weight_rule, move, x0, alpha0, n_steps, rng.random, observer)
+    records = _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer)
     return Trajectory(x0, *records, seed, gammas=tuple(gammas))
 
 

@@ -86,6 +86,11 @@ class FiniteProductTarget:
         """Normalised probability vector aligned with ``self.states``."""
         return self._masses / self._total
 
+    def conditional_density(self, i: int, x: tuple, y) -> float:
+        """Unnormalised conditional of coordinate ``i`` at value ``y``: the
+        mass at ``x`` with ``x_i = y`` (zero outside the support)."""
+        return self.mass(x[:i] + (y,) + x[i + 1:])
+
     def conditional(self, i: int, x: tuple):
         """Conditional law of coordinate ``i`` given the other coordinates.
 
@@ -151,6 +156,8 @@ class ContinuousProductTarget:
     """
 
     DENSITY_QUAD_TOL = 1e-8
+    # Coordinate i's conditional density depends on x_i alone.
+    INDEPENDENT_COORDINATES = True
 
     def __init__(
         self,

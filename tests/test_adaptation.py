@@ -117,7 +117,7 @@ def run_componentwise(variant, n_batches, seed, scales=(1.0, 2.0)):
     d = len(scales)
     alpha0 = SelectionWeights((1.0 / d,) * d, 0.1)
     trajectory = adap_rs_adap_mwg_run(
-        target.conditional_density,
+        target,
         gaussian_random_walk_family(),
         adaptation.weight_rule,
         adaptation.proposal_rule,

@@ -153,6 +153,79 @@ def test_outputs_byte_identical_across_runs_and_workers(tmp_path):
         assert blob == (dirs[2] / name).read_bytes()
 
 
+SMALL_OPTIMAL_SCAN = {
+    "kind": "optimal-scan",
+    "seed": 17,
+    "params": {
+        "scales": [1.0, 2.0, 4.0],
+        "a": [1.0, 1.0, 1.0],
+        "epsilon": 0.05,
+        "n_batches": 60,
+        "window_batches": 20,
+        "eval_steps": 4_000,
+        "eval_burn_in": 500,
+    },
+}
+
+
+def test_in_processes_runs_the_later_calls_in_a_worker():
+    first, second = experiments._in_processes(os.getpid, [(), ()])
+    assert first == os.getpid() != second
+
+
+def test_optimal_scan_result_is_the_same_with_and_without_a_worker(monkeypatch):
+    """The uniform arm runs in a forked worker, or in turn where ``os.fork``
+    does not exist; the result must not depend on which."""
+    config = ExperimentConfig.from_dict(SMALL_OPTIMAL_SCAN)
+    forked = experiments.optimal_scan_experiment(config)
+    monkeypatch.delattr(os, "fork")
+    assert experiments._in_processes(os.getpid, [(), ()]) == [os.getpid()] * 2
+    in_turn = experiments.optimal_scan_experiment(config)
+    assert forked.summary == in_turn.summary
+    assert forked.checks == in_turn.checks
+    assert forked.tables == in_turn.tables
+    assert forked.summary["tau_adaptive"] != forked.summary["tau_uniform"]
+
+
+def test_an_error_in_the_worker_arm_reaches_the_caller():
+    """The uniform arm runs in the worker; weights over three coordinates on
+    a two-coordinate target make it raise there."""
+    good = make_selection_weights((0.5, 0.5), 0.1)
+    bad = make_selection_weights((0.2, 0.2, 0.6), 0.1)
+    with pytest.raises(IndexError):
+        experiments._variance_ratio(
+            (1.0, 2.0), (1.0, 1.0), (1.0, 1.0), good, bad, (0.0, 0.0), 2_000, 100, 5
+        )
+
+
+UNGUARDED_OPTIMAL_SCAN = f"""
+import json, sys
+from adagibbs.experiments import ExperimentConfig, optimal_scan_experiment
+with open(sys.argv[1], "a") as fh:
+    fh.write("ran\\n")
+config = ExperimentConfig.from_dict({SMALL_OPTIMAL_SCAN!r})
+print(optimal_scan_experiment(config).summary["variance_ratio"])
+"""
+
+
+def test_optimal_scan_runs_from_an_unguarded_script_and_from_stdin(tmp_path):
+    """Module-level code with no ``__main__`` guard, in a file and on stdin,
+    runs once: the worker does not re-run the caller's main module."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_OPTIMAL_SCAN)
+    outputs = []
+    for name, program, stdin in (
+        ("file", str(script), None),
+        ("stdin", "-", UNGUARDED_OPTIMAL_SCAN),
+    ):
+        log = tmp_path / f"{name}.log"
+        proc = _run_python(program, str(log), stdin=stdin)
+        assert proc.returncode == 0, proc.stderr
+        assert log.read_text() == "ran\n"
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 1
+
+
 def test_counterexample_small_run_passes_its_checks():
     config = ExperimentConfig.from_dict(
         {"kind": "counterexample", "seed": 101, **SMALL_COUNTEREXAMPLE,
@@ -314,17 +387,23 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def _python(code, *args):
+    return _run_python("-c", code, *args)
+
+
+def _run_python(*argv, stdin=None):
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *argv], input=stdin, env=env, capture_output=True, text=True,
+        timeout=120,
     )
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    proc = _python("import sys, adagibbs.cli; print('scipy' in sys.modules)")
+    modules = ("scipy", "multiprocessing", "concurrent.futures")
+    proc = _python(f"import sys, adagibbs.cli; print([m in sys.modules for m in {modules!r}])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False, False]"
 
 
 def test_runs_without_scipy(tmp_path):

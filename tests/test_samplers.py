@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -30,10 +31,10 @@ def rsg_run(target, alpha, x0, n_steps, seed):
     return adap_rsg_run(target, keep_previous, x0, alpha, n_steps, seed)
 
 
-def mwg_run(conditional_density, proposals, gamma, alpha, x0, n_steps, seed):
+def mwg_run(target, proposals, gamma, alpha, x0, n_steps, seed):
     """Random scan Metropolis-within-Gibbs with fixed weights and proposals."""
     return adap_rs_adap_mwg_run(
-        conditional_density, proposals, keep_previous, keep_previous,
+        target, proposals, keep_previous, keep_previous,
         x0, alpha, gamma, n_steps, seed,
     )
 
@@ -256,46 +257,117 @@ def test_mwg_degenerate_proposal_never_moves():
     )
     alpha = SelectionWeights((0.5, 0.5), 0.25)
     traj = mwg_run(
-        target.conditional_density, stay, (1.0, 1.0), alpha, (0.1, -0.2), 200, seed=3
+        target, stay, (1.0, 1.0), alpha, (0.1, -0.2), 200, seed=3
     )
     assert np.array_equal(traj.states, [(0.1, -0.2)] * 201)
 
 
-def test_mwg_zero_density_at_current_state_rejected():
-    def density(i, x, y):
+class ZeroDensity:
+    def conditional_density(self, i, x, y):
         return 0.0
 
+
+def test_mwg_zero_density_at_current_state_rejected():
     alpha = SelectionWeights((1.0,), 1.0)
     with pytest.raises(ValueError):
-        mwg_run(density, gaussian_random_walk_family(), (1.0,), alpha, (0.0,), 5, seed=1)
+        mwg_run(ZeroDensity(), gaussian_random_walk_family(), (1.0,), alpha, (0.0,), 5, seed=1)
+
+
+def test_mwg_rejects_a_bad_initial_state_before_any_step():
+    """A zero density in a rarely chosen coordinate of x0 is caught before the
+    first draw, and the message names that coordinate."""
+    target = ContinuousProductTarget((1.0, 1.0, 1.0), raised_cosine, (-1.0, 1.0))
+    alpha = SelectionWeights((0.49, 0.49, 0.02), 0.02)
+    seen = []
+
+    def observer(n, x, i, accepted):
+        seen.append(n)
+
+    with pytest.raises(ValueError, match="coordinate 2"):
+        adap_rs_adap_mwg_run(
+            target, gaussian_random_walk_family(), keep_previous, keep_previous,
+            (0.0, 0.0, 5.0), alpha, (1.0, 1.0, 1.0), 1_000, seed=1, observer=observer,
+        )
+    assert seen == []
+
+
+def q_free_oracle(density, sample, alpha, x0, n_steps, seed):
+    """Straight-line random scan Metropolis-within-Gibbs that recomputes both
+    conditional densities on every step: ``density(i, x, y)`` is the target's
+    conditional and ``sample(rng, i, x_i)`` a symmetric proposal."""
+    rng = generator(seed)
+    x = tuple(x0)
+    states = [x]
+    accepted = []
+    for _ in range(n_steps):
+        i = bisect_right(alpha.cumulative, rng.random())
+        y = sample(rng, i, x[i])
+        u_acc = rng.random()
+        ok = u_acc < min(1.0, density(i, x, y) / density(i, x, x[i]))
+        if ok:
+            x = x[:i] + (y,) + x[i + 1:]
+        states.append(x)
+        accepted.append(ok)
+    return np.array(states, dtype=np.float64), accepted
+
+
+class CountingProductTarget(ContinuousProductTarget):
+    """Product target counting its conditional-density calls."""
+
+    calls = 0
+
+    def conditional_density(self, i, x, y):
+        self.calls += 1
+        return super().conditional_density(i, x, y)
 
 
 def test_mwg_symmetric_proposal_equals_q_free_oracle():
     """With symmetric proposals the density factors cancel: a straight-line
-    loop using the plain mass ratio reproduces the trajectory bit for bit."""
-    target = ContinuousProductTarget((1.0, 3.0), raised_cosine, (-1.0, 1.0))
+    loop using the plain mass ratio reproduces the trajectory bit for bit.
+    A product target's current-state density is kept until its coordinate
+    moves, so the run makes d calls at x0 and then one per step."""
+    target = CountingProductTarget((1.0, 3.0), raised_cosine, (-1.0, 1.0))
     family = gaussian_random_walk_family()
     alpha = SelectionWeights((0.4, 0.6), 0.2)
     gamma = (0.5, 0.1)
     n_steps = 2_000
     seed = 4242
-    traj = mwg_run(target.conditional_density, family, gamma, alpha, (0.0, 0.0), n_steps, seed)
+    traj = mwg_run(target, family, gamma, alpha, (0.0, 0.0), n_steps, seed)
+    assert target.calls == n_steps + 2
 
-    rng = generator(seed)
-    x = (0.0, 0.0)
-    states = [x]
-    accepted = []
-    for _ in range(n_steps):
-        u_coord = rng.random()
-        i = 0 if u_coord <= alpha.weights[0] else 1
-        y = x[i] + math.sqrt(gamma[i]) * rng.standard_normal()
-        u_acc = rng.random()
-        ratio = target.conditional_density(i, x, y) / target.conditional_density(i, x, x[i])
-        ok = u_acc < min(1.0, ratio)
-        if ok and y != x[i]:
-            x = x[:i] + (y,) + x[i + 1:]
-        states.append(x)
-        accepted.append(ok)
+    def sample(rng, i, xi):
+        return family.sample(rng, i, xi, gamma[i])
+
+    states, accepted = q_free_oracle(
+        target.conditional_density, sample, alpha, (0.0, 0.0), n_steps, seed
+    )
+    assert_bitwise_equal(traj.states, states)
+    assert np.array_equal(traj.accepted, accepted)
+
+
+def test_non_product_target_density_is_recomputed_every_step():
+    """On a finite target whose mass does not factor, the current-state
+    density changes when another coordinate moves: the run must equal the
+    oracle that recomputes both masses on every step."""
+    rng = np.random.default_rng(8)
+    masses = rng.uniform(0.1, 2.0, size=(3, 4))
+    target = FiniteProductTarget(((0, 1, 2), (0, 1, 2, 3)), lambda x: masses[x])
+
+    def neighbour(rng, i, xi):
+        # symmetric: uniform over the coordinate's other values
+        others = [v for v in target.coordinate_states[i] if v != xi]
+        return others[int(rng.random() * len(others))]
+
+    family = ProposalFamily(lambda rng, i, xi, g: neighbour(rng, i, xi))
+    alpha = SelectionWeights((0.5, 0.5), 0.1)
+    n_steps = 5_000
+    traj = mwg_run(target, family, (1.0, 1.0), alpha, (0, 0), n_steps, seed=32)
+
+    def replaced_mass(i, x, y):
+        return target.mass(x[:i] + (y,) + x[i + 1:])
+
+    states, accepted = q_free_oracle(replaced_mass, neighbour, alpha, (0, 0), n_steps, 32)
+    assert 0.1 < traj.accepted.mean() < 0.9
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.accepted, accepted)
 
@@ -326,12 +398,8 @@ def test_mwg_empirical_law_matches_exact_kernel_oracle():
     kernel = mwg_kernel_matrix(target, alpha, matrices)
     pi = stationary_distribution(kernel)
 
-    def conditional_density(i, x, y):
-        state = x[:i] + (y,) + x[i + 1:]
-        return target.mass(state)
-
     family = discrete_proposal_family(target, matrices)
-    traj = mwg_run(conditional_density, family, (1.0, 1.0), alpha, (0, 0), 1_000_000, seed=777)
+    traj = mwg_run(target, family, (1.0, 1.0), alpha, (0, 0), 1_000_000, seed=777)
     occupation_within_three_se(traj, kernel, pi)
 
 
@@ -350,10 +418,10 @@ def test_fresh_equal_parameters_match_keep_previous():
         return tuple(gamma)
 
     t_fresh = adap_rs_adap_mwg_run(
-        target.conditional_density, family, fresh_alpha, fresh_gamma,
+        target, family, fresh_alpha, fresh_gamma,
         (0.0, 0.0), alpha, gamma, 1_000, seed=11,
     )
-    t_kept = mwg_run(target.conditional_density, family, gamma, alpha, (0.0, 0.0), 1_000, seed=11)
+    t_kept = mwg_run(target, family, gamma, alpha, (0.0, 0.0), 1_000, seed=11)
     assert np.array_equal(t_fresh.states, t_kept.states)
     assert np.array_equal(t_fresh.accepted, t_kept.accepted)
     assert t_fresh.gammas == t_kept.gammas == (gamma,) * 1_000
@@ -372,7 +440,7 @@ def test_mutated_gamma_list_is_honoured_every_step():
         return shared
 
     traj = adap_rs_adap_mwg_run(
-        target.conditional_density, family, keep_previous, mutating,
+        target, family, keep_previous, mutating,
         (0.0, 0.0), alpha, (0.3, 0.2), 300, seed=12,
     )
     assert traj.gammas == tuple((0.1 * n, 0.2) for n in range(1, 301))
@@ -383,7 +451,7 @@ def test_mutated_gamma_list_is_honoured_every_step():
 
     with pytest.raises(ValueError):
         adap_rs_adap_mwg_run(
-            target.conditional_density, family, keep_previous, turns_bad,
+            target, family, keep_previous, turns_bad,
             (0.0, 0.0), alpha, (0.3, 0.2), 100, seed=12,
         )
 
@@ -401,7 +469,7 @@ def test_tuple_of_floats_from_rule_is_recorded_as_is():
         return early if n <= 100 else late
 
     traj = adap_rs_adap_mwg_run(
-        target.conditional_density, family, keep_previous, switching,
+        target, family, keep_previous, switching,
         (0.0, 0.0), alpha, (1.0, 1.0), 200, seed=13,
     )
     assert all(g is early for g in traj.gammas[:100])
@@ -413,7 +481,7 @@ def test_tuple_of_floats_from_rule_is_recorded_as_is():
         return mixed
 
     traj = adap_rs_adap_mwg_run(
-        target.conditional_density, family, keep_previous, other_numbers,
+        target, family, keep_previous, other_numbers,
         (0.0, 0.0), alpha, (1.0, 1.0), 50, seed=13,
     )
     assert all(g == (0.3, 1.0) and g is not mixed for g in traj.gammas)
@@ -430,7 +498,7 @@ def test_doubly_adaptive_rejects_bad_gamma():
 
     with pytest.raises(ValueError):
         adap_rs_adap_mwg_run(
-            target.conditional_density, family, keep_previous, gamma_rule,
+            target, family, keep_previous, gamma_rule,
             (0.0,), alpha, (1.0,), 5, seed=1,
         )
 
@@ -444,9 +512,7 @@ def test_gaussian_family_sampler_matches_density():
     assert abs(draws.var() - gamma) <= 4.0 * gamma * math.sqrt(2.0 / len(draws))
     ks = stats.kstest(draws, stats.norm(loc=x, scale=math.sqrt(gamma)).cdf)
     assert ks.pvalue > 1e-3
-    assert family.density(0, x, x + 0.3, gamma) == pytest.approx(
-        stats.norm.pdf(x + 0.3, loc=x, scale=math.sqrt(gamma))
-    )
+    assert family.density is None  # symmetric: the acceptance ratio needs no density
 
 
 def test_trajectory_invariants():
@@ -502,7 +568,7 @@ def test_mwg_states_match_record_replay():
     target = ContinuousProductTarget((1.0, 3.0, 0.5), raised_cosine, (-1.0, 1.0))
     alpha = SelectionWeights((0.3, 0.3, 0.4), 0.2)
     traj = mwg_run(
-        target.conditional_density, gaussian_random_walk_family(), (2.0, 0.5, 4.0),
+        target, gaussian_random_walk_family(), (2.0, 0.5, 4.0),
         alpha, (0.0, 0.1, -0.2), 3_000, seed=22,
     )
     assert 0.1 < traj.accepted.mean() < 0.9  # rejections and moves both occur
@@ -555,6 +621,6 @@ def test_metropolis_loop_rejects_fewer_than_one_step(n_steps):
     alpha = make_selection_weights((0.5, 0.5), 0.1)
     with pytest.raises(ValueError, match="n_steps"):
         mwg_run(
-            target.conditional_density, gaussian_random_walk_family(), (1.0, 1.0),
+            target, gaussian_random_walk_family(), (1.0, 1.0),
             alpha, (0.0, 0.0), n_steps, seed=1,
         )

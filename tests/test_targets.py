@@ -41,6 +41,15 @@ def test_conditional_matches_direct_normalisation():
     assert cum == pytest.approx(np.cumsum(expected), abs=1e-12)
 
 
+def test_finite_conditional_density_is_the_mass_with_one_value_replaced():
+    target, masses = two_coord_target()
+    assert target.conditional_density(1, (1, 0), 2) == masses[(1, 2)]
+    assert target.conditional_density(0, (1, 2), 0) == masses[(0, 2)]
+    assert target.conditional_density(1, (0, 0), 7) == 0.0  # outside the space
+    assert not getattr(target, "INDEPENDENT_COORDINATES", False)
+    assert ContinuousProductTarget.INDEPENDENT_COORDINATES
+
+
 def test_support_predicate_restricts_space():
     ladder = FiniteProductTarget(
         ((1, 2, 3), (1, 2, 3)),
