@@ -30,6 +30,7 @@ from .kernels import (
     exact_marginal_evolution,
     gibbs_kernel_matrix,
     kernel_tv_sup,
+    metropolis_kernel_matrix,
     mwg_kernel_matrix,
     single_coordinate_kernel,
     state_dependent_gibbs_kernel,
@@ -68,7 +69,6 @@ from .ladder import (
 from .bounds import (
     MinorizationCertificate,
     geometric_counterexample_gap,
-    metropolis_kernel_matrix,
     minorization_search,
     proposal_vs_kernel_tv,
     strong_uniform_constants,

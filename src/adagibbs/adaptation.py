@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -153,28 +153,27 @@ class ComponentwiseAdaptation:
         self._steps_in_batch = 0
 
 
+MONITOR_WINDOWS = 8
+
+
 @dataclass(frozen=True)
 class DiminishingReport:
     """Summary of how fast adaptation is dying out along one run.
 
     ``gaps[k]`` is the sup-norm weight change at step ``k+1``; window maxima
-    split the gap sequence into equal contiguous windows.  The tail is
-    flagged when the final window's maximum fails to improve on the first
-    window's (while any adaptation is still happening at all).
+    split the gap sequence into ``MONITOR_WINDOWS`` equal contiguous windows
+    (fewer for a shorter sequence).  The tail is flagged when the final
+    window's maximum fails to improve on the first window's (while any
+    adaptation is still happening at all).
     """
 
     gaps: np.ndarray
     tail_max: np.ndarray
     window_max: tuple
-    kernel_gaps: Optional[np.ndarray]
     nondecreasing_tail: bool
 
 
-def diminishing_monitor(
-    weight_history: Sequence,
-    kernel_gap_history: Optional[Sequence[float]] = None,
-    n_windows: int = 8,
-) -> DiminishingReport:
+def diminishing_monitor(weight_history: Sequence) -> DiminishingReport:
     """Fold a weight history into diminishing-adaptation diagnostics."""
     vectors = [
         w.weights if isinstance(w, SelectionWeights) else tuple(w)
@@ -186,7 +185,7 @@ def diminishing_monitor(
         [sup_distance(a, b) for a, b in zip(vectors, vectors[1:])], dtype=np.float64
     )
     tail_max = np.maximum.accumulate(gaps[::-1])[::-1]
-    bounds = np.linspace(0, len(gaps), min(n_windows, len(gaps)) + 1, dtype=int)
+    bounds = np.linspace(0, len(gaps), min(MONITOR_WINDOWS, len(gaps)) + 1, dtype=int)
     window_max = tuple(
         float(gaps[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
     )
@@ -195,15 +194,6 @@ def diminishing_monitor(
         and window_max[-1] > 0.0
         and window_max[-1] >= window_max[0]
     )
-    kernel_gaps = (
-        np.asarray(kernel_gap_history, dtype=np.float64)
-        if kernel_gap_history is not None
-        else None
-    )
     return DiminishingReport(
-        gaps=gaps,
-        tail_max=tail_max,
-        window_max=window_max,
-        kernel_gaps=kernel_gaps,
-        nondecreasing_tail=flagged,
+        gaps=gaps, tail_max=tail_max, window_max=window_max, nondecreasing_tail=flagged
     )

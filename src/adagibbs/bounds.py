@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import DistributionVector, TransitionMatrix, metropolis_kernel_matrix
+from .kernels import DistributionVector, TransitionMatrix, metropolis_kernel_matrix, sup_row_tv, tv
 from .weights import sup_distance
 
 ENTRYWISE_TOL = 1e-12
@@ -43,12 +43,13 @@ class MinorizationCertificate:
         if self.s > 0.0 and self.mu is None:
             raise ValueError("a positive-mass certificate needs its measure")
 
-    def holds_for(self, p: TransitionMatrix, tol: float = ENTRYWISE_TOL) -> bool:
-        """Entrywise validation of ``P^m >= s * mu`` against a concrete kernel."""
+    def holds_for(self, p: TransitionMatrix) -> bool:
+        """Entrywise validation of ``P^m >= s * mu`` against a concrete kernel,
+        to ``ENTRYWISE_TOL``."""
         if self.s == 0.0:
             return True
         pm = np.linalg.matrix_power(p.matrix, self.m)
-        return bool(np.all(pm >= self.s * self.mu.probs[np.newaxis, :] - tol))
+        return bool(np.all(pm >= self.s * self.mu.probs[np.newaxis, :] - ENTRYWISE_TOL))
 
 
 def minorization_search(p: TransitionMatrix, m: int) -> MinorizationCertificate:
@@ -134,41 +135,34 @@ def systematic_to_random_scan(cert: MinorizationCertificate, d: int) -> Minoriza
     )
 
 
-def _sup_row_tv(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.abs(a - b).sum(axis=1).max())
-
-
 def proposal_vs_kernel_tv(
     pi: np.ndarray,
     q1: np.ndarray,
     q2: np.ndarray,
     mode: str = "symmetric",
-    k_ratio: Optional[float] = None,
 ) -> tuple:
     """Both sides of the proposal-to-kernel TV comparison, exactly.
 
     Returns ``(lhs, rhs)`` where ``lhs`` is the worst-row TV distance between
     the two Metropolis kernels and ``rhs`` the guaranteed dominating multiple
     of the worst-row proposal TV distance: ``2x`` for symmetric proposal
-    densities, ``4 (K + 1) x`` when the target ratio ``pi(y)/pi(x)`` is
-    bounded by ``K`` (computed from the target when not supplied).
+    densities, ``4 (K + 1) x`` where ``K = max(pi) / min(pi)`` bounds the
+    target ratio ``pi(y)/pi(x)``.
     """
     pi = np.asarray(pi, dtype=np.float64)
     q1 = np.asarray(q1, dtype=np.float64)
     q2 = np.asarray(q2, dtype=np.float64)
-    proposal_gap = _sup_row_tv(q1, q2)
+    proposal_gap = sup_row_tv(q1, q2)
     if mode == "symmetric":
         for name, q in (("first", q1), ("second", q2)):
             if np.abs(q - q.T).max() > ENTRYWISE_TOL:
                 raise ValueError(f"{name} proposal is not symmetric")
         rhs = 2.0 * proposal_gap
     elif mode == "bounded":
-        if k_ratio is None:
-            k_ratio = float(pi.max() / pi.min())
-        rhs = 4.0 * (k_ratio + 1.0) * proposal_gap
+        rhs = 4.0 * (float(pi.max() / pi.min()) + 1.0) * proposal_gap
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    lhs = _sup_row_tv(
+    lhs = sup_row_tv(
         metropolis_kernel_matrix(pi, q1), metropolis_kernel_matrix(pi, q2)
     )
     if lhs > rhs + 1e-12:
@@ -190,7 +184,10 @@ class GeometricGap:
     k_max: int
 
 
-def geometric_counterexample_gap(p: float, n: int, tail_mass: float = 1e-12) -> GeometricGap:
+GEOMETRIC_TAIL_MASS = 1e-12
+
+
+def geometric_counterexample_gap(p: float, n: int) -> GeometricGap:
     """Proposal-TV and kernel-TV gaps for the geometric-target example.
 
     The independence proposal at stage ``n`` follows the target
@@ -199,13 +196,14 @@ def geometric_counterexample_gap(p: float, n: int, tail_mass: float = 1e-12) -> 
     ``1/(1-p) - p^n + p^{2n}``).  Successive proposals converge in TV, yet
     the Metropolis kernels they induce do not: the exit probability from
     state ``n`` to 0 jumps by an amount approaching ``1 - p``.  Computed on
-    the space truncated where the geometric tail drops below ``tail_mass``.
+    the space truncated where the geometric tail drops below
+    ``GEOMETRIC_TAIL_MASS``.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    k_tail = int(math.ceil(math.log(tail_mass * (1.0 - p)) / math.log(p)))
+    k_tail = int(math.ceil(math.log(GEOMETRIC_TAIL_MASS * (1.0 - p)) / math.log(p)))
     k_max = max(n + 2, k_tail)
     grid = np.arange(k_max + 1)
 
@@ -217,7 +215,7 @@ def geometric_counterexample_gap(p: float, n: int, tail_mass: float = 1e-12) -> 
 
     q_n = stage_pmf(n)
     q_next = stage_pmf(n + 1)
-    proposal_gap = 0.5 * float(np.abs(q_next - q_n).sum())
+    proposal_gap = tv(q_next, q_n)
 
     pi = p**grid.astype(np.float64) * (1.0 - p)
     pi = pi / pi.sum()

@@ -6,11 +6,12 @@ pushed forward exactly, and total-variation quantities are computed without
 sampling error.  Every closed-form bound elsewhere in the package is checked
 against numbers produced here.  :func:`metropolis_kernel_matrix` is the one
 finite Metropolis kernel; Metropolis-within-Gibbs applies it on every fibre.
+:func:`tv` and :func:`sup_row_tv` are the one statement of total variation,
+and :func:`stationary_distribution` the one stationary solve.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,15 +37,6 @@ def _check_states_equal(a, b):
         raise EnumerationMismatchError("state enumerations differ")
 
 
-def state_label(state) -> str:
-    """Compact tuple string used in CSV headers, e.g. ``(2,1)``."""
-    if isinstance(state, tuple):
-        if len(state) == 1:
-            return f"({state[0]},)"
-        return "(" + ",".join(str(v) for v in state) + ")"
-    return str(state)
-
-
 @dataclass(frozen=True)
 class DistributionVector:
     """Probability vector over an explicit state enumeration."""
@@ -66,12 +58,6 @@ class DistributionVector:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def dump_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([state_label(s) for s in self.states])
-            writer.writerow([repr(float(v)) for v in self.probs])
 
 
 @dataclass(frozen=True)
@@ -99,24 +85,29 @@ class TransitionMatrix:
     def n(self) -> int:
         return len(self.states)
 
-    def dump_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([state_label(s) for s in self.states])
-            for row in self.matrix:
-                writer.writerow([repr(float(v)) for v in row])
+
+def tv(p: np.ndarray, q: np.ndarray) -> float:
+    """Total variation distance between two probability vectors on one
+    enumeration: half the L1 distance between them."""
+    return 0.5 * float(np.abs(p - q).sum())
+
+
+def sup_row_tv(a: np.ndarray, b: np.ndarray) -> float:
+    """Worst-row total variation distance between two row-stochastic arrays
+    on one enumeration; a vector ``b`` is compared with every row of ``a``."""
+    return 0.5 * float(np.abs(a - b).sum(axis=1).max())
 
 
 def tv_distance(p: DistributionVector, q: DistributionVector) -> float:
     """Total variation distance, half the L1 distance between the vectors."""
     _check_states_equal(p.states, q.states)
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
+    return tv(p.probs, q.probs)
 
 
 def kernel_tv_sup(p1: TransitionMatrix, p2: TransitionMatrix) -> float:
     """Worst-case row total variation distance between two kernels."""
     _check_states_equal(p1.states, p2.states)
-    return 0.5 * float(np.abs(p1.matrix - p2.matrix).sum(axis=1).max())
+    return sup_row_tv(p1.matrix, p2.matrix)
 
 
 def target_distribution(target: FiniteProductTarget) -> DistributionVector:
@@ -259,71 +250,35 @@ def exact_marginal_evolution(
     ``kernel_at_step(n)`` supplies the kernel used to obtain step ``n`` from
     step ``n - 1`` (n = 1..n_steps), so time-inhomogeneous rules where the
     weights are a deterministic function of ``(n, X_{n-1})`` evolve exactly.
-    A kernel whose enumeration strictly contains the current one embeds the
-    current law (useful when the reachable support grows with the horizon);
-    any other mismatch is an error.
+    Every kernel must share the enumeration of ``init``.
     """
     out = [init]
-    states = init.states
-    v = np.array(init.probs)
+    v = init.probs
     for n in range(1, n_steps + 1):
         kernel = kernel_at_step(n)
-        if kernel.states != states:
-            embedded = _embed(v, states, kernel.states)
-            states = kernel.states
-            v = embedded
+        _check_states_equal(kernel.states, init.states)
         v = v @ kernel.matrix
-        out.append(DistributionVector(states, v))
+        out.append(DistributionVector(init.states, v))
     return out
 
 
-def _embed(v: np.ndarray, states, larger_states) -> np.ndarray:
-    index = {x: k for k, x in enumerate(larger_states)}
-    out = np.zeros(len(larger_states))
-    for x, p in zip(states, v):
-        k = index.get(x)
-        if k is None:
-            raise EnumerationMismatchError(
-                f"state {x!r} is absent from the step kernel's enumeration"
-            )
-        out[k] = p
-    return out
+STATIONARY_RESIDUAL = 1e-10
 
 
-POWER_ITERATION_CAP = 10**6
-POWER_RESIDUAL = 1e-13
+def stationary_distribution(p: TransitionMatrix) -> DistributionVector:
+    """Left fixed probability vector of ``p``, by one least-squares solve of
+    ``v (P - I) = 0`` with ``sum(v) = 1``.
 
-
-def stationary_distribution(
-    p: TransitionMatrix,
-    method: str = "power",
-    max_iterations: int = POWER_ITERATION_CAP,
-) -> DistributionVector:
-    """Left fixed probability vector of ``p``.
-
-    ``method="power"`` iterates ``v <- v P`` until the sup-norm residual drops
-    below ``POWER_RESIDUAL``, falling back to a linear solve if the cap is hit;
-    ``method="solve"`` goes straight to the linear solve.  The caller is
-    responsible for irreducibility and aperiodicity; failure to converge is
-    reported, naming the iteration cap.
+    The caller is responsible for irreducibility; a solve that fails, leaves
+    a negative entry or a sup-norm residual ``|v P - v|`` above
+    ``STATIONARY_RESIDUAL`` is reported.
     """
-    if method not in ("power", "solve"):
-        raise ValueError(f"unknown method {method!r}")
     m = p.matrix
-    if method == "power":
-        v = np.full(p.n, 1.0 / p.n)
-        for _ in range(max_iterations):
-            w = v @ m
-            if np.abs(w - v).max() <= POWER_RESIDUAL:
-                w = np.maximum(w, 0.0)
-                return DistributionVector(p.states, w / w.sum())
-            v = w
     solved = _stationary_solve(m)
-    if solved is not None and np.abs(solved @ m - solved).max() <= 1e-10:
+    if solved is not None and np.abs(solved @ m - solved).max() <= STATIONARY_RESIDUAL:
         return DistributionVector(p.states, solved)
     raise StationaryConvergenceError(
-        f"no stationary vector within {max_iterations} power iterations "
-        f"(residual target {POWER_RESIDUAL}) and the linear solve did not help"
+        f"the linear solve found no stationary vector within residual {STATIONARY_RESIDUAL}"
     )
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import single_coordinate_kernel
+from .kernels import single_coordinate_kernel, tv
 from .samplers import adap_rsg_run, derive_seed, keep_previous
 from .targets import FiniteProductTarget
 from .weights import SelectionWeights
@@ -135,17 +135,12 @@ def ladder_update_rule(x, n: int) -> SelectionWeights:
 
 
 class LadderTarget:
-    """Sampler-facing view of the ladder target (optionally truncated).
+    """Sampler-facing view of the unbounded ladder target.
 
     Exposes the ``conditional`` / ``conditional_cdf`` / ``contains`` interface
     the run loops expect, using the closed-form conditionals so the unbounded
     space needs no enumeration.
     """
-
-    def __init__(self, truncation: Optional[int] = None):
-        if truncation is not None and truncation < 2:
-            raise ValueError(f"truncation must be >= 2, got {truncation}")
-        self.truncation = truncation
 
     @property
     def d(self) -> int:
@@ -153,10 +148,8 @@ class LadderTarget:
 
     def contains(self, x) -> bool:
         try:
-            i, j = _ij(x)
+            _ij(x)
         except ValueError:
-            return False
-        if self.truncation is not None and (i > self.truncation or j > self.truncation):
             return False
         return True
 
@@ -164,14 +157,12 @@ class LadderTarget:
         """Exact full conditional ``(values, probs)`` of one coordinate.
 
         The first coordinate given ``j`` is uniform on {j, j+1} (both rungs
-        carry mass ``j**-2``; a point mass at the top rung of a truncated
-        ladder); the second given ``i`` has masses proportional to
-        ``(i**2, (i-1)**2)`` on ``(i-1, i)``, a point mass at 1 when ``i = 1``.
+        carry mass ``j**-2``); the second given ``i`` has masses proportional
+        to ``(i**2, (i-1)**2)`` on ``(i-1, i)``, a point mass at 1 when
+        ``i = 1``.
         """
         i, j = _ij(x)
         if coord == 0:
-            if self.truncation is not None and j == self.truncation:
-                return (j,), (1.0,)
             return (j, j + 1), (0.5, 0.5)
         if i == 1:
             return (1,), (1.0,)
@@ -243,16 +234,16 @@ def ladder_increment_floor(i: int, n: int) -> dict:
 _DOMINANCE_TOL = 1e-12
 
 
-def stochastically_dominates(law_hi: dict, law_lo: dict, tol: float = _DOMINANCE_TOL) -> bool:
+def stochastically_dominates(law_hi: dict, law_lo: dict) -> bool:
     """CDF comparison on {-1, 0, +1}: every CDF value of ``law_hi`` is below
-    (up to ``tol``) the matching CDF value of ``law_lo``."""
+    (up to ``_DOMINANCE_TOL``) the matching CDF value of ``law_lo``."""
     cdf_hi = law_hi[-1]
     cdf_lo = law_lo[-1]
-    if cdf_hi > cdf_lo + tol:
+    if cdf_hi > cdf_lo + _DOMINANCE_TOL:
         return False
     cdf_hi += law_hi[0]
     cdf_lo += law_lo[0]
-    return cdf_hi <= cdf_lo + tol
+    return cdf_hi <= cdf_lo + _DOMINANCE_TOL
 
 
 def dominance_holds(i: int, n: int) -> bool:
@@ -443,18 +434,18 @@ def truncated_ladder_evolution(
     v = np.zeros(len(target.states))
     v[target.states.index((1, 1))] = 1.0
 
-    tv = np.empty(max_steps + 1)
-    tv[0] = 0.5 * np.abs(v - pi).sum()
+    trace = np.empty(max_steps + 1)
+    trace[0] = tv(v, pi)
     horizon = None
     for n in range(1, max_steps + 1):
         v = step(v, a_of_n(n))
-        tv[n] = 0.5 * np.abs(v - pi).sum()
-        if tv[n] < tv_target:
+        trace[n] = tv(v, pi)
+        if trace[n] < tv_target:
             horizon = n
             break
     end = horizon if horizon is not None else max_steps
     return TruncatedLadderEvolution(
-        tv=tv[: end + 1], horizon=horizon, tv_target=tv_target, truncation=truncation
+        tv=trace[: end + 1], horizon=horizon, tv_target=tv_target, truncation=truncation
     )
 
 

@@ -8,7 +8,7 @@ Two concrete families are supported:
   construction and exact conditional sampling.
 * :class:`ContinuousProductTarget` -- a product of identically shaped one
   dimensional densities ``scale_i * g(scale_i * x_i)`` with ``g`` compactly
-  supported, together with a linear observable ``f(x) = a0 + sum_i a_i x_i``.
+  supported, together with a linear observable ``f(x) = sum_i a_i x_i``.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ class FiniteProductTarget:
         self.coordinate_states = tuple(tuple(c) for c in coordinate_states)
         if any(len(c) == 0 for c in self.coordinate_states):
             raise TargetError("every coordinate needs at least one state")
-        self._mass_fn = mass
-        self._support = support
 
         states = []
         masses = []
@@ -151,8 +149,8 @@ class ContinuousProductTarget:
     ``[support[0], support[1]]`` and finite positive variance; both are
     verified by composite Gauss-Legendre quadrature (``QUAD_PANELS`` panels of
     ``QUAD_NODES`` nodes), which assumes ``g`` smooth on its support: a jump
-    inside it can fail the normalisation check.  ``a0`` and ``a`` define the
-    linear observable ``f(x) = a0 + sum_i a_i x_i``.
+    inside it can fail the normalisation check.  ``a`` defines the linear
+    observable ``f(x) = sum_i a_i x_i``.
     """
 
     DENSITY_QUAD_TOL = 1e-8
@@ -164,7 +162,6 @@ class ContinuousProductTarget:
         scales: Sequence[float],
         g: Callable[[float], float],
         support: tuple,
-        a0: float = 0.0,
         a: Optional[Sequence[float]] = None,
     ):
         self.scales = tuple(float(c) for c in scales)
@@ -175,7 +172,6 @@ class ContinuousProductTarget:
         if not lo < hi:
             raise TargetError(f"empty support interval [{lo}, {hi}]")
         self.support = (lo, hi)
-        self.a0 = float(a0)
         self.a = tuple(float(v) for v in (a if a is not None else [1.0] * len(self.scales)))
         if len(self.a) != len(self.scales):
             raise TargetError("linear coefficients and scales must share the dimension")
@@ -215,9 +211,9 @@ class ContinuousProductTarget:
         return self.g_variance / self.scales[i] ** 2
 
     def f(self, x: Sequence[float]) -> float:
-        return self.a0 + math.fsum(ai * xi for ai, xi in zip(self.a, x))
+        return math.fsum(ai * xi for ai, xi in zip(self.a, x))
 
     def observable_trace(self, states: Sequence[Sequence[float]]) -> np.ndarray:
         """Evaluate ``f`` along a trajectory's states."""
         arr = np.asarray(states, dtype=np.float64)
-        return self.a0 + arr @ np.asarray(self.a)
+        return arr @ np.asarray(self.a)

@@ -5,7 +5,6 @@ from adagibbs.bounds import (
     GeometricGap,
     MinorizationCertificate,
     geometric_counterexample_gap,
-    metropolis_kernel_matrix,
     minorization_search,
     proposal_vs_kernel_tv,
     strong_uniform_constants,
@@ -17,6 +16,7 @@ from adagibbs.kernels import (
     TransitionMatrix,
     gibbs_kernel_matrix,
     kernel_tv_sup,
+    metropolis_kernel_matrix,
     random_reversible_chain,
     systematic_scan_kernel,
 )
@@ -240,9 +240,9 @@ def test_metropolis_kernel_rejects_invalid_proposals():
 
 def test_metropolis_kernel_is_shared_with_bounds():
     import adagibbs
-    import adagibbs.kernels
+    import adagibbs.bounds
 
-    assert metropolis_kernel_matrix is adagibbs.kernels.metropolis_kernel_matrix
+    assert adagibbs.bounds.metropolis_kernel_matrix is metropolis_kernel_matrix
     assert adagibbs.metropolis_kernel_matrix is metropolis_kernel_matrix
 
 

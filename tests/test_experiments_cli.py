@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -168,6 +170,29 @@ SMALL_OPTIMAL_SCAN = {
 }
 
 
+# Outputs of SMALL_OPTIMAL_SCAN, recorded with numpy 2.4 on x86-64 Linux.  A
+# changed seed, random stream or summation order moves them; the IACT and
+# variances go through numpy's FFT, so they are compared to 1e-9 relative.
+PINNED_BATCHES_SHA256 = "25c3e6f54fcec230ccd1aa3bee54ba48429d6053589a0838be60111e8376d81e"
+PINNED_OPTIMAL_SCAN_SUMMARY = {
+    "tau_adaptive": 10.943741414257088,
+    "var_adaptive": 0.14725219315288207,
+    "tau_uniform": 12.007046223454136,
+    "var_uniform": 0.16877484215265331,
+    "variance_ratio": 0.7952134216827779,
+}
+
+
+def test_optimal_scan_outputs_are_pinned(tmp_path):
+    out = tmp_path / "scan"
+    config = ExperimentConfig.from_dict(SMALL_OPTIMAL_SCAN).with_overrides(out=str(out))
+    _, result = run_experiment(config)
+    digest = hashlib.sha256((out / "batches.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_BATCHES_SHA256
+    for name, value in PINNED_OPTIMAL_SCAN_SUMMARY.items():
+        assert result.summary[name] == pytest.approx(value, rel=1e-9, abs=0.0), name
+
+
 def test_in_processes_runs_the_later_calls_in_a_worker():
     first, second = experiments._in_processes(os.getpid, [(), ()])
     assert first == os.getpid() != second
@@ -322,6 +347,64 @@ SMALL_GAP = {
     "kind": "geometric-gap", "seed": 1, "n_min": 10, "n_max": 12, "p_values": [0.5]
 }
 SMALL_LAZY = {"kind": "lazy-variance", "seed": 3, "n_chains": 5, "max_states": 4}
+
+
+@pytest.mark.parametrize(
+    "field, value", [("params", "x"), ("params", 5), ("out", 7), ("out", ["a"])]
+)
+def test_cli_rejects_malformed_params_or_out(field, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a run without --out would write
+    path = write_config(tmp_path, "bad.json", {**SMALL_GAP, field: value})
+    assert cli_main(["geometric-gap", "--config", path]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["bad.json"]  # no output directory
+
+
+SMALL_CONFIGS = {
+    "bounds": {
+        "kind": "bounds", "seed": 2, "n_targets": 3, "n_alphas": 2, "horizon": 20,
+        "n_chains": 3,
+    },
+    "counterexample": {"kind": "counterexample", "seed": 4, **SMALL_COUNTEREXAMPLE},
+    "geometric-gap": SMALL_GAP,
+    "lazy-variance": SMALL_LAZY,
+    "optimal-scan": SMALL_OPTIMAL_SCAN,
+    "truncated-ladder": {
+        "kind": "truncated-ladder", "seed": 0, "truncation": 6, "schedule_slope": 20.0,
+        "max_steps": 20_000,
+    },
+}
+# (file, column) pairs that hold text rather than numbers
+TEXT_COLUMNS = {("runs.csv", "arm")}
+
+
+def _is_plain_number(cell):
+    try:
+        float(cell)  # takes every string int() takes
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
+def test_every_data_file_cell_is_a_plain_number(kind, tmp_path):
+    assert set(SMALL_CONFIGS) == set(experiments.EXPERIMENT_KINDS)
+    out = tmp_path / "run"
+    manifest, _ = run_experiment(
+        ExperimentConfig.from_dict(SMALL_CONFIGS[kind]).with_overrides(out=str(out))
+    )
+    tables = [name for name in manifest.outputs if name.endswith(".csv")]
+    assert tables
+    not_numbers = set()
+    for name in tables:
+        with open(out / name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows, name
+        for row in rows:
+            for column, cell in zip(header, row):
+                if (name, column) not in TEXT_COLUMNS and not _is_plain_number(cell):
+                    not_numbers.add((name, column, cell))
+    assert not not_numbers, sorted(not_numbers)[:5]
 
 
 def _snapshot(path):

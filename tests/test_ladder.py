@@ -251,19 +251,19 @@ def test_truncated_target_enumeration():
 
 
 def test_ladder_target_views_agree():
+    # below the top rung the truncation does not reach the conditionals
     unbounded = LadderTarget()
-    capped = LadderTarget(truncation=4)
     finite = truncated_ladder_target(4)
     for x in finite.states:
+        if x[1] == 4:
+            continue
         for coord in (0, 1):
-            vals_a, probs_a = capped.conditional(coord, x)
+            vals_a, probs_a = unbounded.conditional(coord, x)
             vals_b, probs_b = finite.conditional(coord, x)
             assert vals_a == vals_b
             assert probs_a == pytest.approx(probs_b, abs=1e-14)
-        if x[0] < 4 and x[1] < 4:
-            assert unbounded.conditional(0, x) == capped.conditional(0, x)
     assert unbounded.contains((10**9, 10**9))
-    assert not capped.contains((5, 5))
+    assert not unbounded.contains((1, 3))
 
 
 def test_fast_evolution_matches_generic_evolution():

@@ -95,12 +95,10 @@ def test_unnormalised_base_density_rejected():
 
 
 def test_linear_observable():
-    target = ContinuousProductTarget(
-        (1.0, 2.0), raised_cosine, (-1.0, 1.0), a0=1.0, a=(2.0, -1.0)
-    )
-    assert target.f((0.5, 0.25)) == pytest.approx(1.0 + 1.0 - 0.25)
+    target = ContinuousProductTarget((1.0, 2.0), raised_cosine, (-1.0, 1.0), a=(2.0, -1.0))
+    assert target.f((0.5, 0.25)) == pytest.approx(1.0 - 0.25)
     trace = target.observable_trace([(0.0, 0.0), (0.5, 0.25)])
-    assert trace == pytest.approx([1.0, 1.75])
+    assert trace == pytest.approx([0.0, 0.75])
 
 
 def test_scales_must_be_positive():
