@@ -27,17 +27,11 @@ from .targets import (
 from .kernels import (
     DistributionVector,
     TransitionMatrix,
-    exact_marginal_evolution,
     gibbs_kernel_matrix,
-    kernel_tv_sup,
     metropolis_kernel_matrix,
     mwg_kernel_matrix,
     single_coordinate_kernel,
-    state_dependent_gibbs_kernel,
-    stationary_distribution,
     systematic_scan_kernel,
-    target_distribution,
-    tv_distance,
 )
 from .samplers import (
     ProposalFamily,

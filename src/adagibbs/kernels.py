@@ -1,19 +1,18 @@
-"""Exact transition matrices and chain-law computations on finite spaces.
+"""Exact transition matrices on finite spaces.
 
 This is the oracle layer: random scan Gibbs and Metropolis-within-Gibbs
-kernels are materialised as row-stochastic matrices, the law of the chain is
-pushed forward exactly, and total-variation quantities are computed without
-sampling error.  Every closed-form bound elsewhere in the package is checked
-against numbers produced here.  :func:`metropolis_kernel_matrix` is the one
-finite Metropolis kernel; Metropolis-within-Gibbs applies it on every fibre.
-:func:`tv` and :func:`sup_row_tv` are the one statement of total variation,
-and :func:`stationary_distribution` the one stationary solve.
+kernels are materialised as row-stochastic matrices, and total-variation
+quantities are computed without sampling error.  Every closed-form bound
+elsewhere in the package is checked against numbers produced here.
+:func:`metropolis_kernel_matrix` is the one finite Metropolis kernel;
+Metropolis-within-Gibbs applies it on every fibre.  :func:`tv` and
+:func:`sup_row_tv` are the one statement of total variation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,17 +23,10 @@ ROW_SUM_TOL = 1e-12
 NEGATIVE_TOL = 1e-15
 
 
-class EnumerationMismatchError(ValueError):
-    """Raised when two objects disagree on the state enumeration."""
-
-
-class StationaryConvergenceError(RuntimeError):
-    """Raised when no stationary vector could be computed."""
-
-
-def _check_states_equal(a, b):
-    if a != b:
-        raise EnumerationMismatchError("state enumerations differ")
+def _check_finite(a: np.ndarray, what: str):
+    bad = ~np.isfinite(a)
+    if bad.any():
+        raise ValueError(f"non-finite {what} entry: {float(a[bad][0])!r}")
 
 
 @dataclass(frozen=True)
@@ -47,12 +39,13 @@ class DistributionVector:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         p = np.array(self.probs, dtype=np.float64)
+        _check_finite(p, "probability")
         if p.ndim != 1 or len(p) != len(self.states):
             raise ValueError("probability vector must align with the enumeration")
         if p.min(initial=0.0) < -NEGATIVE_TOL:
-            raise ValueError(f"negative probability entry: {p.min()!r}")
+            raise ValueError(f"negative probability entry: {float(p.min())!r}")
         if abs(p.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
+            raise ValueError(f"probabilities sum to {float(p.sum())!r}, expected 1")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -70,12 +63,13 @@ class TransitionMatrix:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         m = np.array(self.matrix, dtype=np.float64)
+        _check_finite(m, "transition")
         n = len(self.states)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match {n} states")
         if m.min(initial=0.0) < -NEGATIVE_TOL:
-            raise ValueError(f"negative transition entry: {m.min()!r}")
-        row_err = np.abs(m.sum(axis=1) - 1.0).max(initial=0.0)
+            raise ValueError(f"negative transition entry: {float(m.min())!r}")
+        row_err = float(np.abs(m.sum(axis=1) - 1.0).max(initial=0.0))
         if row_err > ROW_SUM_TOL:
             raise ValueError(f"row sums deviate from 1 by {row_err!r}")
         m.flags.writeable = False
@@ -96,23 +90,6 @@ def sup_row_tv(a: np.ndarray, b: np.ndarray) -> float:
     """Worst-row total variation distance between two row-stochastic arrays
     on one enumeration; a vector ``b`` is compared with every row of ``a``."""
     return 0.5 * float(np.abs(a - b).sum(axis=1).max())
-
-
-def tv_distance(p: DistributionVector, q: DistributionVector) -> float:
-    """Total variation distance, half the L1 distance between the vectors."""
-    _check_states_equal(p.states, q.states)
-    return tv(p.probs, q.probs)
-
-
-def kernel_tv_sup(p1: TransitionMatrix, p2: TransitionMatrix) -> float:
-    """Worst-case row total variation distance between two kernels."""
-    _check_states_equal(p1.states, p2.states)
-    return sup_row_tv(p1.matrix, p2.matrix)
-
-
-def target_distribution(target: FiniteProductTarget) -> DistributionVector:
-    """The normalised target as a vector over the target's enumeration."""
-    return DistributionVector(target.states, target.probabilities())
 
 
 def _fibres(target: FiniteProductTarget, i: int) -> list:
@@ -143,33 +120,11 @@ def gibbs_kernel_matrix(
 ) -> TransitionMatrix:
     """Random scan Gibbs kernel: coordinate ``i`` with probability ``alpha_i``,
     then an exact conditional redraw of that coordinate."""
-    return _random_scan_kernel(target, lambda x: alpha)
-
-
-def state_dependent_gibbs_kernel(
-    target: FiniteProductTarget,
-    weights_at: Callable[[tuple], SelectionWeights],
-) -> TransitionMatrix:
-    """Gibbs kernel whose selection weights may depend on the current state.
-
-    This realises one step of an adaptive rule of the form
-    ``alpha_n = R(n, X_{n-1})`` as an ordinary (time-frozen) kernel; the
-    resulting matrix is generally not stationary for the target.
-    """
-    return _random_scan_kernel(target, weights_at)
-
-
-def _random_scan_kernel(target: FiniteProductTarget, weights_at) -> TransitionMatrix:
-    rows = []
-    for x in target.states:
-        w = weights_at(x)
-        if w.d != target.d:
-            raise ValueError(f"weights have d={w.d}, target has d={target.d}")
-        rows.append(w.weights)
-    weights = np.array(rows)
+    if alpha.d != target.d:
+        raise ValueError(f"weights have d={alpha.d}, target has d={target.d}")
     m = np.zeros((len(target.states),) * 2)
-    for i in range(target.d):
-        m += weights[:, i, np.newaxis] * single_coordinate_kernel(target, i).matrix
+    for i, wi in enumerate(alpha.weights):
+        m += wi * single_coordinate_kernel(target, i).matrix
     return TransitionMatrix(target.states, m)
 
 
@@ -192,6 +147,8 @@ def metropolis_kernel_matrix(pi: np.ndarray, proposal: np.ndarray) -> np.ndarray
     """
     pi = np.asarray(pi, dtype=np.float64)
     q = np.asarray(proposal, dtype=np.float64)
+    _check_finite(pi, "target")
+    _check_finite(q, "proposal")
     n = len(pi)
     if q.shape != (n, n):
         raise ValueError(f"proposal shape {q.shape} does not match {n} states")
@@ -238,66 +195,6 @@ def mwg_kernel_matrix(
             block = metropolis_kernel_matrix(masses[fibre], q[np.ix_(values, values)])
             m[np.ix_(fibre, fibre)] += wi * block
     return TransitionMatrix(target.states, m)
-
-
-def exact_marginal_evolution(
-    init: DistributionVector,
-    kernel_at_step: Callable[[int], TransitionMatrix],
-    n_steps: int,
-):
-    """Push the chain law forward exactly: returns ``[pi_0, ..., pi_n]``.
-
-    ``kernel_at_step(n)`` supplies the kernel used to obtain step ``n`` from
-    step ``n - 1`` (n = 1..n_steps), so time-inhomogeneous rules where the
-    weights are a deterministic function of ``(n, X_{n-1})`` evolve exactly.
-    Every kernel must share the enumeration of ``init``.
-    """
-    out = [init]
-    v = init.probs
-    for n in range(1, n_steps + 1):
-        kernel = kernel_at_step(n)
-        _check_states_equal(kernel.states, init.states)
-        v = v @ kernel.matrix
-        out.append(DistributionVector(init.states, v))
-    return out
-
-
-STATIONARY_RESIDUAL = 1e-10
-
-
-def stationary_distribution(p: TransitionMatrix) -> DistributionVector:
-    """Left fixed probability vector of ``p``, by one least-squares solve of
-    ``v (P - I) = 0`` with ``sum(v) = 1``.
-
-    The caller is responsible for irreducibility; a solve that fails, leaves
-    a negative entry or a sup-norm residual ``|v P - v|`` above
-    ``STATIONARY_RESIDUAL`` is reported.
-    """
-    m = p.matrix
-    solved = _stationary_solve(m)
-    if solved is not None and np.abs(solved @ m - solved).max() <= STATIONARY_RESIDUAL:
-        return DistributionVector(p.states, solved)
-    raise StationaryConvergenceError(
-        f"the linear solve found no stationary vector within residual {STATIONARY_RESIDUAL}"
-    )
-
-
-def _stationary_solve(m: np.ndarray):
-    n = m.shape[0]
-    a = np.vstack([m.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    try:
-        v, *_ = np.linalg.lstsq(a, b, rcond=None)
-    except np.linalg.LinAlgError:
-        return None
-    if v.min() < -1e-10:
-        return None
-    v = np.maximum(v, 0.0)
-    s = v.sum()
-    if s <= 0:
-        return None
-    return v / s
 
 
 def random_reversible_chain(rng: np.random.Generator, n_states: int):

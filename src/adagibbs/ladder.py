@@ -491,23 +491,3 @@ def unbounded_ladder_law(n_steps: int) -> UnboundedLadderLaw:
         states=target.states, probs=v, n_steps=n_steps, tv_to_target=tv
     )
 
-
-def truncated_ladder_kernel(
-    truncation: int, n: int, a_of_n: Callable[[int], float]
-):
-    """Step-``n`` kernel of the truncated adaptive chain as a TransitionMatrix
-    (reference path for :func:`truncated_ladder_evolution`)."""
-    from .kernels import state_dependent_gibbs_kernel
-
-    target = truncated_ladder_target(truncation)
-    a = a_of_n(n)
-    eps = 0.5 - 4.0 / a_of_n(1)
-
-    def weights_at(x):
-        tilt = 4.0 / a
-        if x[0] == x[1]:
-            return SelectionWeights((0.5 + tilt, 0.5 - tilt), eps)
-        return SelectionWeights((0.5 - tilt, 0.5 + tilt), eps)
-
-    return state_dependent_gibbs_kernel(target, weights_at)
-

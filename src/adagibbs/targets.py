@@ -8,7 +8,8 @@ Two concrete families are supported:
   construction and exact conditional sampling.
 * :class:`ContinuousProductTarget` -- a product of identically shaped one
   dimensional densities ``scale_i * g(scale_i * x_i)`` with ``g`` compactly
-  supported, together with a linear observable ``f(x) = sum_i a_i x_i``.
+  supported, together with the linear observable ``sum_i a_i x_i`` that
+  :meth:`ContinuousProductTarget.observable_trace` evaluates along a run.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ class ContinuousProductTarget:
     verified by composite Gauss-Legendre quadrature (``QUAD_PANELS`` panels of
     ``QUAD_NODES`` nodes), which assumes ``g`` smooth on its support: a jump
     inside it can fail the normalisation check.  ``a`` defines the linear
-    observable ``f(x) = sum_i a_i x_i``.
+    observable ``sum_i a_i x_i``, evaluated along a run by
+    :meth:`observable_trace`.
     """
 
     DENSITY_QUAD_TOL = 1e-8
@@ -171,7 +173,6 @@ class ContinuousProductTarget:
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
             raise TargetError(f"empty support interval [{lo}, {hi}]")
-        self.support = (lo, hi)
         self.a = tuple(float(v) for v in (a if a is not None else [1.0] * len(self.scales)))
         if len(self.a) != len(self.scales):
             raise TargetError("linear coefficients and scales must share the dimension")
@@ -186,7 +187,6 @@ class ContinuousProductTarget:
         var = second - mean * mean
         if not math.isfinite(var) or var <= 0.0:
             raise TargetError(f"base density variance {var!r} is not positive and finite")
-        self.g_mean = mean
         self.g_variance = var
 
     @property
@@ -202,18 +202,7 @@ class ContinuousProductTarget:
         c = self.scales[i]
         return c * self.g(c * y)
 
-    def coordinate_support(self, i: int) -> tuple:
-        lo, hi = self.support
-        c = self.scales[i]
-        return (lo / c, hi / c)
-
-    def coordinate_variance(self, i: int) -> float:
-        return self.g_variance / self.scales[i] ** 2
-
-    def f(self, x: Sequence[float]) -> float:
-        return math.fsum(ai * xi for ai, xi in zip(self.a, x))
-
     def observable_trace(self, states: Sequence[Sequence[float]]) -> np.ndarray:
-        """Evaluate ``f`` along a trajectory's states."""
+        """Evaluate ``sum_i a_i x_i`` along a trajectory's states."""
         arr = np.asarray(states, dtype=np.float64)
         return arr @ np.asarray(self.a)

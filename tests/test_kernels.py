@@ -3,26 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
+import adagibbs.kernels as kernels_module
+import oracles
 from adagibbs.kernels import (
     DistributionVector,
-    EnumerationMismatchError,
-    StationaryConvergenceError,
     TransitionMatrix,
-    exact_marginal_evolution,
     gibbs_kernel_matrix,
-    kernel_tv_sup,
+    metropolis_kernel_matrix,
     mwg_kernel_matrix,
     random_reversible_chain,
     single_coordinate_kernel,
-    state_dependent_gibbs_kernel,
-    stationary_distribution,
     sup_row_tv,
     systematic_scan_kernel,
     tv,
-    tv_distance,
 )
 from adagibbs.targets import FiniteProductTarget
 from adagibbs.weights import SelectionWeights, make_selection_weights
+from oracles import StationaryConvergenceError, state_dependent_gibbs_kernel, stationary_distribution
 
 
 def ladder_target(rng, size=4):
@@ -56,34 +53,54 @@ def test_transition_matrix_validation():
         TransitionMatrix(((0,), (1,)), [[0.5, 0.4], [0.5, 0.5]])
 
 
+# One case per check; each fails when its ``_check_finite`` call is removed
+# (from TransitionMatrix, DistributionVector, or metropolis_kernel_matrix's
+# check of ``pi`` or of ``proposal``).  NaN fails no comparison, so without
+# the check the NaN cases pass silently: an all-NaN Metropolis kernel, or a
+# NaN proposal treated as 0.
+NON_FINITE_CASES = {
+    "transition": lambda b: TransitionMatrix(((0,), (1,)), [[b, b], [0.5, 0.5]]),
+    "probability": lambda b: DistributionVector(((0,), (1,), (2,)), [0.5, b, 0.5]),
+    "target": lambda b: metropolis_kernel_matrix(np.array([1.0, b]), np.full((2, 2), 0.5)),
+    "proposal": lambda b: metropolis_kernel_matrix(np.ones(2), np.array([[0.5, b], [0.5, 0.5]])),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("what", sorted(NON_FINITE_CASES))
+def test_non_finite_entries_are_refused(what, bad):
+    with pytest.raises(ValueError, match=rf"^non-finite {what} entry: {bad!r}$"):
+        NON_FINITE_CASES[what](bad)
+
+
+def test_validation_messages_print_plain_floats():
+    with pytest.raises(ValueError, match=r"^negative transition entry: -0\.5$"):
+        TransitionMatrix(((0,), (1,)), [[1.5, -0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"^row sums deviate from 1 by 0\.09999"):
+        TransitionMatrix(((0,), (1,)), [[0.5, 0.4], [0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"^probabilities sum to 1\.1, expected 1$"):
+        DistributionVector(((0,), (1,)), [0.7, 0.4])
+
+
 def test_tv_distance_examples():
-    states = ((0,), (1,))
-    p = DistributionVector(states, [0.5, 0.5])
-    q = DistributionVector(states, [1.0, 0.0])
-    assert tv_distance(p, p) == 0.0
-    assert tv_distance(p, q) == pytest.approx(0.5)
-    assert type(tv(p.probs, q.probs)) is float  # a data-file cell, not a numpy repr
-    disjoint_a = DistributionVector(((0,), (1,), (2,)), [1.0, 0.0, 0.0])
-    disjoint_b = DistributionVector(((0,), (1,), (2,)), [0.0, 0.3, 0.7])
-    assert tv_distance(disjoint_a, disjoint_b) == pytest.approx(1.0)
-    with pytest.raises(EnumerationMismatchError):
-        tv_distance(p, DistributionVector(((0,), (2,)), [0.5, 0.5]))
+    p = np.array([0.5, 0.5])
+    q = np.array([1.0, 0.0])
+    assert tv(p, p) == 0.0
+    assert tv(p, q) == pytest.approx(0.5)
+    assert type(tv(p, q)) is float  # a data-file cell, not a numpy repr
+    assert tv(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.3, 0.7])) == pytest.approx(1.0)
 
 
 def test_kernel_tv_sup_examples():
-    states = ((0,), (1,))
-    eye = TransitionMatrix(states, np.eye(2))
-    flip = TransitionMatrix(states, [[0.0, 1.0], [1.0, 0.0]])
-    assert kernel_tv_sup(eye, eye) == 0.0
-    assert kernel_tv_sup(flip, eye) == pytest.approx(1.0)
+    eye = np.eye(2)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert sup_row_tv(eye, eye) == 0.0
+    assert sup_row_tv(flip, eye) == pytest.approx(1.0)
     rng = np.random.default_rng(0)
     a = rng.dirichlet(np.ones(4), size=4)
     b = rng.dirichlet(np.ones(4), size=4)
-    states4 = tuple((k,) for k in range(4))
-    p1 = TransitionMatrix(states4, a)
-    p2 = TransitionMatrix(states4, b)
     brute = max(0.5 * np.abs(a[r] - b[r]).sum() for r in range(4))
-    assert kernel_tv_sup(p1, p2) == pytest.approx(brute, abs=1e-15)
+    assert sup_row_tv(a, b) == pytest.approx(brute, abs=1e-15)
     assert type(sup_row_tv(a, b)) is float  # a data-file cell, not a numpy repr
     # a vector is compared with every row
     to_first = max(0.5 * np.abs(a[r] - b[0]).sum() for r in range(4))
@@ -188,12 +205,36 @@ def test_single_coordinate_kernel_matches_per_state_loop():
 
 
 def test_state_dependent_kernel_reduces_to_constant():
+    # Bit for bit: the per-state oracle given constant weights is the random
+    # scan kernel.  Fails if gibbs_kernel_matrix skips a coordinate or pairs
+    # the weights with the wrong coordinate kernels.
     rng = np.random.default_rng(6)
-    target = random_target(rng)
-    alpha = make_selection_weights((0.25, 0.75), 0.1)
-    fixed = gibbs_kernel_matrix(target, alpha)
-    state_dep = state_dependent_gibbs_kernel(target, lambda x: alpha)
-    np.testing.assert_allclose(state_dep.matrix, fixed.matrix, atol=1e-15)
+    for _ in range(30):
+        d = int(rng.integers(2, 5))
+        sizes = tuple(int(s) for s in rng.integers(2, 4, size=d))
+        target = random_target(rng, d, sizes)
+        alpha = make_selection_weights(rng.dirichlet(np.ones(d)), 0.05)
+        fixed = gibbs_kernel_matrix(target, alpha)
+        state_dep = state_dependent_gibbs_kernel(target, lambda x: alpha)
+        assert fixed.states == state_dep.states
+        assert np.array_equal(fixed.matrix, state_dep.matrix)
+
+
+def test_gibbs_kernel_builds_each_coordinate_kernel_once(monkeypatch):
+    # the per-layer benchmark counts one coordinate-kernel build per
+    # coordinate per call, looked up through the module global
+    calls = []
+    build = kernels_module.single_coordinate_kernel
+
+    def counting(target, i):
+        calls.append(i)
+        return build(target, i)
+
+    monkeypatch.setattr(kernels_module, "single_coordinate_kernel", counting)
+    rng = np.random.default_rng(16)
+    target = random_target(rng, 3, (2, 3, 2))
+    gibbs_kernel_matrix(target, make_selection_weights((0.2, 0.3, 0.5), 0.1))
+    assert calls == [0, 1, 2]
 
 
 def identity_proposals(target):
@@ -286,47 +327,11 @@ def check_mwg_rows_by_brute_force(target, proposals):
 
 def test_tv_contraction_and_triangle_inequality():
     rng = np.random.default_rng(10)
-    states = tuple((k,) for k in range(5))
     for _ in range(50):
-        p = DistributionVector(states, rng.dirichlet(np.ones(5)))
-        q = DistributionVector(states, rng.dirichlet(np.ones(5)))
-        r = DistributionVector(states, rng.dirichlet(np.ones(5)))
-        assert tv_distance(p, q) <= tv_distance(p, r) + tv_distance(r, q) + 1e-12
-        kernel = TransitionMatrix(states, rng.dirichlet(np.ones(5), size=5))
-        pushed_p = DistributionVector(states, p.probs @ kernel.matrix)
-        pushed_q = DistributionVector(states, q.probs @ kernel.matrix)
-        assert tv_distance(pushed_p, pushed_q) <= tv_distance(p, q) + 1e-12
-
-
-def test_evolution_identity_kernels_freeze_law():
-    states = ((0,), (1,))
-    init = DistributionVector(states, [0.3, 0.7])
-    eye = TransitionMatrix(states, np.eye(2))
-    laws = exact_marginal_evolution(init, lambda n: eye, 5)
-    assert len(laws) == 6
-    for law in laws:
-        np.testing.assert_allclose(law.probs, init.probs)
-
-
-def test_evolution_two_state_contraction():
-    states = ((0,), (1,))
-    a, b = 0.3, 0.2
-    kernel = TransitionMatrix(states, [[1 - a, a], [b, 1 - b]])
-    pi = DistributionVector(states, [b / (a + b), a / (a + b)])
-    init = DistributionVector(states, [1.0, 0.0])
-    laws = exact_marginal_evolution(init, lambda n: kernel, 30)
-    min_entry = min(1 - a, a, b, 1 - b)
-    for n, law in enumerate(laws):
-        assert tv_distance(law, pi) <= (1 - 2 * min_entry) ** n + 1e-12
-
-
-def test_evolution_incompatible_enumeration_rejected():
-    step = TransitionMatrix(((0,), (1,)), np.eye(2))
-    # neither a disjoint enumeration nor one that contains the law's own
-    for states in (((7,),), ((0,),)):
-        init = DistributionVector(states, [1.0])
-        with pytest.raises(EnumerationMismatchError):
-            exact_marginal_evolution(init, lambda n: step, 1)
+        p, q, r = rng.dirichlet(np.ones(5), size=3)
+        assert tv(p, q) <= tv(p, r) + tv(r, q) + 1e-12
+        kernel = TransitionMatrix(tuple((k,) for k in range(5)), rng.dirichlet(np.ones(5), size=5))
+        assert tv(p @ kernel.matrix, q @ kernel.matrix) <= tv(p, q) + 1e-12
 
 
 def test_stationary_single_state():
@@ -353,16 +358,14 @@ def test_stationary_periodic_chain_falls_back_to_solve():
 
 
 def test_stationary_failure_is_reported(monkeypatch):
-    import adagibbs.kernels as kernels_module
-
     states = ((0,), (1,), (2,))
     m = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     kernel = TransitionMatrix(states, m)
-    monkeypatch.setattr(kernels_module, "_stationary_solve", lambda m: None)
+    monkeypatch.setattr(oracles, "_stationary_solve", lambda m: None)
     with pytest.raises(StationaryConvergenceError, match="linear solve"):
         stationary_distribution(kernel)
     # a vector that is not fixed by the kernel is refused as well
-    monkeypatch.setattr(kernels_module, "_stationary_solve", lambda m: np.full(3, 1.0 / 3.0))
+    monkeypatch.setattr(oracles, "_stationary_solve", lambda m: np.full(3, 1.0 / 3.0))
     with pytest.raises(StationaryConvergenceError, match="residual"):
         stationary_distribution(kernel)
 

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adagibbs.kernels import (
-    DistributionVector,
-    exact_marginal_evolution,
-    target_distribution,
-    tv_distance,
-)
+from adagibbs.kernels import tv
 from adagibbs.ladder import (
     LADDER_EPSILON,
     FailureBudget,
@@ -26,9 +21,10 @@ from adagibbs.ladder import (
     stochastically_dominates,
     transience_experiment,
     truncated_ladder_evolution,
-    truncated_ladder_kernel,
     truncated_ladder_target,
 )
+from adagibbs.weights import SelectionWeights
+from oracles import state_dependent_gibbs_kernel
 
 
 def test_ladder_state_invariants():
@@ -267,20 +263,25 @@ def test_ladder_target_views_agree():
 
 
 def test_fast_evolution_matches_generic_evolution():
+    # The step-n kernel written out state by state: weights (1/2 + 4/a_n,
+    # 1/2 - 4/a_n) on the diagonal, mirrored off it.  Fails if _law_step
+    # tilts the wrong way (the sign of its bias flipped).
     truncation = 4
     a_of_n = linear_schedule(10.0, 3.0)
     fast = truncated_ladder_evolution(truncation, a_of_n, tv_target=0.0, max_steps=60)
     target = truncated_ladder_target(truncation)
-    init = DistributionVector(
-        target.states,
-        [1.0 if x == (1, 1) else 0.0 for x in target.states],
-    )
-    laws = exact_marginal_evolution(
-        init, lambda n: truncated_ladder_kernel(truncation, n, a_of_n), 60
-    )
-    pi = target_distribution(truncated_ladder_target(truncation))
-    for n, law in enumerate(laws):
-        assert abs(tv_distance(law, pi) - fast.tv[n]) <= 1e-12
+    eps = 0.5 - 4.0 / a_of_n(1)
+    pi = target.probabilities()
+    v = np.array([1.0 if x == (1, 1) else 0.0 for x in target.states])
+    assert len(fast.tv) == 61
+    for n in range(1, 61):
+        tilt = 4.0 / a_of_n(n)
+        up = SelectionWeights((0.5 + tilt, 0.5 - tilt), eps)
+        down = SelectionWeights((0.5 - tilt, 0.5 + tilt), eps)
+        kernel = state_dependent_gibbs_kernel(target, lambda x: up if x[0] == x[1] else down)
+        assert abs(tv(v, pi) - fast.tv[n - 1]) <= 1e-12
+        v = v @ kernel.matrix
+    assert abs(tv(v, pi) - fast.tv[60]) <= 1e-12
 
 
 def test_block_schedule_keeps_truncated_chain_far_from_target():
@@ -321,8 +322,6 @@ def test_transience_experiment_deterministic_and_separated():
 def test_unbounded_law_is_exact_at_finite_horizons():
     from adagibbs.ladder import unbounded_ladder_law
     from adagibbs.samplers import adap_rsg_run, derive_seed
-    from adagibbs.weights import SelectionWeights
-
     law = unbounded_ladder_law(25)
     assert law.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert law.probs.min() >= -1e-15

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from adagibbs.kernels import mwg_kernel_matrix, stationary_distribution, gibbs_kernel_matrix
+from adagibbs.kernels import mwg_kernel_matrix, gibbs_kernel_matrix
 from adagibbs.ladder import LadderTarget, ladder_update_rule, schedule_a
 from adagibbs.samplers import (
     ProposalFamily,
@@ -24,6 +24,7 @@ from adagibbs.samplers import (
 from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget, raised_cosine
 from adagibbs.variance import ReversibleChain, spectral_asymptotic_variance
 from adagibbs.weights import SelectionWeights, make_selection_weights
+from oracles import stationary_distribution
 
 
 def rsg_run(target, alpha, x0, n_steps, seed):
