@@ -1,9 +1,10 @@
 """Reproducible experiment harness.
 
 Every experiment the CLI can run lives here as a pure function taking a
-validated :class:`ExperimentConfig` and returning rows, a summary and a
-pass/fail verdict; :func:`run_experiment` adds the filesystem side (CSV
-outputs plus a manifest recording the canonical config digest and seed).
+validated :class:`ExperimentConfig` and returning rows, a summary and named
+checks, whose conjunction is the verdict; :func:`run_experiment` adds the
+filesystem side (CSV outputs plus a manifest recording the canonical config
+digest and seed).
 Identical config and seed produce byte-identical data files.
 """
 
@@ -59,16 +60,6 @@ class ConfigError(ValueError):
     """Raised for malformed experiment configurations, naming the field."""
 
 
-EXPERIMENT_KINDS = (
-    "counterexample",
-    "truncated-ladder",
-    "bounds",
-    "lazy-variance",
-    "optimal-scan",
-    "geometric-gap",
-)
-
-
 def _strict_int(v) -> int:
     """An integer from a config: JSON integers and integral floats (``1e5``),
     never booleans, strings or fractional floats."""
@@ -86,19 +77,25 @@ def _strict_bool(v) -> bool:
 
 
 def _strict_float(v) -> float:
-    """A float from a config: JSON numbers, never booleans or strings."""
+    """A finite float from a config: JSON numbers, never booleans, strings,
+    NaN or infinities (Python's ``json`` reads ``NaN`` and ``Infinity``)."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise TypeError(f"expected a number, got {type(v).__name__}")
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
     return float(v)
 
 
 def _array_of(caster):
-    """A tuple from a config array (JSON list; tuples for the defaults), each
-    item through ``caster``; a string is not taken as a list of characters."""
+    """A non-empty tuple from a config array (JSON list; tuples for the
+    defaults), each item through ``caster``; a string is not taken as a list
+    of characters.  A check over an empty array would pass on nothing."""
 
     def cast(v) -> tuple:
         if not isinstance(v, (list, tuple)):
             raise TypeError(f"expected an array, got {type(v).__name__}")
+        if not v:
+            raise ValueError("expected a non-empty array")
         return tuple(caster(x) for x in v)
 
     return cast
@@ -181,7 +178,7 @@ PARAM_SPECS: dict = {
         ),
         "a": (
             _FLOATS,
-            lambda v: True,
+            lambda v: any(x != 0.0 for x in v),
             (1.0, 1.0, 1.0, 1.0, 1.0),
         ),
         "epsilon": (_UNIT_OPEN[0], _UNIT_OPEN[1], 0.02),
@@ -199,6 +196,21 @@ PARAM_SPECS: dict = {
     },
 }
 
+# Rules across the fields of one kind: kind -> (field named in the error,
+# predicate on the cleaned parameters, message).
+CROSS_FIELD: dict = {
+    "geometric-gap": (
+        ("n_min", lambda p: p["n_min"] <= p["n_max"], "must not exceed params.n_max"),
+    ),
+    "optimal-scan": (
+        ("a", lambda p: len(p["a"]) == len(p["scales"]),
+         "must match the length of params.scales"),
+        # iact_estimate needs 1000 points of the eval_steps + 1 states.
+        ("eval_burn_in", lambda p: p["eval_steps"] - p["eval_burn_in"] >= 999,
+         "must leave at least 1000 evaluation states"),
+    ),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -214,7 +226,7 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in PARAM_SPECS:
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed: must be a nonnegative integer, got {self.seed!r}")
@@ -232,11 +244,14 @@ class ExperimentConfig:
             if not predicate(value):
                 raise ConfigError(f"params.{name}: value {value!r} out of range")
             cleaned[name] = value
+        for name, holds, message in CROSS_FIELD.get(self.kind, ()):
+            if not holds(cleaned):
+                raise ConfigError(f"params.{name}: {message}")
         object.__setattr__(self, "params", cleaned)
 
     def canonical_json(self) -> str:
         payload = {"kind": self.kind, "seed": self.seed, "params": self.params}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=list)
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
@@ -281,47 +296,22 @@ class ExperimentConfig:
         )
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one harness invocation; digest + seed identify the outputs."""
-
-    digest: str
-    kind: str
-    seed: int
-    version: str
-    created_utc: str
-    config: dict
-    outputs: tuple
-
-    def write(self, path):
-        payload = {
-            "digest": self.digest,
-            "kind": self.kind,
-            "seed": self.seed,
-            "version": self.version,
-            "created_utc": self.created_utc,
-            "config": self.config,
-            "outputs": list(self.outputs),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=list)
-            fh.write("\n")
-
-
 @dataclass
 class ExperimentResult:
-    """Rows, summary and verdict produced by one experiment function."""
+    """Rows, summary and checks produced by one experiment function."""
 
-    kind: str
     summary: dict
     tables: dict = field(default_factory=dict)
-    passed: bool = True
     checks: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """The verdict: every check passed."""
+        return all(check["passed"] for check in self.checks.values())
 
 
 def _record_check(result: ExperimentResult, name: str, ok: bool, detail: str):
     result.checks[name] = {"passed": bool(ok), "detail": detail}
-    result.passed = result.passed and bool(ok)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +334,6 @@ def random_finite_product_target(rng: np.random.Generator, d: int):
         return float(masses[flat])
 
     return FiniteProductTarget(coordinate_states, mass)
-
-
-def random_weights_on_floored_simplex(
-    rng: np.random.Generator, d: int, epsilon: float
-) -> SelectionWeights:
-    return make_selection_weights(rng.dirichlet(np.ones(d)), epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +365,6 @@ def lazy_variance_experiment(config: ExperimentConfig) -> ExperimentResult:
             worst = max(worst, residual)
             rows.append([chain_id, n_states, delta, direct, via_identity, residual])
     result = ExperimentResult(
-        kind=config.kind,
         summary={"max_residual": worst, "tolerance": p["tolerance"]},
         tables={"residuals": (["chain", "n_states", "delta", "lazy_spectral", "identity", "residual"], rows)},
     )
@@ -398,27 +381,22 @@ def lazy_variance_experiment(config: ExperimentConfig) -> ExperimentResult:
 # bounds (three families)
 
 
-def _bounds_targets(rng: np.random.Generator, n_targets: int):
-    out = []
-    for _ in range(n_targets):
-        d = int(rng.integers(2, 4))
-        out.append(random_finite_product_target(rng, d))
-    return out
-
-
 def bounds_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Dominance checks: every closed-form bound against its exact quantity."""
     p = config.params
     rng = np.random.Generator(np.random.Philox(config.seed))
-    result = ExperimentResult(kind=config.kind, summary={})
-    targets = _bounds_targets(rng, p["n_targets"])
+    result = ExperimentResult(summary={})
+    targets = [
+        random_finite_product_target(rng, int(rng.integers(2, 4)))
+        for _ in range(p["n_targets"])
+    ]
 
     if "lipschitz" in p["families"]:
         rows = []
         violations = 0
         for t_id, target in enumerate(targets):
-            alpha = random_weights_on_floored_simplex(rng, target.d, p["epsilon"])
-            alpha_prime = random_weights_on_floored_simplex(rng, target.d, p["epsilon"])
+            alpha = make_selection_weights(rng.dirichlet(np.ones(target.d)), p["epsilon"])
+            alpha_prime = make_selection_weights(rng.dirichlet(np.ones(target.d)), p["epsilon"])
             exact = sup_row_tv(
                 gibbs_kernel_matrix(target, alpha).matrix,
                 gibbs_kernel_matrix(target, alpha_prime).matrix,
@@ -451,7 +429,7 @@ def bounds_experiment(config: ExperimentConfig) -> ExperimentResult:
                     break
             pi = target.probabilities()
             for a_id in range(p["n_alphas"]):
-                alpha = random_weights_on_floored_simplex(rng, target.d, p["epsilon"])
+                alpha = make_selection_weights(rng.dirichlet(np.ones(target.d)), p["epsilon"])
                 power = np.eye(len(target.states))
                 kernel = gibbs_kernel_matrix(target, alpha).matrix
                 min_margin = math.inf
@@ -544,7 +522,6 @@ def counterexample_experiment(config: ExperimentConfig) -> ExperimentResult:
     escapes = summary.adaptive_escapes(p["final_threshold"])
     contained = summary.control_contained(p["control_threshold"])
     result = ExperimentResult(
-        kind=config.kind,
         summary={
             "escapes": escapes,
             "contained": contained,
@@ -596,7 +573,6 @@ def truncated_ladder_experiment(config: ExperimentConfig) -> ExperimentResult:
         monotone = bool(np.all(np.diff(tail) <= 1e-12))
     rows = [[n, float(v)] for n, v in enumerate(tv)]
     result = ExperimentResult(
-        kind=config.kind,
         summary={
             "horizon": evolution.horizon,
             "reached": evolution.reached,
@@ -628,8 +604,6 @@ def truncated_ladder_experiment(config: ExperimentConfig) -> ExperimentResult:
 def geometric_gap_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Proposal-TV versus kernel-TV gaps for the geometric-target example."""
     p = config.params
-    if p["n_min"] > p["n_max"]:
-        raise ConfigError("params.n_min: must not exceed params.n_max")
     rows = []
     by_p = {}
     for pv in p["p_values"]:
@@ -640,7 +614,6 @@ def geometric_gap_experiment(config: ExperimentConfig) -> ExperimentResult:
             rows.append([pv, n, g.proposal_gap, g.kernel_gap, g.k_max])
         by_p[pv] = gaps
     result = ExperimentResult(
-        kind=config.kind,
         summary={},
         tables={"gaps": (["p", "n", "proposal_gap", "kernel_gap", "k_max"], rows)},
     )
@@ -693,11 +666,6 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     scales = p["scales"]
     a = p["a"]
     d = len(scales)
-    if len(a) != d:
-        raise ConfigError("params.a: must match the length of params.scales")
-    # iact_estimate needs 1000 points of the eval_steps + 1 states.
-    if p["eval_steps"] - p["eval_burn_in"] < 999:
-        raise ConfigError("params.eval_burn_in: must leave at least 1000 evaluation states")
     epsilon = p["epsilon"]
     target = ContinuousProductTarget(scales, raised_cosine, (-1.0, 1.0), a=a)
     adaptation = ComponentwiseAdaptation("rr", a, epsilon)
@@ -759,7 +727,6 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     ratio_limit = p["variance_ratio_slack"] * theory_ratio
 
     result = ExperimentResult(
-        kind=config.kind,
         summary={
             "weight_gap": weight_gap,
             "ideal_weights": list(ideal.weights),
@@ -901,6 +868,12 @@ def _cell(v):
     return v
 
 
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def run_experiment(config: ExperimentConfig):
     """Execute one experiment and persist tables, summary and manifest.
 
@@ -910,7 +883,7 @@ def run_experiment(config: ExperimentConfig):
     untouched.  A file, or a non-empty directory without ``manifest.json``,
     is refused with :class:`ConfigError` before the experiment runs.
 
-    Returns ``(manifest, result)``.
+    Returns ``(manifest, result)``, the manifest as the dict written.
     """
     digest = config.digest()
     out = config.out or os.path.join("runs", f"{config.kind}-{digest[:8]}")
@@ -926,35 +899,21 @@ def run_experiment(config: ExperimentConfig):
         os.mkdir(tmp)
         for name, (header, rows) in result.tables.items():
             _write_table(os.path.join(tmp, f"{name}.csv"), header, rows)
-        with open(os.path.join(tmp, "summary.json"), "w") as fh:
-            json.dump(
-                {"summary": result.summary, "checks": result.checks, "passed": result.passed},
-                fh,
-                indent=2,
-                sort_keys=True,
-                default=_json_default,
-            )
-            fh.write("\n")
-
-        manifest = RunManifest(
-            digest=digest,
-            kind=config.kind,
-            seed=config.seed,
-            version=__version__,
-            created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            config=json.loads(config.canonical_json()),
-            outputs=tuple(sorted([*(f"{name}.csv" for name in result.tables), "summary.json"])),
+        _write_json(
+            os.path.join(tmp, "summary.json"),
+            {"summary": result.summary, "checks": result.checks, "passed": result.passed},
         )
-        manifest.write(os.path.join(tmp, "manifest.json"))
+        manifest = {
+            "digest": digest,
+            "kind": config.kind,
+            "seed": config.seed,
+            "version": __version__,
+            "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "config": json.loads(config.canonical_json()),
+            "outputs": sorted([*(f"{name}.csv" for name in result.tables), "summary.json"]),
+        }
+        _write_json(os.path.join(tmp, "manifest.json"), manifest)
         if os.path.isdir(out):
             os.rename(out, os.path.join(scratch, "old"))
         os.rename(tmp, out)
     return manifest, result
-
-
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return str(v)

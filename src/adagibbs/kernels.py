@@ -186,6 +186,7 @@ def mwg_kernel_matrix(
     m = np.zeros((len(target.states),) * 2)
     for i, wi in enumerate(alpha.weights):
         q = np.asarray(proposals[i], dtype=np.float64)
+        _check_finite(q, f"proposal {i}")
         size = len(target.coordinate_states[i])
         if (q.shape != (size, size) or q.min(initial=0.0) < -NEGATIVE_TOL
                 or np.abs(q.sum(axis=1) - 1.0).max() > ROW_SUM_TOL):

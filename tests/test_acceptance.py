@@ -116,7 +116,6 @@ def optimal_scan_result():
 def test_criterion_8_optimal_scan_weights_and_variance(optimal_scan_result):
     result, elapsed = optimal_scan_result
     partial = type(result)(
-        kind=result.kind,
         summary=result.summary,
         checks={
             k: v
@@ -124,16 +123,13 @@ def test_criterion_8_optimal_scan_weights_and_variance(optimal_scan_result):
             if k in ("weights_near_ideal", "variance_ratio")
         },
     )
-    partial.passed = all(c["passed"] for c in partial.checks.values())
     report(8, "optimal scan weights + variance", partial, elapsed, budget=300.0)
 
 
 def test_criterion_9_acceptance_rate_targeting(optimal_scan_result):
     result, elapsed = optimal_scan_result
     partial = type(result)(
-        kind=result.kind,
         summary=result.summary,
         checks={k: v for k, v in result.checks.items() if k == "acceptance_targeted"},
     )
-    partial.passed = all(c["passed"] for c in partial.checks.values())
     report(9, "batch acceptance targeting", partial, elapsed, budget=300.0)

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from adagibbs import experiments
+from adagibbs.cli import SUBCOMMAND_KINDS
 from adagibbs.cli import main as cli_main
 from adagibbs.experiments import (
     EXPERIMENT_FUNCTIONS,
+    PARAM_SPECS,
     ConfigError,
     ExperimentConfig,
     counterexample_experiment,
@@ -130,7 +132,8 @@ def test_manifest_digest_recomputable(tmp_path):
             "params": stored["config"]["params"],
         }
     )
-    assert rebuilt.digest() == stored["digest"] == manifest.digest
+    assert manifest == stored
+    assert rebuilt.digest() == stored["digest"]
     for name in stored["outputs"]:
         assert (tmp_path / name).exists()
 
@@ -267,7 +270,7 @@ def test_counterexample_trace_and_plot_outputs(tmp_path):
     manifest, _ = run_experiment(ExperimentConfig.from_dict(base).with_overrides(out=str(on)))
     runs = SMALL_COUNTEREXAMPLE["n_runs"]
     traces = [f"trace_{arm}_{r:02d}.csv" for arm in ("adaptive", "control") for r in range(runs)]
-    assert set(traces + ["plot_adaptive_run0.csv"]) <= set(manifest.outputs)
+    assert set(traces + ["plot_adaptive_run0.csv"]) <= set(manifest["outputs"])
     assert (on / "plot_adaptive_run0.csv").read_bytes() == (
         on / "trace_adaptive_00.csv"
     ).read_bytes()
@@ -288,7 +291,7 @@ def test_counterexample_trace_and_plot_outputs(tmp_path):
     config = ExperimentConfig.from_dict({**base, "emit_traces": False})
     manifest, _ = run_experiment(config.with_overrides(out=str(off)))
     assert sorted(os.listdir(off)) == ["manifest.json", "runs.csv", "summary.json"]
-    assert sorted(manifest.outputs) == ["runs.csv", "summary.json"]
+    assert manifest["outputs"] == ["runs.csv", "summary.json"]
 
 
 def write_config(tmp_path, name, payload):
@@ -315,8 +318,11 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-# Configs that pass the per-field checks but that no run could finish: each
-# is rejected before any sampling, naming the field.
+# Configs that no run could finish, or whose checks would pass on nothing:
+# each is refused at parse time, naming the field, so before any sampling and
+# before an output directory exists.  The first four break a rule across
+# fields or a per-field range; the rest are empty arrays, an all-zero ``a``
+# and non-finite numbers (Python's json reads NaN and Infinity).
 UNFINISHABLE_CONFIGS = {
     "counterexample-one-step": (
         "counterexample", "n_steps", {**SMALL_COUNTEREXAMPLE, "n_steps": 1}
@@ -330,15 +336,35 @@ UNFINISHABLE_CONFIGS = {
     "optimal-scan-burn-in-past-end": (
         "optimal-scan", "eval_burn_in", {"eval_steps": 4_000, "eval_burn_in": 5_000}
     ),
+    "optimal-scan-a-length": (
+        "optimal-scan", "a", {"scales": [1.0, 2.0], "a": [1.0, 1.0, 1.0]}
+    ),
+    "bounds-no-family": ("bounds", "families", {"families": []}),
+    "lazy-variance-no-delta": ("lazy-variance", "deltas", {"deltas": []}),
+    "geometric-gap-no-p": ("geometric-gap", "p_values", {"p_values": []}),
+    "optimal-scan-no-coordinate": ("optimal-scan", "scales", {"scales": [], "a": []}),
+    "optimal-scan-zero-a": ("optimal-scan", "a", {"scales": [1.0, 2.0], "a": [0.0, 0.0]}),
+    "optimal-scan-nan-a": (
+        "optimal-scan", "a", {"scales": [1.0, 2.0], "a": [float("nan"), 1.0]}
+    ),
+    "lazy-variance-infinite-tolerance": (
+        "lazy-variance", "tolerance", {"tolerance": float("inf")}
+    ),
+    "optimal-scan-infinite-slack": (
+        "optimal-scan", "variance_ratio_slack", {"variance_ratio_slack": float("inf")}
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNFINISHABLE_CONFIGS))
 def test_cli_rejects_configs_a_run_cannot_finish(case, tmp_path, capsys):
     kind, field, params = UNFINISHABLE_CONFIGS[case]
-    path = write_config(tmp_path, "bad.json", {"kind": kind, "seed": 1, **params})
-    # each of these kinds has the subcommand of the same name
-    assert cli_main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    data = {"kind": kind, "seed": 1, **params}
+    with pytest.raises(ConfigError, match=rf"^params\.{field}: "):
+        ExperimentConfig.from_dict(data)
+    path = write_config(tmp_path, "bad.json", data)
+    command = next(name for name, k in SUBCOMMAND_KINDS.items() if k == kind)
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"params.{field}" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["bad.json"]  # no output directory
 
@@ -386,14 +412,20 @@ def _is_plain_number(cell):
     return True
 
 
+def test_each_kind_has_a_schema_a_function_a_subcommand_and_a_small_config():
+    kinds = set(PARAM_SPECS)
+    assert kinds == set(EXPERIMENT_FUNCTIONS) == set(SUBCOMMAND_KINDS.values())
+    assert kinds == set(SMALL_CONFIGS)
+    assert len(SUBCOMMAND_KINDS) == len(kinds)
+
+
 @pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
 def test_every_data_file_cell_is_a_plain_number(kind, tmp_path):
-    assert set(SMALL_CONFIGS) == set(experiments.EXPERIMENT_KINDS)
     out = tmp_path / "run"
     manifest, _ = run_experiment(
         ExperimentConfig.from_dict(SMALL_CONFIGS[kind]).with_overrides(out=str(out))
     )
-    tables = [name for name in manifest.outputs if name.endswith(".csv")]
+    tables = [name for name in manifest["outputs"] if name.endswith(".csv")]
     assert tables
     not_numbers = set()
     for name in tables:
@@ -405,6 +437,101 @@ def test_every_data_file_cell_is_a_plain_number(kind, tmp_path):
                 if (name, column) not in TEXT_COLUMNS and not _is_plain_number(cell):
                     not_numbers.add((name, column, cell))
     assert not not_numbers, sorted(not_numbers)[:5]
+
+
+# Summary and (first row, last row) of each table of the SMALL_CONFIGS runs not
+# pinned by test_optimal_scan_outputs_are_pinned, recorded with numpy 2.4 on
+# x86-64 Linux.  A changed seed, random stream, draw order or summation order
+# moves them; floats are compared to 1e-9 relative, and to 1e-12 absolute for
+# the rounding-noise residuals of lazy-variance.
+PINNED_SMALL_RUNS = {
+    "bounds": (
+        {
+            "lipschitz": "0 violations over 3 weight pairs",
+            "strong": "0 violations over 3 chains",
+            "uniform": "0 violations over 6 weight draws",
+        },
+        {
+            "lipschitz": (
+                [0, 3, 0.23596136661201128, 0.7045758762535486, 0],
+                [2, 2, 0.1382332756102579, 0.5913472822217231, 0],
+            ),
+            "strong": (
+                [0, 6, 0.5265976515050727, 4, 0.03466313582133224, 0.05962552666555118, 0],
+                [2, 8, 0.6483592890592098, 3, 0.052546220963670495, 0.025730949866457343, 0],
+            ),
+            "uniform": (
+                [0, 0, 3, 0.03877675298809555, 0.9423157075808706, 1.0,
+                 0.057684292419129424, 0],
+                [2, 1, 2, 0.2041232649222867, 0.6627970941101249, 1.0,
+                 0.3372029058898751, 0],
+            ),
+        },
+    ),
+    "counterexample": (
+        {"contained": 3, "control_threshold": 50, "escapes": 3, "final_threshold": 100,
+         "n_runs": 3},
+        {
+            "plot_adaptive_run0": ([0, 1.0], [3000, 543.0]),
+            "runs": (
+                ["adaptive", 0, 7958955049054603978, 543, 0.1655174792481888],
+                ["control", 2, 10451216379200822465, 7, 0.006379356505339092],
+            ),
+            "trace_adaptive_00": ([0, 1.0], [3000, 543.0]),
+            "trace_adaptive_01": ([0, 1.0], [3000, 573.0]),
+            "trace_adaptive_02": ([0, 1.0], [3000, 549.0]),
+            "trace_control_00": ([0, 1.0], [3000, 3.0]),
+            "trace_control_01": ([0, 1.0], [3000, 5.0]),
+            "trace_control_02": ([0, 1.0], [3000, 7.0]),
+        },
+    ),
+    "geometric-gap": (
+        {"kernel_gap": 0.49999998882424257, "proposal_gap": 4.656612870638467e-10},
+        {
+            "gaps": (
+                [0.5, 10, 0.0004879233602895081, 0.4996335209364683, 41],
+                [0.5, 12, 0.00012204795666585095, 0.49990843050341105, 41],
+            ),
+        },
+    ),
+    "lazy-variance": (
+        {"max_residual": 6.217248937900877e-15, "tolerance": 1e-10},
+        {
+            "residuals": (
+                [0, 3, 0.1, 5.773234397374657, 5.773234397374663, 6.217248937900877e-15],
+                [4, 2, 1.0, 0.007278833343112336, 0.007278833343112336, 0.0],
+            ),
+        },
+    ),
+    "truncated-ladder": (
+        {"final_tv": 0.0009987475289692793, "horizon": 692, "reached": True,
+         "schedule": "linear", "tv_target": 0.001},
+        {"tv_trace": ([0, 0.6615905245346868], [692, 0.0009987475289692793])},
+    ),
+}
+
+
+def _assert_values_match(actual, expected, where):
+    if isinstance(expected, float):
+        assert actual == pytest.approx(expected, rel=1e-9, abs=1e-12), where
+    else:
+        assert type(actual) is type(expected) and actual == expected, where
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SMALL_RUNS))
+def test_small_run_outputs_are_pinned(kind):
+    summary, tables = PINNED_SMALL_RUNS[kind]
+    result = EXPERIMENT_FUNCTIONS[kind](ExperimentConfig.from_dict(SMALL_CONFIGS[kind]))
+    assert sorted(result.summary) == sorted(summary)
+    for name, value in summary.items():
+        _assert_values_match(result.summary[name], value, name)
+    assert sorted(result.tables) == sorted(tables)
+    for name, ends in tables.items():
+        rows = result.tables[name][1]
+        for label, row, pinned in zip(("first", "last"), (rows[0], rows[-1]), ends):
+            assert len(row) == len(pinned), (name, label)
+            for column, (cell, value) in enumerate(zip(row, pinned)):
+                _assert_values_match(cell, value, (name, label, column))
 
 
 def _snapshot(path):
@@ -439,7 +566,7 @@ def test_rerun_replaces_the_earlier_run_whole(tmp_path):
     manifest, _ = run_experiment(
         ExperimentConfig.from_dict(SMALL_LAZY).with_overrides(out=str(out))
     )
-    assert sorted(os.listdir(out)) == sorted([*manifest.outputs, "manifest.json"])
+    assert sorted(os.listdir(out)) == sorted([*manifest["outputs"], "manifest.json"])
     assert os.listdir(tmp_path) == ["out"]
 
 

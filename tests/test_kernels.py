@@ -54,15 +54,22 @@ def test_transition_matrix_validation():
 
 
 # One case per check; each fails when its ``_check_finite`` call is removed
-# (from TransitionMatrix, DistributionVector, or metropolis_kernel_matrix's
-# check of ``pi`` or of ``proposal``).  NaN fails no comparison, so without
-# the check the NaN cases pass silently: an all-NaN Metropolis kernel, or a
-# NaN proposal treated as 0.
+# (from TransitionMatrix, DistributionVector, metropolis_kernel_matrix's
+# check of ``pi`` or of ``proposal``, or mwg_kernel_matrix's check of each
+# proposal).  NaN fails no comparison, so without the check the NaN cases
+# pass silently: an all-NaN Metropolis kernel, or a NaN proposal treated as 0.
 NON_FINITE_CASES = {
     "transition": lambda b: TransitionMatrix(((0,), (1,)), [[b, b], [0.5, 0.5]]),
     "probability": lambda b: DistributionVector(((0,), (1,), (2,)), [0.5, b, 0.5]),
     "target": lambda b: metropolis_kernel_matrix(np.array([1.0, b]), np.full((2, 2), 0.5)),
     "proposal": lambda b: metropolis_kernel_matrix(np.ones(2), np.array([[0.5, b], [0.5, 0.5]])),
+    # On the 5-state ladder (values 1-3), a move of coordinate 0 from 1 to 3
+    # lies in no fibre, so no Metropolis block sees the bad entry.
+    "proposal 0": lambda b: mwg_kernel_matrix(
+        ladder_target(np.random.default_rng(0), size=3),
+        make_selection_weights((0.5, 0.5), 0.1),
+        [np.array([[0.5, 0.5, b], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]), np.full((3, 3), 1 / 3)],
+    ),
 }
 
 
