@@ -43,14 +43,6 @@ class MinorizationCertificate:
         if self.s > 0.0 and self.mu is None:
             raise ValueError("a positive-mass certificate needs its measure")
 
-    def holds_for(self, p: TransitionMatrix) -> bool:
-        """Entrywise validation of ``P^m >= s * mu`` against a concrete kernel,
-        to ``ENTRYWISE_TOL``."""
-        if self.s == 0.0:
-            return True
-        pm = np.linalg.matrix_power(p.matrix, self.m)
-        return bool(np.all(pm >= self.s * self.mu.probs[np.newaxis, :] - ENTRYWISE_TOL))
-
 
 def minorization_search(p: TransitionMatrix, m: int) -> MinorizationCertificate:
     """Best m-step certificate on a finite space.

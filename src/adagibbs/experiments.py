@@ -45,7 +45,7 @@ from .ladder import (
     truncated_ladder_evolution,
 )
 from .samplers import adap_rs_adap_mwg_run, gaussian_random_walk_family, keep_previous
-from .targets import ContinuousProductTarget, FiniteProductTarget, raised_cosine
+from .targets import ContinuousProductTarget, FiniteProductTarget
 from .variance import (
     ReversibleChain,
     iact_estimate,
@@ -196,15 +196,25 @@ PARAM_SPECS: dict = {
     },
 }
 
+# bounds draws its random targets with 2 to BOUNDS_MAX_D coordinates.
+BOUNDS_MAX_D = 3
+
 # Rules across the fields of one kind: kind -> (field named in the error,
-# predicate on the cleaned parameters, message).
+# predicate on the cleaned parameters, message).  A weight floor above 1/d
+# leaves no weight vector on d coordinates.
 CROSS_FIELD: dict = {
+    "bounds": (
+        ("epsilon", lambda p: p["epsilon"] <= 1.0 / BOUNDS_MAX_D,
+         f"must not exceed 1/{BOUNDS_MAX_D}, for the largest random target"),
+    ),
     "geometric-gap": (
         ("n_min", lambda p: p["n_min"] <= p["n_max"], "must not exceed params.n_max"),
     ),
     "optimal-scan": (
         ("a", lambda p: len(p["a"]) == len(p["scales"]),
          "must match the length of params.scales"),
+        ("epsilon", lambda p: p["epsilon"] <= 1.0 / len(p["scales"]),
+         "must not exceed 1/len(params.scales)"),
         # iact_estimate needs 1000 points of the eval_steps + 1 states.
         ("eval_burn_in", lambda p: p["eval_steps"] - p["eval_burn_in"] >= 999,
          "must leave at least 1000 evaluation states"),
@@ -387,7 +397,7 @@ def bounds_experiment(config: ExperimentConfig) -> ExperimentResult:
     rng = np.random.Generator(np.random.Philox(config.seed))
     result = ExperimentResult(summary={})
     targets = [
-        random_finite_product_target(rng, int(rng.integers(2, 4)))
+        random_finite_product_target(rng, int(rng.integers(2, BOUNDS_MAX_D + 1)))
         for _ in range(p["n_targets"])
     ]
 
@@ -667,7 +677,7 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     a = p["a"]
     d = len(scales)
     epsilon = p["epsilon"]
-    target = ContinuousProductTarget(scales, raised_cosine, (-1.0, 1.0), a=a)
+    target = ContinuousProductTarget(scales, a)
     adaptation = ComponentwiseAdaptation("rr", a, epsilon)
     n_steps = p["n_batches"] * BATCH_SIZE
     x0 = (0.0,) * d
@@ -712,8 +722,7 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     final_weights = adaptation.weights
     uniform_alpha = SelectionWeights((1.0 / d,) * d, epsilon)
     ratio, arm_stats = _variance_ratio(
-        scales,
-        a,
+        target,
         adaptation.proposal_variances,
         final_weights,
         uniform_alpha,
@@ -771,11 +780,10 @@ def _window_acceptance(window: list, d: int):
     return fractions
 
 
-def _evaluation_arm(scales, a, gamma, alpha, x0, eval_steps, burn_in, seed):
-    """One fixed-parameter arm of the variance comparison, from plain data so
-    that it can run in another process: returns the IACT and the variance of
-    the observable after burn-in."""
-    target = ContinuousProductTarget(scales, raised_cosine, (-1.0, 1.0), a=a)
+def _evaluation_arm(target, gamma, alpha, x0, eval_steps, burn_in, seed):
+    """One fixed-parameter arm of the variance comparison, from picklable
+    arguments so that it can run in another process: returns the IACT and
+    the variance of the observable after burn-in."""
     trace = target.observable_trace(
         adap_rs_adap_mwg_run(
             target,
@@ -816,7 +824,7 @@ def _in_processes(fn, calls):
 
 
 def _variance_ratio(
-    scales, a, gamma, adapted_alpha, uniform_alpha, x0, eval_steps, burn_in, seed
+    target, gamma, adapted_alpha, uniform_alpha, x0, eval_steps, burn_in, seed
 ):
     """Asymptotic variance of the adaptive arm over that of the uniform arm.
 
@@ -827,8 +835,8 @@ def _variance_ratio(
     arms = _in_processes(
         _evaluation_arm,
         [
-            (scales, a, gamma, adapted_alpha, x0, eval_steps, burn_in, seed ^ 0x5CA1AB1E),
-            (scales, a, gamma, uniform_alpha, x0, eval_steps, burn_in, seed ^ 0x0DDBA11),
+            (target, gamma, adapted_alpha, x0, eval_steps, burn_in, seed ^ 0x5CA1AB1E),
+            (target, gamma, uniform_alpha, x0, eval_steps, burn_in, seed ^ 0x0DDBA11),
         ],
     )
     stats = {}

@@ -49,6 +49,27 @@ def _ij(x) -> tuple:
     return i, j
 
 
+def _on_ladder(x) -> bool:
+    """Whether ``x`` is a rung, by :func:`_ij`."""
+    try:
+        _ij(x)
+    except ValueError:
+        return False
+    return True
+
+
+def _mass(x) -> float:
+    """Unnormalised target mass ``j**-2`` of the rung ``(i, j)``."""
+    return x[1] ** -2.0
+
+
+# Both rungs of level j carry j**-2, so the masses sum to 2 * pi**2 / 6.
+_TOTAL_MASS = math.pi**2 / 3.0
+
+# Every run and every exact law starts on the bottom rung.
+LADDER_START = (1, 1)
+
+
 def _block_a(k: int) -> float:
     """Tuning value ``10 + log k`` on the k-th block."""
     return 10.0 + math.log(k)
@@ -147,11 +168,7 @@ class LadderTarget:
         return 2
 
     def contains(self, x) -> bool:
-        try:
-            _ij(x)
-        except ValueError:
-            return False
-        return True
+        return _on_ladder(x)
 
     def conditional(self, coord: int, x):
         """Exact full conditional ``(values, probs)`` of one coordinate.
@@ -181,11 +198,7 @@ def truncated_ladder_target(truncation: int) -> FiniteProductTarget:
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
     rng_states = range(1, truncation + 1)
-    return FiniteProductTarget(
-        (rng_states, rng_states),
-        mass=lambda x: x[1] ** -2.0,
-        support=lambda x: x[0] == x[1] or x[0] == x[1] + 1,
-    )
+    return FiniteProductTarget((rng_states, rng_states), mass=_mass, support=_on_ladder)
 
 
 def ladder_step_law(x, n: int) -> dict:
@@ -318,8 +331,6 @@ class TransienceSummary:
 
     adaptive: tuple
     control: tuple
-    n_steps: int
-    base_seed: int
 
     def adaptive_escapes(self, height: int) -> int:
         return sum(1 for r in self.adaptive if r.final_height > height and r.slope > 0.0)
@@ -336,9 +347,9 @@ def transience_experiment(
 ) -> TransienceSummary:
     """Escape experiment: adaptive ladder runs against a fixed-weight control.
 
-    Each replicate starts at (1, 1).  The adaptive arm follows the tilt rule;
-    the control arm fixes the weights at (1/2, 1/2), which is positive
-    recurrent.  Per run the final height ``X_{n,1}`` and the last-half slope
+    Each replicate starts at :data:`LADDER_START`.  The adaptive arm follows
+    the tilt rule; the control arm fixes the weights at (1/2, 1/2), which is
+    positive recurrent.  Per run the final height ``X_{n,1}`` and the last-half slope
     of its trace are recorded; ``trace_hook(arm, run_index, trace)`` sees each
     height trace before it is discarded (the counterexample experiment keeps
     strided copies as output tables).
@@ -358,13 +369,13 @@ def transience_experiment(
         for r in range(n_runs):
             seed = derive_seed(base_seed, offset + r)
             heights = adap_rsg_run(
-                target, arm_rule, (1, 1), alpha0, n_steps, seed
+                target, arm_rule, LADDER_START, alpha0, n_steps, seed
             ).coordinate_trace(0)
             if trace_hook is not None:
                 trace_hook(arm, r, heights)
             runs.append(RunRecord(seed, int(heights[-1]), last_half_slope(heights)))
         records[arm] = tuple(runs)
-    return TransienceSummary(records["adaptive"], records["control"], n_steps, base_seed)
+    return TransienceSummary(records["adaptive"], records["control"])
 
 
 def linear_schedule(offset: float = 10.0, slope: float = 5.0) -> Callable[[int], float]:
@@ -386,23 +397,23 @@ class TruncatedLadderEvolution:
 
     tv: np.ndarray
     horizon: Optional[int]
-    tv_target: float
-    truncation: int
 
     @property
     def reached(self) -> bool:
         return self.horizon is not None
 
 
-def _law_step(target: FiniteProductTarget) -> Callable:
-    """One-step push-forward ``step(v, a_n)`` of the adaptive chain law on an
-    enumerated ladder.
+def _law_setup(truncation: int) -> tuple:
+    """``(target, step, v0)`` for the exact adaptive chain law on the ladder
+    enumerated up to ``truncation``: the one-step push-forward ``step(v, a_n)``
+    and the point mass at :data:`LADDER_START`.
 
     The weights enter each row affinely through the tilt ``4 / a_n``, so the
     step kernel is ``K_half + (4 / a_n) * B`` for two fixed matrices: the
     half-half Gibbs kernel and the signed coordinate-kernel difference.  Each
     step costs two mat-vecs.
     """
+    target = truncated_ladder_target(truncation)
     p1 = single_coordinate_kernel(target, 0).matrix
     p2 = single_coordinate_kernel(target, 1).matrix
     k_half = 0.5 * (p1 + p2)
@@ -412,7 +423,9 @@ def _law_step(target: FiniteProductTarget) -> Callable:
     def step(v, a):
         return v @ k_half + (4.0 / a) * (v @ bias)
 
-    return step
+    v0 = np.zeros(len(target.states))
+    v0[target.states.index(LADDER_START)] = 1.0
+    return target, step, v0
 
 
 def truncated_ladder_evolution(
@@ -422,17 +435,14 @@ def truncated_ladder_evolution(
     max_steps: int = 200_000,
 ) -> TruncatedLadderEvolution:
     """Exact evolution of the adaptive chain law on the truncated ladder,
-    started at (1, 1).
+    started at :data:`LADDER_START`.
 
-    The law is pushed forward (see :func:`_law_step`) until the total
+    The law is pushed forward (see :func:`_law_setup`) until the total
     variation distance to the target drops below ``tv_target`` (the horizon)
     or ``max_steps`` is hit.
     """
-    target = truncated_ladder_target(truncation)
-    step = _law_step(target)
+    target, step, v = _law_setup(truncation)
     pi = target.probabilities()
-    v = np.zeros(len(target.states))
-    v[target.states.index((1, 1))] = 1.0
 
     trace = np.empty(max_steps + 1)
     trace[0] = tv(v, pi)
@@ -444,9 +454,7 @@ def truncated_ladder_evolution(
             horizon = n
             break
     end = horizon if horizon is not None else max_steps
-    return TruncatedLadderEvolution(
-        tv=trace[: end + 1], horizon=horizon, tv_target=tv_target, truncation=truncation
-    )
+    return TruncatedLadderEvolution(tv=trace[: end + 1], horizon=horizon)
 
 
 @dataclass(frozen=True)
@@ -466,7 +474,7 @@ class UnboundedLadderLaw:
 
 def unbounded_ladder_law(n_steps: int) -> UnboundedLadderLaw:
     """Exact chain law of the unbounded adaptive ladder after ``n_steps``,
-    started at (1, 1) and run on the block schedule.
+    started at :data:`LADDER_START` and run on the block schedule.
 
     The height climbs at most one rung per step, so the reachable support at
     the horizon fits inside the truncation at ``n_steps + 2`` and the
@@ -475,16 +483,11 @@ def unbounded_ladder_law(n_steps: int) -> UnboundedLadderLaw:
     the unbounded target is then exact, the unreachable tail contributing its
     full target mass.
     """
-    target = truncated_ladder_target(n_steps + 2)
-    step = _law_step(target)
-    v = np.zeros(len(target.states))
-    v[target.states.index((1, 1))] = 1.0
+    target, step, v = _law_setup(n_steps + 2)
     for n in range(1, n_steps + 1):
         v = step(v, schedule_a(n))
 
-    # unbounded target: mass j**-2 on both (j, j) and (j+1, j)
-    total = 2.0 * (math.pi**2 / 6.0)
-    pi_enum = np.asarray([x[1] ** -2.0 / total for x in target.states])
+    pi_enum = np.asarray([_mass(x) / _TOTAL_MASS for x in target.states])
     tail = 1.0 - pi_enum.sum()
     tv = 0.5 * (float(np.abs(v - pi_enum).sum()) + tail)
     return UnboundedLadderLaw(

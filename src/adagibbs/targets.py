@@ -6,9 +6,9 @@ Two concrete families are supported:
   finite product of coordinate state lists, optionally restricted by a support
   predicate (for non-rectangular spaces).  This powers both exact kernel
   construction and exact conditional sampling.
-* :class:`ContinuousProductTarget` -- a product of identically shaped one
-  dimensional densities ``scale_i * g(scale_i * x_i)`` with ``g`` compactly
-  supported, together with the linear observable ``sum_i a_i x_i`` that
+* :class:`ContinuousProductTarget` -- a product of scaled raised-cosine
+  densities ``scale_i * raised_cosine(scale_i * x_i)``, together with the
+  linear observable ``sum_i a_i x_i`` that
   :meth:`ContinuousProductTarget.observable_trace` evaluates along a run.
 """
 
@@ -19,10 +19,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-
-QUAD_PANELS = 32
-QUAD_NODES = 16
 
 
 class TargetError(ValueError):
@@ -144,50 +140,21 @@ RAISED_COSINE_VARIANCE = 1.0 / 3.0 - 2.0 / math.pi**2
 
 
 class ContinuousProductTarget:
-    """Product density ``prod_i scale_i * g(scale_i * x_i)`` on R^d.
-
-    ``g`` must be a one dimensional density with compact support
-    ``[support[0], support[1]]`` and finite positive variance; both are
-    verified by composite Gauss-Legendre quadrature (``QUAD_PANELS`` panels of
-    ``QUAD_NODES`` nodes), which assumes ``g`` smooth on its support: a jump
-    inside it can fail the normalisation check.  ``a`` defines the linear
-    observable ``sum_i a_i x_i``, evaluated along a run by
-    :meth:`observable_trace`.
+    """Product density ``prod_i scale_i * raised_cosine(scale_i * x_i)`` on
+    R^d.  ``a`` defines the linear observable ``sum_i a_i x_i``, evaluated
+    along a run by :meth:`observable_trace`.
     """
 
-    DENSITY_QUAD_TOL = 1e-8
     # Coordinate i's conditional density depends on x_i alone.
     INDEPENDENT_COORDINATES = True
 
-    def __init__(
-        self,
-        scales: Sequence[float],
-        g: Callable[[float], float],
-        support: tuple,
-        a: Optional[Sequence[float]] = None,
-    ):
+    def __init__(self, scales: Sequence[float], a: Optional[Sequence[float]] = None):
         self.scales = tuple(float(c) for c in scales)
         if any(c <= 0 or not math.isfinite(c) for c in self.scales):
             raise TargetError(f"scales must be strictly positive, got {self.scales}")
-        self.g = g
-        lo, hi = float(support[0]), float(support[1])
-        if not lo < hi:
-            raise TargetError(f"empty support interval [{lo}, {hi}]")
         self.a = tuple(float(v) for v in (a if a is not None else [1.0] * len(self.scales)))
         if len(self.a) != len(self.scales):
             raise TargetError("linear coefficients and scales must share the dimension")
-
-        nodes, weights = leggauss(QUAD_NODES)
-        half = 0.5 * (hi - lo) / QUAD_PANELS
-        z = (lo + half * (2 * np.arange(QUAD_PANELS)[:, np.newaxis] + 1 + nodes)).ravel()
-        wg = np.tile(half * weights, QUAD_PANELS) * [g(float(v)) for v in z]
-        total, mean, second = (float(wg @ z**k) for k in range(3))
-        if abs(total - 1.0) > self.DENSITY_QUAD_TOL:
-            raise TargetError(f"base density integrates to {total!r}, expected 1")
-        var = second - mean * mean
-        if not math.isfinite(var) or var <= 0.0:
-            raise TargetError(f"base density variance {var!r} is not positive and finite")
-        self.g_variance = var
 
     @property
     def d(self) -> int:
@@ -200,7 +167,7 @@ class ContinuousProductTarget:
         the ``x`` argument is kept so the signature matches general targets.
         """
         c = self.scales[i]
-        return c * self.g(c * y)
+        return c * raised_cosine(c * y)
 
     def observable_trace(self, states: Sequence[Sequence[float]]) -> np.ndarray:
         """Evaluate ``sum_i a_i x_i`` along a trajectory's states."""

@@ -7,6 +7,7 @@ with it.
 
 import numpy as np
 
+from adagibbs.bounds import ENTRYWISE_TOL
 from adagibbs.kernels import (
     DistributionVector,
     TransitionMatrix,
@@ -26,6 +27,15 @@ def state_dependent_gibbs_kernel(target, weights_at):
     for i in range(target.d):
         m += weights[:, i, np.newaxis] * single_coordinate_kernel(target, i).matrix
     return TransitionMatrix(target.states, m)
+
+
+def certificate_holds(cert, p: TransitionMatrix) -> bool:
+    """Entrywise check of a minorization certificate, ``P^m >= s * mu``,
+    against a concrete kernel to ``ENTRYWISE_TOL``."""
+    if cert.s == 0.0:
+        return True
+    pm = np.linalg.matrix_power(p.matrix, cert.m)
+    return bool(np.all(pm >= cert.s * cert.mu.probs[np.newaxis, :] - ENTRYWISE_TOL))
 
 
 class StationaryConvergenceError(RuntimeError):

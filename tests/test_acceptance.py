@@ -9,6 +9,7 @@ see them.
 """
 
 import json
+import math
 import os
 import time
 
@@ -23,6 +24,7 @@ from adagibbs.experiments import (
     optimal_scan_experiment,
     truncated_ladder_experiment,
 )
+from adagibbs.ladder import _TOTAL_MASS, _mass, truncated_ladder_target
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -79,6 +81,23 @@ def test_criterion_4_counterexample_transience():
     assert config.params["n_runs"] == 20
     result, elapsed = timed(counterexample_experiment, config)
     report(4, "ladder transience vs control", result, elapsed, budget=60.0)
+
+
+def test_control_check_false_failure_rate_under_the_stationary_tail():
+    """The ``control_contained`` check fails when ``n_runs - min_successes + 1``
+    or more control runs end above ``control_threshold``.  Taking each run's
+    final height as an independent draw from the ladder target gives a
+    binomial tail; the runs start on the bottom rung, so this is assumed,
+    not proved, to be an upper estimate (see calibration/README.md)."""
+    p = load_config("counterexample.json").params
+    # the rungs with x_1 <= threshold are those of the ladder truncated there
+    below = truncated_ladder_target(p["control_threshold"]).states
+    tail = 1.0 - math.fsum(_mass(x) for x in below) / _TOTAL_MASS
+    n, k = p["n_runs"], p["n_runs"] - p["min_successes"] + 1
+    rate = math.fsum(math.comb(n, m) * tail**m * (1.0 - tail) ** (n - m) for m in range(k, n + 1))
+    assert tail == pytest.approx(0.01216, abs=5e-6)
+    assert rate == pytest.approx(3.54e-6, abs=5e-9)
+    assert rate < 1e-5
 
 
 def test_criterion_5_truncated_ladder_ergodicity():

@@ -12,11 +12,7 @@ from adagibbs.adaptation import (
 )
 from adagibbs.ladder import ladder_update_rule, schedule_a
 from adagibbs.samplers import adap_rs_adap_mwg_run, gaussian_random_walk_family
-from adagibbs.targets import (
-    ContinuousProductTarget,
-    RAISED_COSINE_VARIANCE,
-    raised_cosine,
-)
+from adagibbs.targets import ContinuousProductTarget, RAISED_COSINE_VARIANCE
 from adagibbs.weights import SelectionWeights, make_selection_weights
 
 
@@ -112,7 +108,7 @@ def test_unknown_variant_rejected():
 
 
 def run_componentwise(variant, n_batches, seed, scales=(1.0, 2.0)):
-    target = ContinuousProductTarget(scales, raised_cosine, (-1.0, 1.0))
+    target = ContinuousProductTarget(scales)
     adaptation = ComponentwiseAdaptation(variant, (1.0,) * len(scales), 0.1)
     d = len(scales)
     alpha0 = SelectionWeights((1.0 / d,) * d, 0.1)

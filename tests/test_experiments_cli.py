@@ -20,7 +20,7 @@ from adagibbs.experiments import (
     run_experiment,
 )
 from adagibbs.samplers import adap_rsg_run, keep_previous, write_trajectory_csv
-from adagibbs.targets import FiniteProductTarget
+from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget
 from adagibbs.weights import make_selection_weights
 
 
@@ -222,7 +222,8 @@ def test_an_error_in_the_worker_arm_reaches_the_caller():
     bad = make_selection_weights((0.2, 0.2, 0.6), 0.1)
     with pytest.raises(IndexError):
         experiments._variance_ratio(
-            (1.0, 2.0), (1.0, 1.0), (1.0, 1.0), good, bad, (0.0, 0.0), 2_000, 100, 5
+            ContinuousProductTarget((1.0, 2.0)), (1.0, 1.0), good, bad, (0.0, 0.0),
+            2_000, 100, 5,
         )
 
 
@@ -353,7 +354,23 @@ UNFINISHABLE_CONFIGS = {
     "optimal-scan-infinite-slack": (
         "optimal-scan", "variance_ratio_slack", {"variance_ratio_slack": float("inf")}
     ),
+    # a weight floor above 1/d leaves no weight vector on d coordinates
+    "optimal-scan-floor-above-one-over-d": ("optimal-scan", "epsilon", {"epsilon": 0.3}),
+    "bounds-floor-above-one-half": ("bounds", "epsilon", {"epsilon": 0.6}),
+    "bounds-floor-above-one-third": ("bounds", "epsilon", {"epsilon": 0.4}),
 }
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("optimal-scan", {"scales": [1.0, 2.0], "a": [1.0, 1.0], "epsilon": 0.5}),
+        ("bounds", {"epsilon": 1.0 / 3.0}),
+    ],
+)
+def test_a_weight_floor_of_exactly_one_over_d_is_accepted(kind, params):
+    config = ExperimentConfig.from_dict({"kind": kind, "seed": 1, **params})
+    assert config.params["epsilon"] == params["epsilon"]
 
 
 @pytest.mark.parametrize("case", sorted(UNFINISHABLE_CONFIGS))
@@ -610,18 +627,18 @@ def _run_python(*argv, stdin=None):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    modules = ("scipy", "multiprocessing", "concurrent.futures")
+    modules = ("scipy", "multiprocessing", "concurrent.futures", "numpy.polynomial")
     proc = _python(f"import sys, adagibbs.cli; print([m in sys.modules for m in {modules!r}])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, False]"
+    assert proc.stdout.strip() == "[False, False, False, False]"
 
 
 def test_runs_without_scipy(tmp_path):
     code = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now fails
-from adagibbs.targets import ContinuousProductTarget, raised_cosine
-ContinuousProductTarget((1.0, 2.0), raised_cosine, (-1.0, 1.0))
+from adagibbs.targets import ContinuousProductTarget
+ContinuousProductTarget((1.0, 2.0))
 from adagibbs.cli import main
 sys.exit(main(["geometric-gap", "--config", sys.argv[1], "--check", "--out", sys.argv[2]]))
 """

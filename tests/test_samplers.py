@@ -21,7 +21,7 @@ from adagibbs.samplers import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget, raised_cosine
+from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget
 from adagibbs.variance import ReversibleChain, spectral_asymptotic_variance
 from adagibbs.weights import SelectionWeights, make_selection_weights
 from oracles import stationary_distribution
@@ -252,7 +252,7 @@ def test_ladder_weight_history_change_bound():
 
 
 def test_mwg_degenerate_proposal_never_moves():
-    target = ContinuousProductTarget((1.0, 1.0), raised_cosine, (-1.0, 1.0))
+    target = ContinuousProductTarget((1.0, 1.0))
     stay = ProposalFamily(
         sample=lambda rng, i, x, g: x, density=lambda i, x, y, g: 1.0
     )
@@ -277,7 +277,7 @@ def test_mwg_zero_density_at_current_state_rejected():
 def test_mwg_rejects_a_bad_initial_state_before_any_step():
     """A zero density in a rarely chosen coordinate of x0 is caught before the
     first draw, and the message names that coordinate."""
-    target = ContinuousProductTarget((1.0, 1.0, 1.0), raised_cosine, (-1.0, 1.0))
+    target = ContinuousProductTarget((1.0, 1.0, 1.0))
     alpha = SelectionWeights((0.49, 0.49, 0.02), 0.02)
     seen = []
 
@@ -327,7 +327,7 @@ def test_mwg_symmetric_proposal_equals_q_free_oracle():
     loop using the plain mass ratio reproduces the trajectory bit for bit.
     A product target's current-state density is kept until its coordinate
     moves, so the run makes d calls at x0 and then one per step."""
-    target = CountingProductTarget((1.0, 3.0), raised_cosine, (-1.0, 1.0))
+    target = CountingProductTarget((1.0, 3.0))
     family = gaussian_random_walk_family()
     alpha = SelectionWeights((0.4, 0.6), 0.2)
     gamma = (0.5, 0.1)
@@ -407,7 +407,7 @@ def test_mwg_empirical_law_matches_exact_kernel_oracle():
 def test_fresh_equal_parameters_match_keep_previous():
     """Rules handing back new but equal weights and gamma tuples are coerced
     and validated every step and must reproduce the identity-skip run."""
-    target = ContinuousProductTarget((1.0, 2.0), raised_cosine, (-1.0, 1.0))
+    target = ContinuousProductTarget((1.0, 2.0))
     family = gaussian_random_walk_family()
     alpha = SelectionWeights((0.5, 0.5), 0.25)
     gamma = (0.3, 0.2)
@@ -431,7 +431,7 @@ def test_fresh_equal_parameters_match_keep_previous():
 def test_mutated_gamma_list_is_honoured_every_step():
     """A proposal rule that rewrites one list in place and returns it on
     every step must have each step's values recorded, validated and used."""
-    target = ContinuousProductTarget((1.0, 2.0), raised_cosine, (-1.0, 1.0))
+    target = ContinuousProductTarget((1.0, 2.0))
     family = gaussian_random_walk_family()
     alpha = SelectionWeights((0.5, 0.5), 0.25)
     shared = [0.3, 0.2]
@@ -461,7 +461,7 @@ def test_tuple_of_floats_from_rule_is_recorded_as_is():
     """A rule's tuple of Python floats is validated once and then kept: the
     trajectory records that very object.  Tuples of other numbers are copied
     into Python floats."""
-    target = ContinuousProductTarget((1.0, 2.0), raised_cosine, (-1.0, 1.0))
+    target = ContinuousProductTarget((1.0, 2.0))
     family = gaussian_random_walk_family()
     alpha = SelectionWeights((0.5, 0.5), 0.25)
     early, late = tuple([0.3, 0.2]), tuple([0.5, 0.4])
@@ -490,7 +490,7 @@ def test_tuple_of_floats_from_rule_is_recorded_as_is():
 
 
 def test_doubly_adaptive_rejects_bad_gamma():
-    target = ContinuousProductTarget((1.0,), raised_cosine, (-1.0, 1.0))
+    target = ContinuousProductTarget((1.0,))
     family = gaussian_random_walk_family()
     alpha = SelectionWeights((1.0,), 1.0)
 
@@ -566,7 +566,7 @@ def test_ladder_states_match_record_replay():
 
 
 def test_mwg_states_match_record_replay():
-    target = ContinuousProductTarget((1.0, 3.0, 0.5), raised_cosine, (-1.0, 1.0))
+    target = ContinuousProductTarget((1.0, 3.0, 0.5))
     alpha = SelectionWeights((0.3, 0.3, 0.4), 0.2)
     traj = mwg_run(
         target, gaussian_random_walk_family(), (2.0, 0.5, 4.0),
@@ -618,7 +618,7 @@ def test_gibbs_loop_rejects_fewer_than_one_step(n_steps):
 
 @pytest.mark.parametrize("n_steps", [0, -5])
 def test_metropolis_loop_rejects_fewer_than_one_step(n_steps):
-    target = ContinuousProductTarget((1.0, 2.0), raised_cosine, (-1.0, 1.0))
+    target = ContinuousProductTarget((1.0, 2.0))
     alpha = make_selection_weights((0.5, 0.5), 0.1)
     with pytest.raises(ValueError, match="n_steps"):
         mwg_run(
