@@ -34,12 +34,11 @@ from .kernels import (
     systematic_scan_kernel,
 )
 from .samplers import (
-    ProposalFamily,
     Trajectory,
     adap_rs_adap_mwg_run,
     adap_rsg_run,
     derive_seed,
-    gaussian_random_walk_family,
+    gaussian_random_walk,
     keep_previous,
     read_trajectory_csv,
     write_trajectory_csv,
@@ -76,7 +75,6 @@ from .variance import (
     asvar_decomposition,
     iact_estimate,
     lazy_variance,
-    optimal_selection_weights,
     scan_autocorrelation_relation,
     spectral_asymptotic_variance,
     spectral_decomposition,

@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .weights import SelectionWeights, sup_distance
-from .variance import optimal_selection_weights
+from .weights import SelectionWeights, make_selection_weights, sup_distance
 
 BATCH_SIZE = 50
 TARGET_ACCEPTANCE = 0.44
@@ -45,13 +44,17 @@ def adaptation_step_size(batch_index: int) -> float:
 def weight_update(
     variances: Sequence[float], a: Sequence[float], epsilon: float
 ) -> SelectionWeights:
-    """Square-root weights for one batch's proposal variances.
+    """Square-root rule for one batch's proposal variances.
 
     ``alpha_i`` is proportional to ``sqrt(variances_i * a_i^2)``, projected
-    onto the floored simplex.  The projection preserves the coordinate
-    ordering of the raw scores.
+    onto the floored simplex; this minimises ``sum_i variances_i a_i^2 /
+    alpha_i`` over it.  The projection preserves the coordinate ordering of
+    the raw scores.
     """
-    return optimal_selection_weights(a, variances, epsilon)
+    if len(a) != len(variances):
+        raise ValueError("coefficients and variances must share the dimension")
+    raw = [abs(ai) * math.sqrt(v) for ai, v in zip(a, variances)]
+    return make_selection_weights(raw, epsilon)
 
 
 class ComponentwiseAdaptation:
@@ -61,7 +64,8 @@ class ComponentwiseAdaptation:
     :func:`~adagibbs.samplers.adap_rs_adap_mwg_run`, starting it from
     ``proposal_variances``.  The observer folds every state into the running
     moments ("hst" only) and counts each coordinate's proposals and
-    acceptances; at every batch boundary it computes the new
+    acceptances; at every batch boundary (each step ``n`` that is a
+    multiple of ``BATCH_SIZE``) it computes the new
     ``proposal_variances`` (a tuple of floats) and the square-root
     ``weights`` once, and records the batch in ``batch_log``.  The two rules
     return those same objects until the next boundary.
@@ -82,7 +86,6 @@ class ComponentwiseAdaptation:
         self._m2 = [0.0] * d
         self._proposals = [0] * d
         self._accepts = [0] * d
-        self._steps_in_batch = 0
         self.proposal_variances = self._variances()
         self.weights = SelectionWeights((1.0 / d,) * d, self.epsilon)
         self.batch_log: list = []
@@ -106,8 +109,7 @@ class ComponentwiseAdaptation:
         self._proposals[i] += 1
         if accepted:
             self._accepts[i] += 1
-        self._steps_in_batch += 1
-        if self._steps_in_batch == BATCH_SIZE:
+        if n % BATCH_SIZE == 0:
             self._refresh()
 
     def _variances(self) -> tuple:
@@ -150,7 +152,6 @@ class ComponentwiseAdaptation:
         d = len(self.a)
         self._proposals = [0] * d
         self._accepts = [0] * d
-        self._steps_in_batch = 0
 
 
 MONITOR_WINDOWS = 8

@@ -44,7 +44,7 @@ from .ladder import (
     transience_experiment,
     truncated_ladder_evolution,
 )
-from .samplers import adap_rs_adap_mwg_run, gaussian_random_walk_family, keep_previous
+from .samplers import adap_rs_adap_mwg_run, gaussian_random_walk, keep_previous
 from .targets import ContinuousProductTarget, FiniteProductTarget
 from .variance import (
     ReversibleChain,
@@ -685,7 +685,7 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     # Only the final state is used: the run's history is released at once.
     x_eval = adap_rs_adap_mwg_run(
         target,
-        gaussian_random_walk_family(),
+        gaussian_random_walk,
         adaptation.weight_rule,
         adaptation.proposal_rule,
         x0,
@@ -696,7 +696,9 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
         observer=adaptation.observer,
     ).final_state
 
-    ideal = make_selection_weights([1.0 / c for c in scales], epsilon)
+    # the observable sum_i a_i x_i spreads by |a_i| / scale_i along coordinate i
+    spread = [abs(ai) / c for ai, c in zip(a, scales)]
+    ideal = make_selection_weights(spread, epsilon)
     window = adaptation.batch_log[-p["window_batches"]:]
     weight_gap = max(
         max(abs(w - t) for w, t in zip(entry["weights"], ideal.weights))
@@ -731,8 +733,7 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
         p["eval_burn_in"],
         config.seed,
     )
-    inv = [1.0 / c for c in scales]
-    theory_ratio = (math.fsum(inv)) ** 2 / (d * math.fsum(v * v for v in inv))
+    theory_ratio = math.fsum(spread) ** 2 / (d * math.fsum(s * s for s in spread))
     ratio_limit = p["variance_ratio_slack"] * theory_ratio
 
     result = ExperimentResult(
@@ -787,7 +788,7 @@ def _evaluation_arm(target, gamma, alpha, x0, eval_steps, burn_in, seed):
     trace = target.observable_trace(
         adap_rs_adap_mwg_run(
             target,
-            gaussian_random_walk_family(),
+            gaussian_random_walk,
             keep_previous,
             keep_previous,
             x0,

@@ -378,7 +378,7 @@ def transience_experiment(
     return TransienceSummary(records["adaptive"], records["control"])
 
 
-def linear_schedule(offset: float = 10.0, slope: float = 5.0) -> Callable[[int], float]:
+def linear_schedule(offset: float, slope: float) -> Callable[[int], float]:
     """Admissible fast tuning sequence ``a_n = offset + slope * n``.
 
     Still of the rule's required form (bigger than 8 and increasing to
@@ -431,8 +431,8 @@ def _law_setup(truncation: int) -> tuple:
 def truncated_ladder_evolution(
     truncation: int,
     a_of_n: Callable[[int], float],
-    tv_target: float = 1e-3,
-    max_steps: int = 200_000,
+    tv_target: float,
+    max_steps: int,
 ) -> TruncatedLadderEvolution:
     """Exact evolution of the adaptive chain law on the truncated ladder,
     started at :data:`LADDER_START`.

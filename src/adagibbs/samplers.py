@@ -25,17 +25,17 @@ coordinate of ``x0`` before the first draw, and then once per step at the
 proposal.  The current-state density is recomputed every step, unless the
 target declares ``INDEPENDENT_COORDINATES`` (a product target, whose
 coordinate ``i`` conditional depends on ``x_i`` alone): then the value
-stored when coordinate ``i`` last moved is reused.  A proposal family
-without a density is symmetric, and its acceptance ratio is the ratio of
-the two target densities alone.
+stored when coordinate ``i`` last moved is reused.  Proposals are
+symmetric, so the acceptance ratio is the ratio of the two target densities
+alone.
 
 RNG consumption contracts (relied on by the straight-line oracles in the
 tests): exact-conditional runs pre-draw ``2 * n_steps`` uniforms, consuming
 one for the coordinate choice and one for the conditional inverse-CDF draw
 per step.  Metropolis runs draw, per step and in this order: one uniform for
-the coordinate, the proposal sampler's own draws, one uniform for the
-accept decision (drawn also when the proposal has zero density).  Update
-rules draw nothing.
+the coordinate, the proposal's own draws, one uniform for the accept
+decision (drawn also when the proposal has zero density).  Update rules
+draw nothing.
 """
 
 from __future__ import annotations
@@ -128,37 +128,9 @@ class Trajectory:
         return tuple(self.coordinate_trace(i)[-1].item() for i in range(self.d))
 
 
-@dataclass(frozen=True)
-class ProposalFamily:
-    """Per-coordinate parametrised proposal: a sampler and its density.
-
-    ``sample(rng, i, x_i, gamma_i)`` draws a proposed value; ``density(i,
-    x_i, y_i, gamma_i)`` evaluates the transition density used in the
-    acceptance ratio.  A family without a density is symmetric: its density
-    factors cancel and the ratio is the target's alone.  ``validate_gamma``
-    may reject inadmissible parameters.
-    """
-
-    sample: Callable
-    density: Optional[Callable] = None
-    validate_gamma: Optional[Callable] = None
-
-    def check_gamma(self, gamma: Sequence[float]):
-        for i, g in enumerate(gamma):
-            if not math.isfinite(g):
-                raise ValueError(f"proposal parameter {i} is not finite: {g!r}")
-            if self.validate_gamma is not None and not self.validate_gamma(i, g):
-                raise ValueError(f"proposal parameter {i} inadmissible: {g!r}")
-
-
-def gaussian_random_walk_family() -> ProposalFamily:
-    """Normal increments, a symmetric family; the parameter is the proposal
-    variance."""
-
-    def sample(rng, i, x, gamma):
-        return x + math.sqrt(gamma) * rng.standard_normal()
-
-    return ProposalFamily(sample, validate_gamma=lambda i, g: g > 0.0)
+def gaussian_random_walk(rng, i: int, x: float, gamma: float) -> float:
+    """Symmetric proposal: ``x`` plus a normal increment of variance ``gamma``."""
+    return x + math.sqrt(gamma) * rng.standard_normal()
 
 
 def _check_initial_state(target, x0) -> tuple:
@@ -173,24 +145,31 @@ def _check_n_steps(n_steps: int):
         raise ValueError(f"need at least one step, got n_steps={n_steps!r}")
 
 
-def _coerce_weights(out, epsilon: float) -> SelectionWeights:
-    """Force a rule's output into the floored simplex."""
-    if isinstance(out, SelectionWeights) and out.epsilon == epsilon:
-        return out
-    values = out.weights if isinstance(out, SelectionWeights) else tuple(out)
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"weight rule returned a non-finite value: {values!r}")
-    return make_selection_weights(values, epsilon)
+def _check_dimension(what: str, n: int, d: int):
+    if n != d:
+        raise ValueError(f"dimension mismatch: {what} d={n}, x0 d={d}")
 
 
-def _coerce_gamma(out, proposals: ProposalFamily) -> tuple:
-    """Validate a rule's proposal parameters.  A tuple of Python floats is
-    immutable and kept as it is; anything else (a list, an array, a tuple of
-    other numbers) is first copied into one."""
+def _coerce_weights(out, epsilon: float, d: int) -> SelectionWeights:
+    """Force a rule's output into the floored simplex over ``d`` coordinates."""
+    if not (isinstance(out, SelectionWeights) and out.epsilon == epsilon):
+        out = make_selection_weights(
+            out.weights if isinstance(out, SelectionWeights) else out, epsilon
+        )
+    _check_dimension("weights", out.d, d)
+    return out
+
+
+def _coerce_gamma(out, d: int) -> tuple:
+    """Validate proposal parameters: ``d`` of them, each finite and positive.
+    A tuple of Python floats is immutable and kept as it is; anything else (a
+    list, an array, a tuple of other numbers) is first copied into one."""
     if type(out) is not tuple or any(type(g) is not float for g in out):
         out = tuple(float(g) for g in out)
-    proposals.check_gamma(out)
+    _check_dimension("proposal parameters", len(out), d)
+    for i, g in enumerate(out):
+        if not 0.0 < g < math.inf:
+            raise ValueError(f"proposal parameter {i} must be finite and positive: {g!r}")
     return out
 
 
@@ -211,6 +190,8 @@ def _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer=None):
     ``draw()`` gives the uniform that picks the coordinate, ``move(n, x, i)``
     returns its ``(new value, accepted)``.  Returns the per-step records
     ``(coordinates, values, accepted, alphas)``."""
+    d = len(x0)
+    _check_dimension("weights", alpha0.d, d)
     x = x0
     alpha = alpha0
     epsilon = alpha0.epsilon
@@ -220,7 +201,7 @@ def _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer=None):
     for n in range(1, n_steps + 1):
         out = weight_rule(n, alpha, x)
         if out is not alpha:
-            alpha = _coerce_weights(out, epsilon)
+            alpha = _coerce_weights(out, epsilon, d)
         i = bisect_right(alpha.cumulative, draw())
         y, ok = move(n, x, i)
         if y != x[i]:
@@ -265,7 +246,7 @@ def adap_rsg_run(
 
 def adap_rs_adap_mwg_run(
     target,
-    proposals: ProposalFamily,
+    propose: Callable,
     weight_rule: Callable,
     proposal_rule: Callable,
     x0,
@@ -278,8 +259,11 @@ def adap_rs_adap_mwg_run(
     """Doubly adaptive sampler: weights and proposal parameters both adapt.
 
     Step order: set ``alpha_n``, choose the coordinate from ``alpha_n``, set
-    ``gamma_n = proposal_rule(n, gamma_prev, x_prev)``, then propose and
-    accept using the *previous* parameters ``gamma_{n-1}``.  If given,
+    ``gamma_n = proposal_rule(n, gamma_prev, x_prev)``, then propose
+    ``y = propose(rng, i, x_i, gamma_{n-1}_i)`` with the *previous*
+    parameters and accept when a uniform falls below the density ratio.  The
+    proposal must be symmetric, as :func:`gaussian_random_walk` is; its
+    parameters must be finite and positive, one per coordinate.  If given,
     ``observer(n, x, i, accepted)`` is invoked once with
     ``(0, x0, None, None)`` before the loop and again after every step;
     adaptation rules use it to accumulate statistics.
@@ -312,9 +296,8 @@ def adap_rs_adap_mwg_run(
     reuse = getattr(target, "INDEPENDENT_COORDINATES", False)
     rng = generator(seed)
     draw = rng.random
-    sample = proposals.sample
-    q = proposals.density
-    gamma = _coerce_gamma(gamma0, proposals)
+    d = len(x0)
+    gamma = _coerce_gamma(gamma0, d)
     gammas = []
 
     def move(n, x, i):
@@ -322,21 +305,14 @@ def adap_rs_adap_mwg_run(
         gamma_i = gamma[i]
         gamma_n = proposal_rule(n, gamma, x)
         if gamma_n is not gamma:
-            gamma_n = _coerce_gamma(gamma_n, proposals)
+            gamma_n = _coerce_gamma(gamma_n, d)
         gammas.append(gamma_n)
         gamma = gamma_n
         xi = x[i]
         current = densities[i] if reuse else conditional_density(i, x, xi)
-        y = sample(rng, i, xi, gamma_i)
+        y = propose(rng, i, xi, gamma_i)
         proposed = conditional_density(i, x, y)
-        u = draw()
-        if proposed <= 0.0:
-            return xi, False
-        if q is None:
-            ratio = proposed / current
-        else:
-            ratio = (proposed * q(i, y, xi, gamma_i)) / (current * q(i, xi, y, gamma_i))
-        if u < ratio:
+        if draw() < proposed / current:
             densities[i] = proposed
             return y, True
         return xi, False

@@ -136,9 +136,6 @@ def raised_cosine(z: float) -> float:
     return 0.0
 
 
-RAISED_COSINE_VARIANCE = 1.0 / 3.0 - 2.0 / math.pi**2
-
-
 class ContinuousProductTarget:
     """Product density ``prod_i scale_i * raised_cosine(scale_i * x_i)`` on
     R^d.  ``a`` defines the linear observable ``sum_i a_i x_i``, evaluated

@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import DistributionVector, TransitionMatrix
-from .weights import SelectionWeights, make_selection_weights
 
 REVERSIBILITY_TOL = 1e-10
 CENTERING_TOL = 1e-12
@@ -139,18 +138,6 @@ def asvar_decomposition(
     return math.fsum(
         t * ai * ai * sigma2_g / (c * c) for t, ai, c in zip(tau, a, scales)
     )
-
-
-def optimal_selection_weights(
-    a: Sequence[float], proposal_variances: Sequence[float], epsilon: float
-) -> SelectionWeights:
-    """Square-root rule for selection weights: weight each coordinate by
-    ``sqrt(variance_i * a_i^2)``, normalise and project onto the floored
-    simplex.  Minimises ``sum_i variance_i a_i^2 / alpha_i`` over the simplex."""
-    if len(a) != len(proposal_variances):
-        raise ValueError("coefficients and variances must share the dimension")
-    raw = [abs(ai) * math.sqrt(v) for ai, v in zip(a, proposal_variances)]
-    return make_selection_weights(raw, epsilon)
 
 
 def iact_estimate(trace: Sequence[float]) -> float:

@@ -6,9 +6,9 @@ admissible set is the simplex intersected with a lower floor::
 
     { w : w_i >= epsilon for all i,  sum_i w_i = 1 },   0 < epsilon <= 1/d.
 
-All weight vectors used by the kernels, samplers and bound calculators are
-built through :func:`make_selection_weights`, so membership in this set is
-checked in exactly one place.
+Every weight vector used by the kernels, samplers and bound calculators is a
+:class:`SelectionWeights`, whose constructor is the one place membership in
+this set is checked.
 """
 
 from __future__ import annotations
@@ -107,16 +107,10 @@ def make_selection_weights(raw: Sequence[float], epsilon: float) -> SelectionWei
 
     Raises:
         InvalidWeightsError: if ``raw`` has a negative entry or no positive one.
-        InvalidEpsilonError: if ``epsilon`` is outside (0, 1/d].
+        InvalidEpsilonError: if ``epsilon`` is outside (0, 1/d], from the
+            :class:`SelectionWeights` constructor.
     """
     vals = [float(v) for v in raw]
-    d = len(vals)
-    if d < 1:
-        raise InvalidWeightsError("weight vector must have at least one entry")
-    if not (0.0 < epsilon <= 1.0 / d + SIMPLEX_TOL):
-        raise InvalidEpsilonError(
-            f"epsilon must lie in (0, 1/d]=(0, {1.0 / d:.6g}], got {epsilon}"
-        )
     total = math.fsum(vals)
     for v in vals:
         if not math.isfinite(v) or v < 0.0:
@@ -141,7 +135,7 @@ def _project_floored_simplex(w: Sequence[float], epsilon: float) -> tuple:
     order-preserving (the argmax of the input stays the argmax).
     """
     z = np.asarray(w, dtype=np.float64) - epsilon
-    budget = 1.0 - len(z) * epsilon  # >= 0 because epsilon <= 1/d
+    budget = 1.0 - len(z) * epsilon  # >= 0 for any epsilon SelectionWeights accepts
     u = np.sort(z)[::-1]
     css = np.cumsum(u)
     ranks = np.arange(1, len(z) + 1)

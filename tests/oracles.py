@@ -5,6 +5,8 @@ faster or more specialised path, kept here so the fast path can be compared
 with it.
 """
 
+import math
+
 import numpy as np
 
 from adagibbs.bounds import ENTRYWISE_TOL
@@ -13,6 +15,9 @@ from adagibbs.kernels import (
     TransitionMatrix,
     single_coordinate_kernel,
 )
+
+# Variance of the raised cosine density on [-1, 1].
+RAISED_COSINE_VARIANCE = 1.0 / 3.0 - 2.0 / math.pi**2
 
 
 def state_dependent_gibbs_kernel(target, weights_at):

@@ -11,9 +11,10 @@ from adagibbs.adaptation import (
     weight_update,
 )
 from adagibbs.ladder import ladder_update_rule, schedule_a
-from adagibbs.samplers import adap_rs_adap_mwg_run, gaussian_random_walk_family
-from adagibbs.targets import ContinuousProductTarget, RAISED_COSINE_VARIANCE
+from adagibbs.samplers import adap_rs_adap_mwg_run, gaussian_random_walk
+from adagibbs.targets import ContinuousProductTarget
 from adagibbs.weights import SelectionWeights, make_selection_weights
+from oracles import RAISED_COSINE_VARIANCE
 
 
 def drive(adaptation, states, coordinate=0, accepted=True):
@@ -114,7 +115,7 @@ def run_componentwise(variant, n_batches, seed, scales=(1.0, 2.0)):
     alpha0 = SelectionWeights((1.0 / d,) * d, 0.1)
     trajectory = adap_rs_adap_mwg_run(
         target,
-        gaussian_random_walk_family(),
+        gaussian_random_walk,
         adaptation.weight_rule,
         adaptation.proposal_rule,
         (0.0,) * d,

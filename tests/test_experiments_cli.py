@@ -220,11 +220,36 @@ def test_an_error_in_the_worker_arm_reaches_the_caller():
     a two-coordinate target make it raise there."""
     good = make_selection_weights((0.5, 0.5), 0.1)
     bad = make_selection_weights((0.2, 0.2, 0.6), 0.1)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="weights d=3, x0 d=2"):
         experiments._variance_ratio(
             ContinuousProductTarget((1.0, 2.0)), (1.0, 1.0), good, bad, (0.0, 0.0),
             2_000, 100, 5,
         )
+
+
+def test_optimal_scan_ideal_weights_follow_the_observable():
+    """The ideal weights and the theory ratio use the spread of the observable
+    ``sum_i a_i x_i`` along each coordinate, ``s_i = |a_i| / scale_i``: the
+    square-root rule gives weights proportional to ``s_i`` and a variance
+    ratio of ``(sum s)^2 / (d sum s^2)``.  With ``a`` unequal the adapted
+    weights reach them and the run passes its checks."""
+    config = ExperimentConfig.from_dict({
+        "kind": "optimal-scan",
+        "seed": 3,
+        "params": {
+            "scales": [1.0, 4.0], "a": [4.0, 1.0],
+            "n_batches": 1500, "eval_steps": 60_000,
+        },
+    })
+    result = experiments.optimal_scan_experiment(config)
+    s = (4.0 / 1.0, 1.0 / 4.0)
+    assert result.summary["ideal_weights"] == pytest.approx(
+        [s[0] / sum(s), s[1] / sum(s)], rel=1e-12
+    )
+    assert result.summary["theory_ratio"] == pytest.approx(
+        sum(s) ** 2 / (2 * (s[0] ** 2 + s[1] ** 2)), rel=1e-12
+    )
+    assert result.passed, result.checks
 
 
 UNGUARDED_OPTIMAL_SCAN = f"""

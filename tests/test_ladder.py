@@ -293,7 +293,9 @@ def test_block_schedule_keeps_truncated_chain_far_from_target():
 
 
 def test_linear_schedule_truncated_chain_converges_monotonically():
-    ev = truncated_ladder_evolution(20, linear_schedule(10.0, 2.0), tv_target=1e-3)
+    ev = truncated_ladder_evolution(
+        20, linear_schedule(10.0, 2.0), tv_target=1e-3, max_steps=200_000
+    )
     assert ev.reached
     assert 1_000 < ev.horizon < 100_000
     tail = ev.tv[int(len(ev.tv) * 0.9):]
@@ -302,9 +304,9 @@ def test_linear_schedule_truncated_chain_converges_monotonically():
 
 def test_linear_schedule_validation():
     with pytest.raises(ValueError):
-        linear_schedule(offset=8.0)
+        linear_schedule(offset=8.0, slope=5.0)
     with pytest.raises(ValueError):
-        linear_schedule(slope=0.0)
+        linear_schedule(offset=10.0, slope=0.0)
 
 
 def test_transience_experiment_deterministic_and_separated():

@@ -10,12 +10,11 @@ from scipy import stats
 from adagibbs.kernels import mwg_kernel_matrix, gibbs_kernel_matrix
 from adagibbs.ladder import LadderTarget, ladder_update_rule, schedule_a
 from adagibbs.samplers import (
-    ProposalFamily,
     Trajectory,
     adap_rs_adap_mwg_run,
     adap_rsg_run,
     derive_seed,
-    gaussian_random_walk_family,
+    gaussian_random_walk,
     generator,
     keep_previous,
     read_trajectory_csv,
@@ -32,10 +31,10 @@ def rsg_run(target, alpha, x0, n_steps, seed):
     return adap_rsg_run(target, keep_previous, x0, alpha, n_steps, seed)
 
 
-def mwg_run(target, proposals, gamma, alpha, x0, n_steps, seed):
+def mwg_run(target, propose, gamma, alpha, x0, n_steps, seed):
     """Random scan Metropolis-within-Gibbs with fixed weights and proposals."""
     return adap_rs_adap_mwg_run(
-        target, proposals, keep_previous, keep_previous,
+        target, propose, keep_previous, keep_previous,
         x0, alpha, gamma, n_steps, seed,
     )
 
@@ -253,9 +252,10 @@ def test_ladder_weight_history_change_bound():
 
 def test_mwg_degenerate_proposal_never_moves():
     target = ContinuousProductTarget((1.0, 1.0))
-    stay = ProposalFamily(
-        sample=lambda rng, i, x, g: x, density=lambda i, x, y, g: 1.0
-    )
+
+    def stay(rng, i, x, g):
+        return x
+
     alpha = SelectionWeights((0.5, 0.5), 0.25)
     traj = mwg_run(
         target, stay, (1.0, 1.0), alpha, (0.1, -0.2), 200, seed=3
@@ -271,7 +271,7 @@ class ZeroDensity:
 def test_mwg_zero_density_at_current_state_rejected():
     alpha = SelectionWeights((1.0,), 1.0)
     with pytest.raises(ValueError):
-        mwg_run(ZeroDensity(), gaussian_random_walk_family(), (1.0,), alpha, (0.0,), 5, seed=1)
+        mwg_run(ZeroDensity(), gaussian_random_walk, (1.0,), alpha, (0.0,), 5, seed=1)
 
 
 def test_mwg_rejects_a_bad_initial_state_before_any_step():
@@ -286,10 +286,71 @@ def test_mwg_rejects_a_bad_initial_state_before_any_step():
 
     with pytest.raises(ValueError, match="coordinate 2"):
         adap_rs_adap_mwg_run(
-            target, gaussian_random_walk_family(), keep_previous, keep_previous,
+            target, gaussian_random_walk, keep_previous, keep_previous,
             (0.0, 0.0, 5.0), alpha, (1.0, 1.0, 1.0), 1_000, seed=1, observer=observer,
         )
     assert seen == []
+
+
+def test_weights_of_the_wrong_dimension_are_refused_before_any_step():
+    """Initial weights over fewer or more coordinates than ``x0`` are refused
+    by both samplers before the first step, naming both lengths; with fewer,
+    the last coordinate would otherwise never move."""
+    seen = []
+
+    def observer(n, x, i, accepted):
+        seen.append(n)
+
+    for alpha in (SelectionWeights((1.0,), 1.0), SelectionWeights((0.3, 0.3, 0.4), 0.1)):
+        with pytest.raises(ValueError, match=rf"weights d={alpha.d}, x0 d=2"):
+            adap_rsg_run(small_target(), keep_previous, (0, 0), alpha, 100, seed=1)
+        with pytest.raises(ValueError, match=rf"weights d={alpha.d}, x0 d=2"):
+            adap_rs_adap_mwg_run(
+                ContinuousProductTarget((1.0, 2.0)), gaussian_random_walk,
+                keep_previous, keep_previous, (0.0, 0.0), alpha, (1.0, 1.0), 100,
+                seed=1, observer=observer,
+            )
+    assert seen == []
+
+
+@pytest.mark.parametrize("gamma0", [(1.0,), (1.0, 1.0, 1.0)])
+def test_proposal_parameters_of_the_wrong_dimension_are_refused(gamma0):
+    alpha = SelectionWeights((0.5, 0.5), 0.25)
+    with pytest.raises(ValueError, match=rf"proposal parameters d={len(gamma0)}, x0 d=2"):
+        mwg_run(
+            ContinuousProductTarget((1.0, 2.0)), gaussian_random_walk, gamma0,
+            alpha, (0.0, 0.0), 100, seed=1,
+        )
+
+    def rule(n, gamma_prev, x_prev):
+        return gamma0 if n == 50 else gamma_prev
+
+    with pytest.raises(ValueError, match=rf"proposal parameters d={len(gamma0)}, x0 d=2"):
+        adap_rs_adap_mwg_run(
+            ContinuousProductTarget((1.0, 2.0)), gaussian_random_walk,
+            keep_previous, rule, (0.0, 0.0), alpha, (1.0, 1.0), 100, seed=1,
+        )
+
+
+@pytest.mark.parametrize(
+    "out, d",
+    [
+        (SelectionWeights((0.3, 0.3, 0.4), 0.1), 3),
+        ((0.3, 0.3, 0.4), 3),
+        (SelectionWeights((1.0,), 0.5), 1),
+    ],
+)
+def test_weight_rule_output_of_the_wrong_dimension_is_refused(out, d):
+    """Whether the rule hands back weights on the run's floor (kept without
+    coercion), a plain sequence or weights on another floor, a length other
+    than ``len(x0)`` raises at the step that returns it."""
+    alpha = SelectionWeights((0.5, 0.5), 0.1)
+
+    def rule(n, alpha_prev, x_prev):
+        return out if n == 50 else alpha_prev
+
+    with pytest.raises(ValueError, match=rf"weights d={d}, x0 d=2"):
+        adap_rsg_run(small_target(), rule, (0, 0), alpha, 100, seed=1)
 
 
 def q_free_oracle(density, sample, alpha, x0, n_steps, seed):
@@ -328,16 +389,15 @@ def test_mwg_symmetric_proposal_equals_q_free_oracle():
     A product target's current-state density is kept until its coordinate
     moves, so the run makes d calls at x0 and then one per step."""
     target = CountingProductTarget((1.0, 3.0))
-    family = gaussian_random_walk_family()
     alpha = SelectionWeights((0.4, 0.6), 0.2)
     gamma = (0.5, 0.1)
     n_steps = 2_000
     seed = 4242
-    traj = mwg_run(target, family, gamma, alpha, (0.0, 0.0), n_steps, seed)
+    traj = mwg_run(target, gaussian_random_walk, gamma, alpha, (0.0, 0.0), n_steps, seed)
     assert target.calls == n_steps + 2
 
     def sample(rng, i, xi):
-        return family.sample(rng, i, xi, gamma[i])
+        return gaussian_random_walk(rng, i, xi, gamma[i])
 
     states, accepted = q_free_oracle(
         target.conditional_density, sample, alpha, (0.0, 0.0), n_steps, seed
@@ -359,10 +419,12 @@ def test_non_product_target_density_is_recomputed_every_step():
         others = [v for v in target.coordinate_states[i] if v != xi]
         return others[int(rng.random() * len(others))]
 
-    family = ProposalFamily(lambda rng, i, xi, g: neighbour(rng, i, xi))
+    def propose(rng, i, xi, g):
+        return neighbour(rng, i, xi)
+
     alpha = SelectionWeights((0.5, 0.5), 0.1)
     n_steps = 5_000
-    traj = mwg_run(target, family, (1.0, 1.0), alpha, (0, 0), n_steps, seed=32)
+    traj = mwg_run(target, propose, (1.0, 1.0), alpha, (0, 0), n_steps, seed=32)
 
     def replaced_mass(i, x, y):
         return target.mass(x[:i] + (y,) + x[i + 1:])
@@ -373,20 +435,19 @@ def test_non_product_target_density_is_recomputed_every_step():
     assert np.array_equal(traj.accepted, accepted)
 
 
-def discrete_proposal_family(target, matrices):
-    """Finite symmetric proposals driven by one uniform per draw."""
+def discrete_proposal(target, matrices):
+    """Finite proposal from one symmetric matrix per coordinate, driven by one
+    uniform per draw."""
+    assert all(np.array_equal(m, m.T) for m in matrices)
     cum = [np.cumsum(m, axis=1) for m in matrices]
     value_index = [{v: k for k, v in enumerate(c)} for c in target.coordinate_states]
 
-    def sample(rng, i, x, g):
+    def propose(rng, i, x, g):
         row = value_index[i][x]
         k = int(np.searchsorted(cum[i][row], rng.random(), side="right"))
         return target.coordinate_states[i][k]
 
-    def density(i, x, y, g):
-        return float(matrices[i][value_index[i][x], value_index[i][y]])
-
-    return ProposalFamily(sample, density)
+    return propose
 
 
 def test_mwg_empirical_law_matches_exact_kernel_oracle():
@@ -399,8 +460,8 @@ def test_mwg_empirical_law_matches_exact_kernel_oracle():
     kernel = mwg_kernel_matrix(target, alpha, matrices)
     pi = stationary_distribution(kernel)
 
-    family = discrete_proposal_family(target, matrices)
-    traj = mwg_run(target, family, (1.0, 1.0), alpha, (0, 0), 1_000_000, seed=777)
+    propose = discrete_proposal(target, matrices)
+    traj = mwg_run(target, propose, (1.0, 1.0), alpha, (0, 0), 1_000_000, seed=777)
     occupation_within_three_se(traj, kernel, pi)
 
 
@@ -408,7 +469,6 @@ def test_fresh_equal_parameters_match_keep_previous():
     """Rules handing back new but equal weights and gamma tuples are coerced
     and validated every step and must reproduce the identity-skip run."""
     target = ContinuousProductTarget((1.0, 2.0))
-    family = gaussian_random_walk_family()
     alpha = SelectionWeights((0.5, 0.5), 0.25)
     gamma = (0.3, 0.2)
 
@@ -419,10 +479,10 @@ def test_fresh_equal_parameters_match_keep_previous():
         return tuple(gamma)
 
     t_fresh = adap_rs_adap_mwg_run(
-        target, family, fresh_alpha, fresh_gamma,
+        target, gaussian_random_walk, fresh_alpha, fresh_gamma,
         (0.0, 0.0), alpha, gamma, 1_000, seed=11,
     )
-    t_kept = mwg_run(target, family, gamma, alpha, (0.0, 0.0), 1_000, seed=11)
+    t_kept = mwg_run(target, gaussian_random_walk, gamma, alpha, (0.0, 0.0), 1_000, seed=11)
     assert np.array_equal(t_fresh.states, t_kept.states)
     assert np.array_equal(t_fresh.accepted, t_kept.accepted)
     assert t_fresh.gammas == t_kept.gammas == (gamma,) * 1_000
@@ -432,7 +492,6 @@ def test_mutated_gamma_list_is_honoured_every_step():
     """A proposal rule that rewrites one list in place and returns it on
     every step must have each step's values recorded, validated and used."""
     target = ContinuousProductTarget((1.0, 2.0))
-    family = gaussian_random_walk_family()
     alpha = SelectionWeights((0.5, 0.5), 0.25)
     shared = [0.3, 0.2]
 
@@ -441,7 +500,7 @@ def test_mutated_gamma_list_is_honoured_every_step():
         return shared
 
     traj = adap_rs_adap_mwg_run(
-        target, family, keep_previous, mutating,
+        target, gaussian_random_walk, keep_previous, mutating,
         (0.0, 0.0), alpha, (0.3, 0.2), 300, seed=12,
     )
     assert traj.gammas == tuple((0.1 * n, 0.2) for n in range(1, 301))
@@ -452,7 +511,7 @@ def test_mutated_gamma_list_is_honoured_every_step():
 
     with pytest.raises(ValueError):
         adap_rs_adap_mwg_run(
-            target, family, keep_previous, turns_bad,
+            target, gaussian_random_walk, keep_previous, turns_bad,
             (0.0, 0.0), alpha, (0.3, 0.2), 100, seed=12,
         )
 
@@ -462,7 +521,6 @@ def test_tuple_of_floats_from_rule_is_recorded_as_is():
     trajectory records that very object.  Tuples of other numbers are copied
     into Python floats."""
     target = ContinuousProductTarget((1.0, 2.0))
-    family = gaussian_random_walk_family()
     alpha = SelectionWeights((0.5, 0.5), 0.25)
     early, late = tuple([0.3, 0.2]), tuple([0.5, 0.4])
 
@@ -470,7 +528,7 @@ def test_tuple_of_floats_from_rule_is_recorded_as_is():
         return early if n <= 100 else late
 
     traj = adap_rs_adap_mwg_run(
-        target, family, keep_previous, switching,
+        target, gaussian_random_walk, keep_previous, switching,
         (0.0, 0.0), alpha, (1.0, 1.0), 200, seed=13,
     )
     assert all(g is early for g in traj.gammas[:100])
@@ -482,7 +540,7 @@ def test_tuple_of_floats_from_rule_is_recorded_as_is():
         return mixed
 
     traj = adap_rs_adap_mwg_run(
-        target, family, keep_previous, other_numbers,
+        target, gaussian_random_walk, keep_previous, other_numbers,
         (0.0, 0.0), alpha, (1.0, 1.0), 50, seed=13,
     )
     assert all(g == (0.3, 1.0) and g is not mixed for g in traj.gammas)
@@ -490,30 +548,32 @@ def test_tuple_of_floats_from_rule_is_recorded_as_is():
 
 
 def test_doubly_adaptive_rejects_bad_gamma():
+    """Proposal parameters must be finite and positive, from the start and
+    from the proposal rule."""
     target = ContinuousProductTarget((1.0,))
-    family = gaussian_random_walk_family()
     alpha = SelectionWeights((1.0,), 1.0)
+    for bad in (-1.0, 0.0, math.inf, math.nan):
 
-    def gamma_rule(n, gamma_prev, x_prev):
-        return (-1.0,)
+        def gamma_rule(n, gamma_prev, x_prev):
+            return (bad,)
 
-    with pytest.raises(ValueError):
-        adap_rs_adap_mwg_run(
-            target, family, keep_previous, gamma_rule,
-            (0.0,), alpha, (1.0,), 5, seed=1,
-        )
+        with pytest.raises(ValueError, match="parameter 0 must be finite and positive"):
+            adap_rs_adap_mwg_run(
+                target, gaussian_random_walk, keep_previous, gamma_rule,
+                (0.0,), alpha, (1.0,), 5, seed=1,
+            )
+        with pytest.raises(ValueError, match="parameter 0 must be finite and positive"):
+            mwg_run(target, gaussian_random_walk, (bad,), alpha, (0.0,), 5, seed=1)
 
 
 def test_gaussian_family_sampler_matches_density():
-    family = gaussian_random_walk_family()
     rng = generator(123)
     x, gamma = 0.7, 0.25
-    draws = np.asarray([family.sample(rng, 0, x, gamma) for _ in range(50_000)])
+    draws = np.asarray([gaussian_random_walk(rng, 0, x, gamma) for _ in range(50_000)])
     assert abs(draws.mean() - x) <= 3.5 * math.sqrt(gamma / len(draws))
     assert abs(draws.var() - gamma) <= 4.0 * gamma * math.sqrt(2.0 / len(draws))
     ks = stats.kstest(draws, stats.norm(loc=x, scale=math.sqrt(gamma)).cdf)
     assert ks.pvalue > 1e-3
-    assert family.density is None  # symmetric: the acceptance ratio needs no density
 
 
 def test_trajectory_invariants():
@@ -569,7 +629,7 @@ def test_mwg_states_match_record_replay():
     target = ContinuousProductTarget((1.0, 3.0, 0.5))
     alpha = SelectionWeights((0.3, 0.3, 0.4), 0.2)
     traj = mwg_run(
-        target, gaussian_random_walk_family(), (2.0, 0.5, 4.0),
+        target, gaussian_random_walk, (2.0, 0.5, 4.0),
         alpha, (0.0, 0.1, -0.2), 3_000, seed=22,
     )
     assert 0.1 < traj.accepted.mean() < 0.9  # rejections and moves both occur
@@ -622,6 +682,6 @@ def test_metropolis_loop_rejects_fewer_than_one_step(n_steps):
     alpha = make_selection_weights((0.5, 0.5), 0.1)
     with pytest.raises(ValueError, match="n_steps"):
         mwg_run(
-            target, gaussian_random_walk_family(), (1.0, 1.0),
+            target, gaussian_random_walk, (1.0, 1.0),
             alpha, (0.0, 0.0), n_steps, seed=1,
         )

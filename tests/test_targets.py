@@ -4,10 +4,10 @@ import pytest
 from adagibbs.targets import (
     ContinuousProductTarget,
     FiniteProductTarget,
-    RAISED_COSINE_VARIANCE,
     TargetError,
     raised_cosine,
 )
+from oracles import RAISED_COSINE_VARIANCE
 
 
 def two_coord_target():

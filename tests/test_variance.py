@@ -10,6 +10,7 @@ from adagibbs.kernels import (
     TransitionMatrix,
     random_reversible_chain,
 )
+from adagibbs.adaptation import weight_update
 from adagibbs.bounds import metropolis_kernel_matrix
 from adagibbs.targets import FiniteProductTarget
 from adagibbs.variance import (
@@ -18,7 +19,6 @@ from adagibbs.variance import (
     center_observable,
     iact_estimate,
     lazy_variance,
-    optimal_selection_weights,
     scan_autocorrelation_relation,
     spectral_asymptotic_variance,
     spectral_decomposition,
@@ -199,11 +199,11 @@ def test_asvar_decomposition_examples():
 
 
 def test_optimal_weights_examples():
-    uniform = optimal_selection_weights((1.0, 1.0), (2.0, 2.0), 0.1)
+    uniform = weight_update((2.0, 2.0), (1.0, 1.0), 0.1)
     assert uniform.weights == pytest.approx((0.5, 0.5))
-    skewed = optimal_selection_weights((1.0, 1.0), (1.0, 4.0), 0.1)
+    skewed = weight_update((1.0, 4.0), (1.0, 1.0), 0.1)
     assert skewed.weights == pytest.approx((1.0 / 3.0, 2.0 / 3.0))
-    floored = optimal_selection_weights((0.0, 1.0), (1.0, 1.0), 0.1)
+    floored = weight_update((1.0, 1.0), (0.0, 1.0), 0.1)
     assert floored.weights == pytest.approx((0.1, 0.9))
 
 
@@ -211,7 +211,7 @@ def test_optimal_weights_minimise_weighted_inverse_sum():
     rng = np.random.default_rng(404)
     v = rng.uniform(0.2, 3.0, size=3)
     a = rng.uniform(0.2, 2.0, size=3)
-    best = optimal_selection_weights(a, v, 0.02)
+    best = weight_update(v, a, 0.02)
 
     def objective(alpha):
         return sum(vi * ai * ai / w for vi, ai, w in zip(v, a, alpha))
