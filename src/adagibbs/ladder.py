@@ -13,9 +13,9 @@ schedule, the two-point conditionals, the exact one-step increment law of
 ``X_1 + X_2 - 2``, the dominating three-point walk with its stochastic-order
 certificate, the Hoeffding tail budget showing the escape event has positive
 probability, and seeded transience experiments (the adaptive arm's sampler
-rule is ``rule(n, alpha_prev, x_prev) = ladder_update_rule(x_prev, n)``,
-against a fixed-weight control arm).  A truncated variant of the space is
-ergodic again; the exact chain-law evolution for that case is also provided.
+rule is :func:`ladder_update_rule`, against a fixed-weight control arm).  A
+truncated variant of the space is ergodic again; the exact chain-law
+evolution for that case is also provided.
 
 Within a block the rule has only two weight vectors, one for diagonal and
 one for off-diagonal states; each is built once per block and handed out on
@@ -142,15 +142,15 @@ def _block_weights(k: int) -> tuple:
     )
 
 
-def ladder_update_rule(x, n: int) -> SelectionWeights:
-    """Weight rule of the counter-example.
+def ladder_update_rule(n: int, alpha_prev, x_prev) -> SelectionWeights:
+    """Weight rule of the counter-example, ``alpha_n`` from ``x_prev``.
 
     Returns ``(1/2 + 4/a_n, 1/2 - 4/a_n)`` on diagonal states (i = j) and the
     swap on off-diagonal states; both entries stay inside (0, 1) because the
-    schedule keeps ``a_n > 8``.  Within a block the same two objects are
-    returned every time.
+    schedule keeps ``a_n > 8``.  ``alpha_prev`` is not read.  Within a block
+    the same two objects are returned every time.
     """
-    i, j = _ij(x)
+    i, j = _ij(x_prev)
     diagonal, off_diagonal = _block_weights(_DEFAULT_SCHEDULE.block_of(n))
     return diagonal if i == j else off_diagonal
 
@@ -209,7 +209,7 @@ def ladder_step_law(x, n: int) -> dict:
     rung where the naive closed form would assign mass to a missing state.
     """
     x = _ij(x)
-    alpha = ladder_update_rule(x, n).weights
+    alpha = ladder_update_rule(n, None, x).weights
     target = LadderTarget()
     law = {-1: 0.0, 0: 0.0, 1: 0.0}
     for coord in (0, 1):
@@ -355,12 +355,8 @@ def transience_experiment(
     strided copies as output tables).
     """
     target = LadderTarget()
-
-    def rule(n, alpha_prev, x_prev):
-        return ladder_update_rule(x_prev, n)
-
     arms = (
-        ("adaptive", rule, SelectionWeights((0.5, 0.5), LADDER_EPSILON), 0),
+        ("adaptive", ladder_update_rule, SelectionWeights((0.5, 0.5), LADDER_EPSILON), 0),
         ("control", keep_previous, SelectionWeights((0.5, 0.5), 0.5), n_runs),
     )
     records = {}

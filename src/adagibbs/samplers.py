@@ -7,18 +7,23 @@ loop, :func:`_random_scan`, and differ only in the coordinate update.  Per
 step, in this order: the weight rule sets ``alpha_n``, one uniform chooses
 coordinate ``i``, the update moves it (the Metropolis update first sets
 ``gamma_n`` from its proposal rule, then proposes and accepts with
-``gamma_{n-1}``), and the step is recorded in a :class:`Trajectory`, from
-which states are derived.  Update rules are called as ``rule(n, prev,
-x_prev)``; a rule that needs history keeps it on itself.  Immutable return
-values (a :class:`SelectionWeights` on the run's floor, a tuple of Python
-floats) are checked when they first appear and reused without further
-checks while the rule keeps returning them; lists and arrays are copied and
-checked on every step.  The non-adaptive special cases are these loops
-driven by :func:`keep_previous`.  All runs are driven by a Philox
-counter-based generator keyed by a 64-bit seed, so identical inputs produce
-bit-identical trajectories; replicate seeds come from :func:`derive_seed`, a
-splitmix-style mix of the base seed and the replicate index, so replicates
-never share a stream.
+``gamma_{n-1}``), and the step's move is recorded in a :class:`Trajectory`,
+from which states are derived.  Update rules are called as ``rule(n, prev,
+x_prev)``; a rule that needs history keeps it on itself.
+
+The one contract for what a rule returns: a weight rule returns a
+:class:`SelectionWeights` with ``d`` entries on the run's floor
+(``alpha0.epsilon``); a proposal rule, like ``gamma0``, returns a tuple of
+``d`` finite, positive Python floats.  A returned object other than the one
+the loop used at the previous step is checked once and then taken as is,
+never projected or copied; an output outside the contract raises at the step
+that returns it.  The non-adaptive special cases are these loops driven by
+:func:`keep_previous`.
+
+All runs are driven by a Philox counter-based generator keyed by a 64-bit
+seed, so identical inputs produce bit-identical trajectories; replicate seeds
+come from :func:`derive_seed`, a splitmix-style mix of the base seed and the
+replicate index, so replicates never share a stream.
 
 The Metropolis update evaluates ``target.conditional_density`` at every
 coordinate of ``x0`` before the first draw, and then once per step at the
@@ -44,11 +49,11 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .weights import SelectionWeights, make_selection_weights
+from .weights import SelectionWeights
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,9 +77,7 @@ class Trajectory:
     """Record of one seeded run: the initial state and what each step did.
 
     Per step, the numpy columns ``coordinates`` (0-based), ``values`` (the
-    chosen coordinate's value after the step) and ``accepted``, the weight
-    tuples ``alphas`` and, for Metropolis-within-Gibbs runs, the proposal
-    parameters ``gammas`` (``None`` for exact-conditional runs).  States are
+    chosen coordinate's value after the step) and ``accepted``.  States are
     derived from the record by forward fill, never kept.
     """
 
@@ -82,18 +85,14 @@ class Trajectory:
     coordinates: np.ndarray
     values: np.ndarray
     accepted: np.ndarray
-    alphas: tuple
     seed: int
-    gammas: Optional[tuple] = None
 
     def __post_init__(self):
         for name, dtype in (("coordinates", np.intp), ("values", np.float64), ("accepted", bool)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         n = len(self.coordinates)
-        if len(self.values) != n or len(self.accepted) != n or len(self.alphas) != n:
+        if len(self.values) != n or len(self.accepted) != n:
             raise ValueError("per-step records must share the step count")
-        if self.gammas is not None and len(self.gammas) != n:
-            raise ValueError("gamma history must share the step count")
         if n and not (0 <= self.coordinates.min() and self.coordinates.max() < self.d):
             raise ValueError(f"coordinates must lie in 0..{self.d - 1}")
 
@@ -150,22 +149,22 @@ def _check_dimension(what: str, n: int, d: int):
         raise ValueError(f"dimension mismatch: {what} d={n}, x0 d={d}")
 
 
-def _coerce_weights(out, epsilon: float, d: int) -> SelectionWeights:
-    """Force a rule's output into the floored simplex over ``d`` coordinates."""
-    if not (isinstance(out, SelectionWeights) and out.epsilon == epsilon):
-        out = make_selection_weights(
-            out.weights if isinstance(out, SelectionWeights) else out, epsilon
-        )
+def _checked_weights(out, epsilon: float, d: int) -> SelectionWeights:
+    """A weight rule's output, refused unless it is a :class:`SelectionWeights`
+    on the floor ``epsilon`` over ``d`` coordinates."""
+    if not isinstance(out, SelectionWeights):
+        raise TypeError(f"a weight rule must return SelectionWeights, got {out!r}")
+    if out.epsilon != epsilon:
+        raise ValueError(f"weights on floor {out.epsilon!r}, run floor {epsilon!r}")
     _check_dimension("weights", out.d, d)
     return out
 
 
-def _coerce_gamma(out, d: int) -> tuple:
-    """Validate proposal parameters: ``d`` of them, each finite and positive.
-    A tuple of Python floats is immutable and kept as it is; anything else (a
-    list, an array, a tuple of other numbers) is first copied into one."""
+def _checked_gamma(out, d: int) -> tuple:
+    """Proposal parameters, refused unless they are a tuple of ``d`` finite,
+    positive Python floats."""
     if type(out) is not tuple or any(type(g) is not float for g in out):
-        out = tuple(float(g) for g in out)
+        raise TypeError(f"proposal parameters must be a tuple of Python floats, got {out!r}")
     _check_dimension("proposal parameters", len(out), d)
     for i, g in enumerate(out):
         if not 0.0 < g < math.inf:
@@ -180,7 +179,7 @@ def keep_previous(n, prev, x_prev):
     As the weight rule it turns :func:`adap_rsg_run` into the fixed-weight
     sampler RSG(alpha0); as the proposal rule it fixes the proposals of
     :func:`adap_rs_adap_mwg_run`.  The loops recognise their own object coming
-    back and skip re-coercing and re-validating it.
+    back and take it without a check.
     """
     return prev
 
@@ -189,19 +188,19 @@ def _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer=None):
     """The loop both samplers run, in the step order of the module docstring:
     ``draw()`` gives the uniform that picks the coordinate, ``move(n, x, i)``
     returns its ``(new value, accepted)``.  Returns the per-step records
-    ``(coordinates, values, accepted, alphas)``."""
+    ``(coordinates, values, accepted)``."""
     d = len(x0)
     _check_dimension("weights", alpha0.d, d)
     x = x0
     alpha = alpha0
     epsilon = alpha0.epsilon
-    coords, values, accepted, alphas = [], [], [], []
+    coords, values, accepted = [], [], []
     if observer is not None:
         observer(0, x, None, None)
     for n in range(1, n_steps + 1):
         out = weight_rule(n, alpha, x)
         if out is not alpha:
-            alpha = _coerce_weights(out, epsilon, d)
+            alpha = _checked_weights(out, epsilon, d)
         i = bisect_right(alpha.cumulative, draw())
         y, ok = move(n, x, i)
         if y != x[i]:
@@ -209,10 +208,9 @@ def _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer=None):
         coords.append(i)
         values.append(y)
         accepted.append(ok)
-        alphas.append(alpha.weights)
         if observer is not None:
             observer(n, x, i, ok)
-    return coords, values, accepted, tuple(alphas)
+    return coords, values, accepted
 
 
 def adap_rsg_run(
@@ -225,12 +223,11 @@ def adap_rsg_run(
 ) -> Trajectory:
     """Adaptive random scan Gibbs sampler.
 
-    Per step, in this order: set ``alpha_n = rule(n, alpha_prev, x_prev)``
-    (coerced into the floored simplex), choose the coordinate from
-    ``alpha_n``, redraw it from its exact conditional by inverting
-    ``target.conditional_cdf``.  A rule that returns ``alpha_prev`` itself
-    (such as :func:`keep_previous`) costs no coercion: the weights are an
-    immutable :class:`SelectionWeights`, which caches its cumulative sums.
+    Per step, in this order: set ``alpha_n = rule(n, alpha_prev, x_prev)``,
+    choose the coordinate from ``alpha_n``, redraw it from its exact
+    conditional by inverting ``target.conditional_cdf``.  The rule returns
+    weights under the contract of the module docstring; a
+    :class:`SelectionWeights` caches its cumulative sums.
     """
     _check_n_steps(n_steps)
     x0 = _check_initial_state(target, x0)
@@ -238,8 +235,7 @@ def adap_rsg_run(
 
     def move(n, x, i):
         values, cum = target.conditional_cdf(i, x)
-        u = draw()
-        return (values[bisect_right(cum, u)] if len(values) > 1 else values[0]), True
+        return values[bisect_right(cum, draw())], True
 
     return Trajectory(x0, *_random_scan(rule, move, x0, alpha0, n_steps, draw), seed)
 
@@ -251,7 +247,7 @@ def adap_rs_adap_mwg_run(
     proposal_rule: Callable,
     x0,
     alpha0: SelectionWeights,
-    gamma0: Sequence[float],
+    gamma0: tuple,
     n_steps: int,
     seed: int,
     observer: Optional[Callable] = None,
@@ -276,13 +272,10 @@ def adap_rs_adap_mwg_run(
     recomputed on every step, unless the target declares
     ``INDEPENDENT_COORDINATES``: then it is the one stored when that
     coordinate last moved.  Rejected steps keep the state and are recorded
-    with ``accepted=False``.  As in :func:`adap_rsg_run`, a rule that returns
-    the object it was given (``alpha_prev`` or ``gamma_prev``) is taken as
-    is.  A new tuple of Python floats is validated once and then kept, so a
-    rule that returns the same tuple until it next adapts (as
-    :class:`~adagibbs.adaptation.ComponentwiseAdaptation` does between batch
-    boundaries) is checked once per change; lists, arrays and other tuples
-    are copied and validated on every return.
+    with ``accepted=False``.  Both rules return under the contract of the
+    module docstring, so a rule that returns the same object until it next
+    adapts (as :class:`~adagibbs.adaptation.ComponentwiseAdaptation` does
+    between batch boundaries) is checked once per change.
     """
     _check_n_steps(n_steps)
     x0 = tuple(x0)
@@ -297,17 +290,14 @@ def adap_rs_adap_mwg_run(
     rng = generator(seed)
     draw = rng.random
     d = len(x0)
-    gamma = _coerce_gamma(gamma0, d)
-    gammas = []
+    gamma = _checked_gamma(gamma0, d)
 
     def move(n, x, i):
         nonlocal gamma
         gamma_i = gamma[i]
         gamma_n = proposal_rule(n, gamma, x)
         if gamma_n is not gamma:
-            gamma_n = _coerce_gamma(gamma_n, d)
-        gammas.append(gamma_n)
-        gamma = gamma_n
+            gamma = _checked_gamma(gamma_n, d)
         xi = x[i]
         current = densities[i] if reuse else conditional_density(i, x, xi)
         y = propose(rng, i, xi, gamma_i)
@@ -318,22 +308,17 @@ def adap_rs_adap_mwg_run(
         return xi, False
 
     records = _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer)
-    return Trajectory(x0, *records, seed, gammas=tuple(gammas))
+    return Trajectory(x0, *records, seed)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path):
-    """Serialise a run: step, coordinate, accepted, x_1..x_d, alpha_1..alpha_d.
+    """Serialise a run: step, coordinate, accepted, x_1..x_d.
 
     Row 0 carries the initial state with coordinate 0 and accepted 1 as
     placeholders; real steps use 1-based coordinate labels to match the
-    ``x_i`` / ``alpha_i`` column names.  Metropolis-within-Gibbs runs append
-    ``gamma_1..gamma_d`` columns (constant ones when the proposals are fixed).
+    ``x_i`` column names.
     """
-    histories = {"alpha": trajectory.alphas}
-    if trajectory.gammas is not None:
-        histories["gamma"] = trajectory.gammas
-    header = ["step", "coordinate", "accepted"]
-    header += [f"{name}_{k}" for name in ("x", *histories) for k in range(1, trajectory.d + 1)]
+    header = ["step", "coordinate", "accepted", *(f"x_{k}" for k in range(1, trajectory.d + 1))]
     steps = zip((trajectory.coordinates + 1).tolist(), trajectory.accepted.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -341,10 +326,7 @@ def write_trajectory_csv(trajectory: Trajectory, path):
         for n, (state, (coordinate, accepted)) in enumerate(
             zip(trajectory.states.tolist(), [(0, True), *steps])
         ):
-            row = [n, coordinate, int(accepted)] + [repr(v) for v in state]
-            for history in histories.values():  # row 0 repeats step 1's
-                row += [repr(float(v)) for v in history[max(n - 1, 0)]]
-            writer.writerow(row)
+            writer.writerow([n, coordinate, int(accepted)] + [repr(v) for v in state])
 
 
 def read_trajectory_csv(path) -> dict:

@@ -2,12 +2,14 @@
 
 Each one is the plain statement of a quantity that the package computes by a
 faster or more specialised path, kept here so the fast path can be compared
-with it.
+with it.  Beside them, the two rules several test files apply: a rule's
+record of what the loop used, and the comparison of a result with its pin.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 from adagibbs.bounds import ENTRYWISE_TOL
 from adagibbs.kernels import (
@@ -15,6 +17,40 @@ from adagibbs.kernels import (
     TransitionMatrix,
     single_coordinate_kernel,
 )
+
+
+def recording(rule, record):
+    """``rule`` that appends each output to ``record``: under the sampler
+    contract, the very object the loop used at that step, so the record
+    stands in for a per-step weight or proposal history."""
+
+    def recorded(n, prev, x_prev):
+        out = rule(n, prev, x_prev)
+        record.append(out)
+        return out
+
+    return recorded
+
+
+def assert_pinned(actual, pinned, where=()):
+    """Compare a result with its pin: floats to 1e-9 relative (1e-12 absolute
+    for values near zero), lists and dicts entry by entry, anything else
+    exactly and of the same type."""
+    if isinstance(pinned, float):
+        assert actual == pytest.approx(pinned, rel=1e-9, abs=1e-12), where
+        return
+    assert type(actual) is type(pinned), where
+    if isinstance(pinned, dict):
+        assert sorted(actual) == sorted(pinned), where
+        for key, value in pinned.items():
+            assert_pinned(actual[key], value, (*where, key))
+    elif isinstance(pinned, list):
+        assert len(actual) == len(pinned), where
+        for k, (got, value) in enumerate(zip(actual, pinned)):
+            assert_pinned(got, value, (*where, k))
+    else:
+        assert actual == pinned, where
+
 
 # Variance of the raised cosine density on [-1, 1].
 RAISED_COSINE_VARIANCE = 1.0 / 3.0 - 2.0 / math.pi**2

@@ -6,8 +6,17 @@ experiment functions the CLI dispatches to, using the configs shipped in
 --config configs/<name>.json --check``).  One PASS/FAIL line per criterion
 is printed with the measured numbers and runtime; run with ``pytest -s`` to
 see them.
+
+The shipped outputs are pinned, so that a change that moves one must edit
+its pin and say why.  Tables computed without a BLAS or LAPACK call (the
+``counterexample`` final heights and traces, the ``optimal-scan`` batches)
+are pinned by the SHA-256 of the bytes the harness writes; every summary and
+the ``counterexample`` slopes (a least-squares fit) are pinned to 1e-9
+relative, or 1e-12 absolute near zero.  The pins were recorded with numpy 2.4
+on x86-64 Linux.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -17,6 +26,7 @@ import pytest
 
 from adagibbs.experiments import (
     ExperimentConfig,
+    _write_table,
     bounds_experiment,
     counterexample_experiment,
     geometric_gap_experiment,
@@ -25,6 +35,7 @@ from adagibbs.experiments import (
     truncated_ladder_experiment,
 )
 from adagibbs.ladder import _TOTAL_MASS, _mass, truncated_ladder_target
+from oracles import assert_pinned
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -51,12 +62,79 @@ def timed(fn, config):
     return result, time.perf_counter() - start
 
 
+def table_sha256(tmp_path, tables):
+    """SHA-256 of ``(header, rows)`` tables, in turn, as the harness writes
+    each to its CSV file."""
+    digest = hashlib.sha256()
+    path = tmp_path / "table.csv"
+    for header, rows in tables:
+        _write_table(path, header, rows)
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+PINNED_SUMMARIES = {
+    "lazy_variance": {"max_residual": 2.0961010704922955e-13, "tolerance": 1e-10},
+    "lipschitz": {"lipschitz": "0 violations over 100 weight pairs"},
+    "uniform": {"uniform": "0 violations over 2000 weight draws"},
+    "strong": {"strong": "0 violations over 50 chains"},
+    "counterexample": {"escapes": 20, "contained": 18, "n_runs": 20,
+                       "final_threshold": 500, "control_threshold": 50},
+    "truncated_ladder": {"horizon": 13498, "reached": True, "tv_target": 0.001,
+                         "final_tv": 0.0009999875962464007, "schedule": "linear"},
+    "geometric_gap": {"proposal_gap": 4.656612870638467e-10,
+                      "kernel_gap": 0.49999998882424257},
+    "optimal_scan": {
+        "weight_gap": 0.029370791664311002,
+        "ideal_weights": [0.5161290322580645, 0.25806451612903225, 0.12903225806451613,
+                          0.06451612903225806, 0.03225806451612903],
+        "final_weights": [0.5301092813195495, 0.24966269508423877, 0.1266936281078864,
+                          0.05920011953423869, 0.03433427595408665],
+        "window_acceptance": [0.4416697726425643, 0.43532145623547636, 0.5158878504672897,
+                              0.4318181818181818, 0.4028776978417266],
+        "variance_ratio": 0.5691721092071976,
+        "theory_ratio": 0.5636363636363636,
+        "ratio_limit": 0.7045454545454545,
+        "tau_adaptive": 13.656772639587308,
+        "var_adaptive": 0.1754168127910921,
+        "tau_uniform": 24.036766917309343,
+        "var_uniform": 0.1751054375818011,
+    },
+}
+# The runs table's arm, run, seed and final-height columns; every trace table.
+PINNED_COUNTEREXAMPLE_HEIGHTS_SHA256 = (
+    "748d6892a3f55255c9ca189689377fba5701a9b69617a43c73d136270ce309f5"
+)
+PINNED_COUNTEREXAMPLE_TRACES_SHA256 = (
+    "98245b557a7f8948a6ba0e7c3462f4d719c0bd2aa49bcbd506e02c8e41de87a2"
+)
+# The runs table's last-half slopes: 20 adaptive runs, then 20 control runs.
+PINNED_COUNTEREXAMPLE_SLOPES = [
+    0.15148033089569812, 0.1480864464954132, 0.14912865239515347, 0.14955090116251357,
+    0.15210364194876005, 0.15208008126977965, 0.15152187619312293, 0.15055535628774644,
+    0.15230113376997284, 0.1530482628519663, 0.15094770905989818, 0.15382891343483476,
+    0.14928508661844675, 0.15190812675829207, 0.1527727985663797, 0.15143261317918302,
+    0.15040438820112043, 0.14911774193420577, 0.1535978962176847, 0.15012634759149146,
+    5.275723615562487e-05, 1.2657101395790545e-05, -6.247645072297557e-05,
+    -1.308914372890495e-05, -1.0636843476881927e-05, -3.824255021639776e-07,
+    -4.308104102307348e-06, 2.306335154045657e-06, 0.0020107112856662915,
+    6.517977140157179e-06, 0.0003797850888148431, 1.730650111608785e-05,
+    -2.5089181253053483e-05, 0.0003689540710685726, -9.49805257324719e-06,
+    8.934209188301333e-06, 3.527257414533324e-05, 1.3304093551743644e-05,
+    -1.234137192381155e-05, -2.154230926821001e-05,
+]
+PINNED_OPTIMAL_SCAN_BATCHES_SHA256 = (
+    "a84e1a626f00ea63abb91d606281fc1c68b0154654e2fb57f96ff7cd0041c666"
+)
+
+
 def test_criterion_1_lazy_variance_identity():
     config = load_config("lazy_variance.json")
     assert config.params["n_chains"] == 100
     assert config.params["tolerance"] == 1e-10
     result, elapsed = timed(lazy_variance_experiment, config)
     report(1, "lazy-variance identity", result, elapsed, budget=5.0)
+    assert_pinned(result.summary, PINNED_SUMMARIES["lazy_variance"])
 
 
 def test_criterion_2_tv_lipschitz_bound():
@@ -65,6 +143,7 @@ def test_criterion_2_tv_lipschitz_bound():
     assert config.params["epsilon"] == 0.1
     result, elapsed = timed(bounds_experiment, config)
     report(2, "weight-TV Lipschitz bound", result, elapsed, budget=10.0)
+    assert_pinned(result.summary, PINNED_SUMMARIES["lipschitz"])
 
 
 def test_criterion_3_uniform_ergodicity_bound():
@@ -73,14 +152,37 @@ def test_criterion_3_uniform_ergodicity_bound():
     assert config.params["horizon"] == 200
     result, elapsed = timed(bounds_experiment, config)
     report(3, "uniform ergodicity bound", result, elapsed, budget=30.0)
+    assert_pinned(result.summary, PINNED_SUMMARIES["uniform"])
 
 
-def test_criterion_4_counterexample_transience():
-    config = load_config("counterexample.json", emit_traces=False)
+@pytest.fixture(scope="module")
+def counterexample_result():
+    config = load_config("counterexample.json")
     assert config.params["n_steps"] == 100_000
     assert config.params["n_runs"] == 20
-    result, elapsed = timed(counterexample_experiment, config)
+    assert config.params["emit_traces"]
+    return timed(counterexample_experiment, config)
+
+
+def test_criterion_4_counterexample_transience(counterexample_result):
+    result, elapsed = counterexample_result
     report(4, "ladder transience vs control", result, elapsed, budget=60.0)
+
+
+def test_shipped_counterexample_outputs_are_pinned(counterexample_result, tmp_path):
+    result, _ = counterexample_result
+    assert_pinned(result.summary, PINNED_SUMMARIES["counterexample"])
+    header, rows = result.tables["runs"]
+    assert header[4] == "last_half_slope"
+    heights = (header[:4], [row[:4] for row in rows])
+    assert table_sha256(tmp_path, [heights]) == PINNED_COUNTEREXAMPLE_HEIGHTS_SHA256
+    assert_pinned([row[4] for row in rows], PINNED_COUNTEREXAMPLE_SLOPES)
+    traces = sorted(name for name in result.tables if name != "runs")
+    assert len(traces) == 41
+    assert (
+        table_sha256(tmp_path, [result.tables[name] for name in traces])
+        == PINNED_COUNTEREXAMPLE_TRACES_SHA256
+    )
 
 
 def test_control_check_false_failure_rate_under_the_stationary_tail():
@@ -107,6 +209,7 @@ def test_criterion_5_truncated_ladder_ergodicity():
     result, elapsed = timed(truncated_ladder_experiment, config)
     print(f"  truncated-ladder horizon: {result.summary['horizon']} steps")
     report(5, "truncated ladder ergodicity", result, elapsed, budget=60.0)
+    assert_pinned(result.summary, PINNED_SUMMARIES["truncated_ladder"])
 
 
 def test_criterion_6_geometric_gap():
@@ -114,6 +217,7 @@ def test_criterion_6_geometric_gap():
     assert config.params["kernel_band"] == (0.45, 0.5)
     result, elapsed = timed(geometric_gap_experiment, config)
     report(6, "proposal-vs-kernel gap example", result, elapsed, budget=5.0)
+    assert_pinned(result.summary, PINNED_SUMMARIES["geometric_gap"])
 
 
 def test_criterion_7_strong_uniform_constants():
@@ -121,6 +225,7 @@ def test_criterion_7_strong_uniform_constants():
     assert config.params["n_chains"] == 50
     result, elapsed = timed(bounds_experiment, config)
     report(7, "strong-uniform constants", result, elapsed, budget=10.0)
+    assert_pinned(result.summary, PINNED_SUMMARIES["strong"])
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +257,9 @@ def test_criterion_9_acceptance_rate_targeting(optimal_scan_result):
         checks={k: v for k, v in result.checks.items() if k == "acceptance_targeted"},
     )
     report(9, "batch acceptance targeting", partial, elapsed, budget=300.0)
+
+
+def test_shipped_optimal_scan_outputs_are_pinned(optimal_scan_result, tmp_path):
+    result, _ = optimal_scan_result
+    assert_pinned(result.summary, PINNED_SUMMARIES["optimal_scan"])
+    assert table_sha256(tmp_path, [result.tables["batches"]]) == PINNED_OPTIMAL_SCAN_BATCHES_SHA256

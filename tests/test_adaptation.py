@@ -14,7 +14,7 @@ from adagibbs.ladder import ladder_update_rule, schedule_a
 from adagibbs.samplers import adap_rs_adap_mwg_run, gaussian_random_walk
 from adagibbs.targets import ContinuousProductTarget
 from adagibbs.weights import SelectionWeights, make_selection_weights
-from oracles import RAISED_COSINE_VARIANCE
+from oracles import RAISED_COSINE_VARIANCE, recording
 
 
 def drive(adaptation, states, coordinate=0, accepted=True):
@@ -109,15 +109,19 @@ def test_unknown_variant_rejected():
 
 
 def run_componentwise(variant, n_batches, seed, scales=(1.0, 2.0)):
+    """Run the doubly adaptive sampler under ``ComponentwiseAdaptation``:
+    returns the adaptation, the trajectory and the ``(alphas, gammas)`` its
+    rules handed the loop, one per step."""
     target = ContinuousProductTarget(scales)
     adaptation = ComponentwiseAdaptation(variant, (1.0,) * len(scales), 0.1)
     d = len(scales)
     alpha0 = SelectionWeights((1.0 / d,) * d, 0.1)
+    alphas, gammas = [], []
     trajectory = adap_rs_adap_mwg_run(
         target,
         gaussian_random_walk,
-        adaptation.weight_rule,
-        adaptation.proposal_rule,
+        recording(adaptation.weight_rule, alphas),
+        recording(adaptation.proposal_rule, gammas),
         (0.0,) * d,
         alpha0,
         adaptation.proposal_variances,
@@ -125,7 +129,7 @@ def run_componentwise(variant, n_batches, seed, scales=(1.0, 2.0)):
         seed,
         observer=adaptation.observer,
     )
-    return adaptation, trajectory
+    return adaptation, trajectory, (alphas, gammas)
 
 
 def replay_batches(variant, trajectory, a, epsilon):
@@ -187,7 +191,7 @@ def replay_batches(variant, trajectory, a, epsilon):
 @pytest.mark.parametrize("variant, seed", [("hst", 41), ("rr", 43)])
 def test_batch_refresh_matches_straight_line_replay(variant, seed):
     n_batches = 120
-    adaptation, traj = run_componentwise(variant, n_batches, seed=seed)
+    adaptation, traj, used = run_componentwise(variant, n_batches, seed=seed)
     entries = replay_batches(variant, traj, (1.0, 1.0), 0.1)
     assert len(entries) == len(adaptation.batch_log) == n_batches
     for got, want in zip(adaptation.batch_log, entries):
@@ -197,21 +201,24 @@ def test_batch_refresh_matches_straight_line_replay(variant, seed):
     first_variance = 1.0 if variant == "rr" else 2.4**2 * 0.05
     gammas = [(first_variance,) * 2] + [e["variances"] for e in entries]
     alphas = [(0.5, 0.5)] + [e["weights"] for e in entries]
+    used_alphas, used_gammas = used
+    assert len(used_alphas) == len(used_gammas) == traj.n_steps
     for n in range(traj.n_steps):
-        assert traj.gammas[n] == gammas[n // 50]
-        assert traj.alphas[n] == alphas[n // 50]
+        assert used_gammas[n] == gammas[n // 50]
+        assert used_alphas[n].weights == alphas[n // 50]
 
 
 @pytest.mark.parametrize("variant", ["hst", "rr"])
 def test_rules_hand_out_one_object_per_batch(variant):
     n_batches = 40
-    adaptation, traj = run_componentwise(variant, n_batches, seed=47)
-    assert len({id(g) for g in traj.gammas}) <= n_batches + 1
-    assert traj.gammas[-1] is adaptation.batch_log[-2]["variances"]
+    adaptation, _, (alphas, gammas) = run_componentwise(variant, n_batches, seed=47)
+    assert len({id(g) for g in gammas}) <= n_batches + 1
+    assert len({id(w) for w in alphas}) <= n_batches + 1
+    assert gammas[-1] is adaptation.batch_log[-2]["variances"]
 
 
 def test_hst_variance_stabilises_near_moment_rule():
-    adaptation, _ = run_componentwise("hst", 400, seed=13)
+    adaptation, _, _ = run_componentwise("hst", 400, seed=13)
     for i, scale in enumerate((1.0, 2.0)):
         expected = 5.76 * (RAISED_COSINE_VARIANCE / scale**2 + 0.05)
         final = adaptation.proposal_variances[i]
@@ -219,7 +226,7 @@ def test_hst_variance_stabilises_near_moment_rule():
 
 
 def test_rr_acceptance_enters_target_band():
-    adaptation, _ = run_componentwise("rr", 300, seed=17)
+    adaptation, _, _ = run_componentwise("rr", 300, seed=17)
     window = adaptation.batch_log[200:]
     for i in range(2):
         accepts = sum(e["accepts"][i] for e in window)
@@ -229,8 +236,8 @@ def test_rr_acceptance_enters_target_band():
 
 
 def test_rr_scale_replay_is_deterministic():
-    adaptation_a, traj_a = run_componentwise("rr", 50, seed=23)
-    adaptation_b, traj_b = run_componentwise("rr", 50, seed=23)
+    adaptation_a, traj_a, _ = run_componentwise("rr", 50, seed=23)
+    adaptation_b, traj_b, _ = run_componentwise("rr", 50, seed=23)
     assert np.array_equal(traj_a.states, traj_b.states)
     assert adaptation_a.batch_log == adaptation_b.batch_log
     assert adaptation_a.log_scales == adaptation_b.log_scales
@@ -251,7 +258,7 @@ def test_monitor_ladder_rule_gap_bound():
     history = []
     state = (1, 1)
     for n in range(1, 2_001):
-        history.append(ladder_update_rule(state, n))
+        history.append(ladder_update_rule(n, None, state))
         if rng.random() < 0.4:
             i, j = state
             state = (i + 1, i) if i == j else (i, i)
@@ -268,7 +275,7 @@ def test_monitor_flags_growing_tail():
 
 
 def test_hst_weight_gap_decays_like_reciprocal_time():
-    adaptation, _ = run_componentwise("hst", 512, seed=37)
+    adaptation, _, _ = run_componentwise("hst", 512, seed=37)
     weights = [entry["weights"] for entry in adaptation.batch_log]
     report = diminishing_monitor(weights)
     gaps = report.gaps

@@ -22,6 +22,7 @@ from adagibbs.experiments import (
 from adagibbs.samplers import adap_rsg_run, keep_previous, write_trajectory_csv
 from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget
 from adagibbs.weights import make_selection_weights
+from oracles import assert_pinned
 
 
 SMALL_COUNTEREXAMPLE = {
@@ -553,27 +554,15 @@ PINNED_SMALL_RUNS = {
 }
 
 
-def _assert_values_match(actual, expected, where):
-    if isinstance(expected, float):
-        assert actual == pytest.approx(expected, rel=1e-9, abs=1e-12), where
-    else:
-        assert type(actual) is type(expected) and actual == expected, where
-
-
 @pytest.mark.parametrize("kind", sorted(PINNED_SMALL_RUNS))
 def test_small_run_outputs_are_pinned(kind):
     summary, tables = PINNED_SMALL_RUNS[kind]
     result = EXPERIMENT_FUNCTIONS[kind](ExperimentConfig.from_dict(SMALL_CONFIGS[kind]))
-    assert sorted(result.summary) == sorted(summary)
-    for name, value in summary.items():
-        _assert_values_match(result.summary[name], value, name)
+    assert_pinned(result.summary, summary)
     assert sorted(result.tables) == sorted(tables)
     for name, ends in tables.items():
         rows = result.tables[name][1]
-        for label, row, pinned in zip(("first", "last"), (rows[0], rows[-1]), ends):
-            assert len(row) == len(pinned), (name, label)
-            for column, (cell, value) in enumerate(zip(row, pinned)):
-                _assert_values_match(cell, value, (name, label, column))
+        assert_pinned([rows[0], rows[-1]], list(ends), (name,))
 
 
 def _snapshot(path):

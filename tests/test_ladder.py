@@ -31,12 +31,12 @@ def test_ladder_state_invariants():
     target = LadderTarget()
     assert target.contains((3, 3))
     assert target.contains((4, 3))
-    ladder_update_rule((3, 3), 1)
-    ladder_update_rule((4, 3), 1)
+    ladder_update_rule(1, None, (3, 3))
+    ladder_update_rule(1, None, (4, 3))
     for off_ladder in ((3, 4), (5, 3), (0, 0)):
         assert not target.contains(off_ladder)
         with pytest.raises(ValueError):
-            ladder_update_rule(off_ladder, 1)
+            ladder_update_rule(1, None, off_ladder)
 
 
 def test_schedule_first_blocks():
@@ -65,20 +65,20 @@ def test_schedule_block_structure():
 
 
 def test_update_rule_values():
-    assert ladder_update_rule((2, 2), 1).weights == pytest.approx((0.9, 0.1))
-    assert ladder_update_rule((3, 2), 1).weights == pytest.approx((0.1, 0.9))
+    assert ladder_update_rule(1, None, (2, 2)).weights == pytest.approx((0.9, 0.1))
+    assert ladder_update_rule(1, None, (3, 2)).weights == pytest.approx((0.1, 0.9))
 
 
 def test_update_rule_limit_and_floor():
     # tilt 4/a_n shrinks to zero and never grows
     last = math.inf
     for n in (1, 1000, 1001, 5000, 50_000, 500_000):
-        w = ladder_update_rule((4, 4), n).weights
+        w = ladder_update_rule(n, None, (4, 4)).weights
         tilt = max(abs(v - 0.5) for v in w)
         assert tilt == pytest.approx(4.0 / schedule_a(n), abs=1e-15)
         assert tilt <= last + 1e-15
         last = tilt
-    assert LADDER_EPSILON == pytest.approx(0.1)
+    assert LADDER_EPSILON == 0.5 - 4 / 10
 
 
 def test_update_rule_matches_straight_line_block_replay():
@@ -92,8 +92,8 @@ def test_update_rule_matches_straight_line_block_replay():
         boundary += length
         tilt = 4.0 / (10.0 + math.log(k))
         while n <= boundary:
-            diagonal = ladder_update_rule((6, 6), n)
-            off_diagonal = ladder_update_rule((7, 6), n)
+            diagonal = ladder_update_rule(n, None, (6, 6))
+            off_diagonal = ladder_update_rule(n, None, (7, 6))
             assert diagonal.weights == (0.5 + tilt, 0.5 - tilt), n
             assert off_diagonal.weights == (0.5 - tilt, 0.5 + tilt), n
             assert diagonal.epsilon == off_diagonal.epsilon == 0.5 - 4 / 10
@@ -108,14 +108,14 @@ def test_update_rule_hands_out_two_objects_per_block():
         hi = int(sched.block_boundary(k))
         steps = (lo, (lo + hi) // 2, hi)
         # the lists keep every object alive, so equal ids mean one object
-        diagonal = [ladder_update_rule((i, i), n) for n in steps for i in (1, 2, 40)]
+        diagonal = [ladder_update_rule(n, None, (i, i)) for n in steps for i in (1, 2, 40)]
         off_diagonal = [
-            ladder_update_rule((i + 1, i), n) for n in steps for i in (1, 2, 40)
+            ladder_update_rule(n, None, (i + 1, i)) for n in steps for i in (1, 2, 40)
         ]
         assert len({id(w) for w in diagonal}) == 1, k
         assert len({id(w) for w in off_diagonal}) == 1, k
         assert diagonal[0] is not off_diagonal[0]
-        assert ladder_update_rule((1, 1), hi + 1) is not diagonal[0]
+        assert ladder_update_rule(hi + 1, None, (1, 1)) is not diagonal[0]
 
 
 def test_conditionals():
@@ -330,15 +330,11 @@ def test_unbounded_law_is_exact_at_finite_horizons():
 
     # dual route: empirical frequencies of the sampled adaptive chain
     target = LadderTarget()
-    alpha0 = SelectionWeights((0.5, 0.5), 0.1)
-
-    def rule(n, alpha_prev, x_prev):
-        return ladder_update_rule(x_prev, n)
-
+    alpha0 = SelectionWeights((0.5, 0.5), LADDER_EPSILON)
     n_rep = 4000
     counts = {}
     for r in range(n_rep):
-        traj = adap_rsg_run(target, rule, (1, 1), alpha0, 25, derive_seed(99, r))
+        traj = adap_rsg_run(target, ladder_update_rule, (1, 1), alpha0, 25, derive_seed(99, r))
         counts[traj.final_state] = counts.get(traj.final_state, 0) + 1
     index = {x: k for k, x in enumerate(law.states)}
     for x, c in counts.items():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from adagibbs.kernels import mwg_kernel_matrix, gibbs_kernel_matrix
-from adagibbs.ladder import LadderTarget, ladder_update_rule, schedule_a
+from adagibbs import samplers, weights
+from adagibbs.ladder import LADDER_EPSILON, LadderTarget, ladder_update_rule, schedule_a
 from adagibbs.samplers import (
     Trajectory,
     adap_rs_adap_mwg_run,
@@ -23,7 +24,7 @@ from adagibbs.samplers import (
 from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget
 from adagibbs.variance import ReversibleChain, spectral_asymptotic_variance
 from adagibbs.weights import SelectionWeights, make_selection_weights
-from oracles import stationary_distribution
+from oracles import recording, stationary_distribution
 
 
 def rsg_run(target, alpha, x0, n_steps, seed):
@@ -139,8 +140,8 @@ def test_rsg_transition_frequencies_chi_square():
 
 
 def test_fresh_equal_weights_match_keep_previous():
-    """A rule handing back new but equal weights goes through coercion every
-    step and must land on the trajectory the identity skip produces."""
+    """A rule handing back new but equal weights is checked every step and
+    must land on the trajectory the identity skip produces."""
     target = small_target()
     alpha = make_selection_weights((0.4, 0.6), 0.1)
 
@@ -151,40 +152,77 @@ def test_fresh_equal_weights_match_keep_previous():
     t_kept = rsg_run(target, alpha, (0, 0), 2_000, seed=5)
     assert np.array_equal(t_fresh.states, t_kept.states)
     assert np.array_equal(t_fresh.coordinates, t_kept.coordinates)
-    assert t_fresh.alphas == t_kept.alphas == (alpha.weights,) * 2_000
-
-
-def test_mutated_weight_list_is_honoured_every_step():
-    """A rule that rewrites one list in place and returns it on every step
-    must have each step's values used, never a cached first value."""
-    target = small_target()
-    alpha0 = make_selection_weights((0.5, 0.5), 0.1)
-    shared = [0.5, 0.5]
-
-    def mutating(n, alpha_prev, x_prev):
-        shared[:] = (0.2, 0.8) if n % 2 else (0.7, 0.3)
-        return shared
-
-    traj = adap_rsg_run(target, mutating, (0, 0), alpha0, 200, seed=6)
-    assert traj.alphas == tuple(
-        (0.2, 0.8) if n % 2 else (0.7, 0.3) for n in range(1, 201)
-    )
-    u = generator(6).random(400)
-    expected = tuple(
-        0 if u[2 * n - 2] < (0.2 if n % 2 else 0.7) else 1 for n in range(1, 201)
-    )
-    assert np.array_equal(traj.coordinates, expected)
 
 
 def test_adaptive_rule_nonfinite_output_rejected():
+    """Weights can only hold finite entries as a ``SelectionWeights``, and a
+    rule's output of any other type is refused, not projected."""
     target = small_target()
     alpha = make_selection_weights((0.5, 0.5), 0.1)
 
     def rule(n, alpha_prev, x_prev):
         return (math.inf, 0.5)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="must return SelectionWeights"):
         adap_rsg_run(target, rule, (0, 0), alpha, 5, seed=1)
+
+
+def test_ladder_run_takes_each_new_weight_object_with_one_check(monkeypatch):
+    """The ladder rule hands back its block's two weight objects in turn.  The
+    loop checks an object once, when it differs from the previous step's, and
+    never projects it again: a 3000-step run makes no
+    ``make_selection_weights`` call."""
+    projections = []
+
+    def counting(raw, epsilon):
+        projections.append(raw)
+        return make_selection_weights(raw, epsilon)
+
+    monkeypatch.setattr(weights, "make_selection_weights", counting)
+    monkeypatch.setattr(samplers, "make_selection_weights", counting, raising=False)
+    checked = []
+    check = samplers._checked_weights
+
+    def counting_check(out, epsilon, d):
+        checked.append(out)
+        return check(out, epsilon, d)
+
+    monkeypatch.setattr(samplers, "_checked_weights", counting_check)
+    used = []
+    alpha0 = SelectionWeights((0.5, 0.5), LADDER_EPSILON)
+    adap_rsg_run(
+        LadderTarget(), recording(ladder_update_rule, used), (1, 1), alpha0, 3_000, seed=8
+    )
+    assert projections == []
+    changes = [w for w, prev in zip(used, [alpha0, *used]) if w is not prev]
+    assert 100 < len(changes) < 3_000
+    assert len(checked) == len(changes)
+    assert all(a is b for a, b in zip(checked, changes))
+
+
+@pytest.mark.parametrize(
+    "out, error, match",
+    [
+        ([0.5, 0.5], TypeError, "must return SelectionWeights"),
+        (np.array([0.5, 0.5]), TypeError, "must return SelectionWeights"),
+        ((0.5, 0.5), TypeError, "must return SelectionWeights"),
+        (SelectionWeights((0.5, 0.5), 0.25), ValueError, "floor 0.25, run floor 0.1"),
+    ],
+    ids=["list", "array", "tuple", "other-floor"],
+)
+def test_weight_rule_output_outside_the_contract_raises_at_its_step(out, error, match):
+    """Only a ``SelectionWeights`` on the run's floor is taken: anything else
+    raises at the step that returns it, and is never projected."""
+    alpha = SelectionWeights((0.5, 0.5), 0.1)
+    calls = []
+
+    def rule(n, alpha_prev, x_prev):
+        calls.append(n)
+        return out if n == 50 else alpha_prev
+
+    with pytest.raises(error, match=match):
+        adap_rsg_run(small_target(), rule, (0, 0), alpha, 100, seed=1)
+    assert calls[-1] == 50
 
 
 def test_ladder_run_matches_straight_line_oracle():
@@ -193,12 +231,8 @@ def test_ladder_run_matches_straight_line_oracle():
     n_steps = 1_100
     seed = 31337
     target = LadderTarget()
-    alpha0 = SelectionWeights((0.5, 0.5), 0.1)
-
-    def rule(n, alpha_prev, x_prev):
-        return ladder_update_rule(x_prev, n)
-
-    traj = adap_rsg_run(target, rule, (1, 1), alpha0, n_steps, seed)
+    alpha0 = SelectionWeights((0.5, 0.5), LADDER_EPSILON)
+    traj = adap_rsg_run(target, ladder_update_rule, (1, 1), alpha0, n_steps, seed)
 
     # oracle: inline schedule, rule, conditionals and inverse-CDF draws
     b1 = 1000.0
@@ -235,17 +269,15 @@ def test_ladder_run_matches_straight_line_oracle():
 def test_ladder_weight_history_change_bound():
     n_steps = 3_000
     target = LadderTarget()
-    alpha0 = SelectionWeights((0.5, 0.5), 0.1)
-
-    def rule(n, alpha_prev, x_prev):
-        return ladder_update_rule(x_prev, n)
-
-    traj = adap_rsg_run(target, rule, (1, 1), alpha0, n_steps, seed=8)
+    alpha0 = SelectionWeights((0.5, 0.5), LADDER_EPSILON)
+    used = []
+    adap_rsg_run(target, recording(ladder_update_rule, used), (1, 1), alpha0, n_steps, seed=8)
+    assert len(used) == n_steps
     for n in range(2, n_steps + 1):
         a_now = schedule_a(n)
         a_prev = schedule_a(n - 1)
         gap = max(
-            abs(w1 - w0) for w0, w1 in zip(traj.alphas[n - 2], traj.alphas[n - 1])
+            abs(w1 - w0) for w0, w1 in zip(used[n - 2].weights, used[n - 1].weights)
         )
         assert gap <= 8.0 * abs(1.0 / a_now - 1.0 / a_prev) + 16.0 / a_now + 1e-15
 
@@ -336,14 +368,13 @@ def test_proposal_parameters_of_the_wrong_dimension_are_refused(gamma0):
     "out, d",
     [
         (SelectionWeights((0.3, 0.3, 0.4), 0.1), 3),
-        ((0.3, 0.3, 0.4), 3),
-        (SelectionWeights((1.0,), 0.5), 1),
+        (SelectionWeights((0.2, 0.2, 0.6), 0.1), 3),
+        (SelectionWeights((1.0,), 0.1), 1),
     ],
 )
 def test_weight_rule_output_of_the_wrong_dimension_is_refused(out, d):
-    """Whether the rule hands back weights on the run's floor (kept without
-    coercion), a plain sequence or weights on another floor, a length other
-    than ``len(x0)`` raises at the step that returns it."""
+    """Weights on the run's floor whose length is not ``len(x0)`` raise at
+    the step that returns them."""
     alpha = SelectionWeights((0.5, 0.5), 0.1)
 
     def rule(n, alpha_prev, x_prev):
@@ -466,8 +497,8 @@ def test_mwg_empirical_law_matches_exact_kernel_oracle():
 
 
 def test_fresh_equal_parameters_match_keep_previous():
-    """Rules handing back new but equal weights and gamma tuples are coerced
-    and validated every step and must reproduce the identity-skip run."""
+    """Rules handing back new but equal weights and gamma tuples are checked
+    every step and must reproduce the identity-skip run."""
     target = ContinuousProductTarget((1.0, 2.0))
     alpha = SelectionWeights((0.5, 0.5), 0.25)
     gamma = (0.3, 0.2)
@@ -485,66 +516,73 @@ def test_fresh_equal_parameters_match_keep_previous():
     t_kept = mwg_run(target, gaussian_random_walk, gamma, alpha, (0.0, 0.0), 1_000, seed=11)
     assert np.array_equal(t_fresh.states, t_kept.states)
     assert np.array_equal(t_fresh.accepted, t_kept.accepted)
-    assert t_fresh.gammas == t_kept.gammas == (gamma,) * 1_000
-
-
-def test_mutated_gamma_list_is_honoured_every_step():
-    """A proposal rule that rewrites one list in place and returns it on
-    every step must have each step's values recorded, validated and used."""
-    target = ContinuousProductTarget((1.0, 2.0))
-    alpha = SelectionWeights((0.5, 0.5), 0.25)
-    shared = [0.3, 0.2]
-
-    def mutating(n, gamma_prev, x_prev):
-        shared[:] = (0.1 * n, 0.2)
-        return shared
-
-    traj = adap_rs_adap_mwg_run(
-        target, gaussian_random_walk, keep_previous, mutating,
-        (0.0, 0.0), alpha, (0.3, 0.2), 300, seed=12,
-    )
-    assert traj.gammas == tuple((0.1 * n, 0.2) for n in range(1, 301))
-
-    def turns_bad(n, gamma_prev, x_prev):
-        shared[:] = (0.3, 0.2) if n < 50 else (0.3, -1.0)
-        return shared
-
-    with pytest.raises(ValueError):
-        adap_rs_adap_mwg_run(
-            target, gaussian_random_walk, keep_previous, turns_bad,
-            (0.0, 0.0), alpha, (0.3, 0.2), 100, seed=12,
-        )
 
 
 def test_tuple_of_floats_from_rule_is_recorded_as_is():
-    """A rule's tuple of Python floats is validated once and then kept: the
-    trajectory records that very object.  Tuples of other numbers are copied
-    into Python floats."""
+    """A rule's tuple of Python floats is checked once and then taken as is:
+    the rule is handed back that very object as ``gamma_prev``."""
     target = ContinuousProductTarget((1.0, 2.0))
     alpha = SelectionWeights((0.5, 0.5), 0.25)
-    early, late = tuple([0.3, 0.2]), tuple([0.5, 0.4])
+    gamma0, early, late = tuple([1.0, 1.0]), tuple([0.3, 0.2]), tuple([0.5, 0.4])
+    handed = []
 
     def switching(n, gamma_prev, x_prev):
+        handed.append(gamma_prev)
         return early if n <= 100 else late
 
-    traj = adap_rs_adap_mwg_run(
+    adap_rs_adap_mwg_run(
         target, gaussian_random_walk, keep_previous, switching,
-        (0.0, 0.0), alpha, (1.0, 1.0), 200, seed=13,
+        (0.0, 0.0), alpha, gamma0, 200, seed=13,
     )
-    assert all(g is early for g in traj.gammas[:100])
-    assert all(g is late for g in traj.gammas[100:])
+    assert handed[0] is gamma0
+    assert all(g is early for g in handed[1:101])
+    assert all(g is late for g in handed[101:])
 
-    mixed = (np.float64(0.3), 1)
 
-    def other_numbers(n, gamma_prev, x_prev):
-        return mixed
+# Proposal parameters of the right length and values but not a tuple of
+# Python floats.
+REFUSED_GAMMAS = {
+    "list": [1.0, 1.0],
+    "array": np.array([1.0, 1.0]),
+    "int": (1.0, 1),
+    "numpy-float": (np.float64(1.0), 1.0),
+}
 
-    traj = adap_rs_adap_mwg_run(
-        target, gaussian_random_walk, keep_previous, other_numbers,
-        (0.0, 0.0), alpha, (1.0, 1.0), 50, seed=13,
-    )
-    assert all(g == (0.3, 1.0) and g is not mixed for g in traj.gammas)
-    assert all(type(v) is float for g in traj.gammas for v in g)
+
+@pytest.mark.parametrize("out", list(REFUSED_GAMMAS.values()), ids=list(REFUSED_GAMMAS))
+def test_proposal_rule_output_outside_the_contract_raises_at_its_step(out):
+    """Only a tuple of Python floats is taken: anything else raises at the
+    step that returns it, and is never copied into one."""
+    alpha = SelectionWeights((0.5, 0.5), 0.25)
+    calls = []
+
+    def rule(n, gamma_prev, x_prev):
+        calls.append(n)
+        return out if n == 50 else gamma_prev
+
+    with pytest.raises(TypeError, match="tuple of Python floats"):
+        adap_rs_adap_mwg_run(
+            ContinuousProductTarget((1.0, 2.0)), gaussian_random_walk,
+            keep_previous, rule, (0.0, 0.0), alpha, (1.0, 1.0), 100, seed=1,
+        )
+    assert calls[-1] == 50
+
+
+@pytest.mark.parametrize("gamma0", list(REFUSED_GAMMAS.values()), ids=list(REFUSED_GAMMAS))
+def test_initial_proposal_parameters_outside_the_contract_are_refused(gamma0):
+    alpha = SelectionWeights((0.5, 0.5), 0.25)
+    seen = []
+
+    def observer(n, x, i, accepted):
+        seen.append(n)
+
+    with pytest.raises(TypeError, match="tuple of Python floats"):
+        adap_rs_adap_mwg_run(
+            ContinuousProductTarget((1.0, 2.0)), gaussian_random_walk,
+            keep_previous, keep_previous, (0.0, 0.0), alpha, gamma0, 100, seed=1,
+            observer=observer,
+        )
+    assert seen == []
 
 
 def test_doubly_adaptive_rejects_bad_gamma():
@@ -577,16 +615,13 @@ def test_gaussian_family_sampler_matches_density():
 
 
 def test_trajectory_invariants():
-    alphas = ((0.5, 0.5),)
-    Trajectory((0, 0), (1,), (1.0,), (True,), alphas, 1)
+    Trajectory((0, 0), (1,), (1.0,), (True,), 1)
     with pytest.raises(ValueError, match="step count"):
-        Trajectory((0, 0), (0,), (1.0, 1.0), (True,), alphas, 1)
+        Trajectory((0, 0), (0,), (1.0, 1.0), (True,), 1)
     with pytest.raises(ValueError, match="step count"):
-        Trajectory((0, 0), (1, 1), (1.0, 1.0), (True, True), alphas, 1)
-    with pytest.raises(ValueError, match="gamma"):
-        Trajectory((0, 0), (0,), (1.0,), (True,), alphas, 1, gammas=())
+        Trajectory((0, 0), (1, 1), (1.0, 1.0), (True,), 1)
     with pytest.raises(ValueError, match="coordinates"):
-        Trajectory((0, 0), (2,), (1.0,), (True,), alphas, 1)
+        Trajectory((0, 0), (2,), (1.0,), (True,), 1)
 
 
 def replay_record(trajectory):
@@ -615,12 +650,8 @@ def assert_record_replays(trajectory):
 
 
 def test_ladder_states_match_record_replay():
-    alpha0 = SelectionWeights((0.5, 0.5), 0.1)
-
-    def rule(n, alpha_prev, x_prev):
-        return ladder_update_rule(x_prev, n)
-
-    traj = adap_rsg_run(LadderTarget(), rule, (1, 1), alpha0, 3_000, seed=21)
+    alpha0 = SelectionWeights((0.5, 0.5), LADDER_EPSILON)
+    traj = adap_rsg_run(LadderTarget(), ladder_update_rule, (1, 1), alpha0, 3_000, seed=21)
     assert traj.final_state[0] > 2  # the run climbed the ladder
     assert_record_replays(traj)
 
@@ -647,7 +678,7 @@ def test_derived_states_change_only_the_chosen_coordinate(data):
     x0 = data.draw(st.lists(finite_floats, min_size=d, max_size=d))
     coordinates = data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
     values = data.draw(st.lists(finite_floats, min_size=n, max_size=n))
-    traj = Trajectory(x0, coordinates, values, [True] * n, ((1.0 / d,) * d,) * n, 0)
+    traj = Trajectory(x0, coordinates, values, [True] * n, 0)
     states = traj.states
     changed = states[1:] != states[:-1]
     assert changed.sum(axis=1).max() <= 1
@@ -662,10 +693,11 @@ def test_trajectory_csv_round_trip(tmp_path):
     traj = rsg_run(target, alpha, (0, 0), 50, seed=9)
     path = tmp_path / "run.csv"
     write_trajectory_csv(traj, path)
+    assert path.read_text().splitlines()[0] == "step,coordinate,accepted,x_1,x_2"
     columns = read_trajectory_csv(path)
     assert len(columns["step"]) == 51
     np.testing.assert_allclose(columns["x_1"][1:], [s[0] for s in traj.states[1:]])
-    np.testing.assert_allclose(columns["alpha_2"][1:], [a[1] for a in traj.alphas])
+    np.testing.assert_allclose(columns["x_2"][1:], [s[1] for s in traj.states[1:]])
     assert columns["coordinate"][3] == traj.coordinates[2] + 1
 
 
