@@ -174,12 +174,10 @@ class DiminishingReport:
     nondecreasing_tail: bool
 
 
-def diminishing_monitor(weight_history: Sequence) -> DiminishingReport:
-    """Fold a weight history into diminishing-adaptation diagnostics."""
-    vectors = [
-        w.weights if isinstance(w, SelectionWeights) else tuple(w)
-        for w in weight_history
-    ]
+def diminishing_monitor(weight_history: Sequence[SelectionWeights]) -> DiminishingReport:
+    """Fold a history of ``SelectionWeights`` into diminishing-adaptation
+    diagnostics."""
+    vectors = [w.weights for w in weight_history]
     if len(vectors) < 2:
         raise ValueError("need at least two weight vectors to monitor adaptation")
     gaps = np.asarray(

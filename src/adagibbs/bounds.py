@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import DistributionVector, TransitionMatrix, metropolis_kernel_matrix, sup_row_tv, tv
-from .weights import sup_distance
+from .weights import SelectionWeights, _check_floor, sup_distance
 
 ENTRYWISE_TOL = 1e-12
 
@@ -75,8 +75,7 @@ def uniform_ergodicity_bound(
     """
     if not 0.0 < cert.s <= 1.0:
         raise ValueError(f"bound needs a certificate mass in (0, 1], got {cert.s}")
-    if d < 1 or not 0.0 < epsilon <= 1.0 / d + 1e-12:
-        raise ValueError(f"need 0 < epsilon <= 1/d, got epsilon={epsilon}, d={d}")
+    _check_floor(epsilon, d)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     floor_ratio = epsilon / (1.0 - (d - 1) * epsilon)
@@ -84,17 +83,20 @@ def uniform_ergodicity_bound(
     return (1.0 - mass) ** (n // cert.m)
 
 
-def tv_lipschitz_bound(alpha, alpha_prime, epsilon: float) -> float:
+def tv_lipschitz_bound(alpha: SelectionWeights, alpha_prime: SelectionWeights) -> float:
     """Bound on the worst-row TV distance between two random scan kernels
-    that differ only in their selection weights.
+    that differ only in their selection weights, on their common floor.
 
     Uses the sup norm for the weight gap; the bound is
-    ``delta / (epsilon + delta) <= delta / epsilon``.
+    ``delta / (epsilon + delta) <= delta / epsilon``.  Weights on two floors
+    raise ``ValueError``.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    delta = sup_distance(alpha, alpha_prime)
-    return delta / (epsilon + delta)
+    if alpha.epsilon != alpha_prime.epsilon:
+        raise ValueError(
+            f"weights on two floors: {alpha.epsilon!r} and {alpha_prime.epsilon!r}"
+        )
+    delta = sup_distance(alpha.weights, alpha_prime.weights)
+    return delta / (alpha.epsilon + delta)
 
 
 def strong_uniform_constants(m: int, s: float) -> tuple:
@@ -157,11 +159,6 @@ def proposal_vs_kernel_tv(
     lhs = sup_row_tv(
         metropolis_kernel_matrix(pi, q1), metropolis_kernel_matrix(pi, q2)
     )
-    if lhs > rhs + 1e-12:
-        raise AssertionError(
-            f"kernel gap {lhs} exceeds its guaranteed bound {rhs}; "
-            "mode precondition violated"
-        )
     return lhs, rhs
 
 

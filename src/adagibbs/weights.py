@@ -8,7 +8,8 @@ admissible set is the simplex intersected with a lower floor::
 
 Every weight vector used by the kernels, samplers and bound calculators is a
 :class:`SelectionWeights`, whose constructor is the one place membership in
-this set is checked.
+this set is checked.  Its floor rule also guards the weight-uniform bound,
+which holds over the whole set for a given floor.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ class InvalidEpsilonError(ValueError):
     """Raised when the simplex floor is outside (0, 1/d]."""
 
 
+def _check_floor(epsilon: float, d: int) -> None:
+    """The floor rule: ``0 < epsilon <= 1/d`` (up to float dust) on ``d >= 1``
+    coordinates, the only floors that leave a weight vector."""
+    if d < 1 or not 0.0 < epsilon <= 1.0 / d + SIMPLEX_TOL:
+        raise InvalidEpsilonError(f"epsilon must lie in (0, 1/d] for d={d}, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class SelectionWeights:
     """Probability vector over coordinates with a guaranteed lower floor.
@@ -46,13 +54,9 @@ class SelectionWeights:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        d = len(self.weights)
-        if d < 1:
+        if not self.weights:
             raise InvalidWeightsError("weight vector must have at least one entry")
-        if not (0.0 < self.epsilon <= 1.0 / d + SIMPLEX_TOL):
-            raise InvalidEpsilonError(
-                f"epsilon must lie in (0, 1/d]=(0, {1.0 / d:.6g}], got {self.epsilon}"
-            )
+        _check_floor(self.epsilon, len(self.weights))
         for w in self.weights:
             if not math.isfinite(w):
                 raise InvalidWeightsError(f"non-finite weight entry: {w!r}")
@@ -175,10 +179,8 @@ def mixture_decomposition(
     return MixtureDecomposition(r, tuple(v / total for v in q))
 
 
-def sup_distance(alpha, alpha_prime) -> float:
-    """Sup-norm distance between two weight vectors (plain sequences allowed)."""
-    a = alpha.weights if isinstance(alpha, SelectionWeights) else alpha
-    b = alpha_prime.weights if isinstance(alpha_prime, SelectionWeights) else alpha_prime
+def sup_distance(a: tuple, b: tuple) -> float:
+    """Sup-norm distance between two weight tuples."""
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     return max(abs(x - y) for x, y in zip(a, b))

@@ -9,11 +9,14 @@ see them.
 
 The shipped outputs are pinned, so that a change that moves one must edit
 its pin and say why.  Tables computed without a BLAS or LAPACK call (the
-``counterexample`` final heights and traces, the ``optimal-scan`` batches)
-are pinned by the SHA-256 of the bytes the harness writes; every summary and
-the ``counterexample`` slopes (a least-squares fit) are pinned to 1e-9
-relative, or 1e-12 absolute near zero.  The pins were recorded with numpy 2.4
-on x86-64 Linux.
+``counterexample`` final heights and traces, the ``optimal-scan`` batches,
+the ``geometric-gap`` gaps) are pinned by the SHA-256 of the bytes the
+harness writes; every summary and the ``counterexample`` slopes (a
+least-squares fit) are pinned to 1e-9 relative, or 1e-12 absolute near zero.
+The other tables are pinned by their row count, the SHA-256 of their integer
+and string columns, and each float column's ``math.fsum`` to the same 1e-9
+(:func:`table_fingerprint`).  The pins were recorded with numpy 2.4 on x86-64
+Linux.
 """
 
 import hashlib
@@ -24,6 +27,8 @@ import time
 
 import pytest
 
+from adagibbs import experiments
+from adagibbs.bounds import strong_uniform_constants
 from adagibbs.experiments import (
     ExperimentConfig,
     _write_table,
@@ -71,6 +76,20 @@ def table_sha256(tmp_path, tables):
         _write_table(path, header, rows)
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def table_fingerprint(tmp_path, table):
+    """A table's row count, the SHA-256 of its integer and string columns as
+    the harness writes them, and the ``math.fsum`` of each float column."""
+    header, rows = table
+    floats = [k for k, v in enumerate(rows[0]) if isinstance(v, float)]
+    exact = [k for k in range(len(header)) if k not in floats]
+    exact_table = ([header[k] for k in exact], [[row[k] for k in exact] for row in rows])
+    return {
+        "rows": len(rows),
+        "exact_sha256": table_sha256(tmp_path, [exact_table]),
+        **{f"fsum_{header[k]}": math.fsum(row[k] for row in rows) for k in floats},
+    }
 
 
 PINNED_SUMMARIES = {
@@ -126,33 +145,75 @@ PINNED_COUNTEREXAMPLE_SLOPES = [
 PINNED_OPTIMAL_SCAN_BATCHES_SHA256 = (
     "a84e1a626f00ea63abb91d606281fc1c68b0154654e2fb57f96ff7cd0041c666"
 )
+PINNED_GEOMETRIC_GAPS_SHA256 = (
+    "1bbe296301126a339913b5359f4aee5b56fbb9fdaa686edb40e298f35fc30fcb"
+)
+PINNED_TABLES = {
+    "residuals": {
+        "rows": 500,
+        "exact_sha256": "e07f2d89ff37a1b0da4e2d9e3040d1c55fb52b85e33c366e3fcb3f1b8d3d1d57",
+        "fsum_delta": 280.0,
+        "fsum_lazy_spectral": 2238.1774602467426,
+        "fsum_identity": 2238.177460246742,
+        "fsum_residual": 3.6452707172229815e-12,
+    },
+    "lipschitz": {
+        "rows": 100,
+        "exact_sha256": "9353947d8280c999600127c4cd64792d8e71c4c9a3d6e94c936c88db0e681689",
+        "fsum_exact_sup_tv": 31.024211447733155,
+        "fsum_bound": 69.25568414026964,
+    },
+    "uniform": {
+        "rows": 2000,
+        "exact_sha256": "351d01ff5f5965c6468b2a616b1ff34382b068879f619effaa6213fea7baea63",
+        "fsum_cert_s": 414.0367188960124,
+        "fsum_exact_at_worst_n": 1523.7408091638365,
+        "fsum_bound_at_worst_n": 1992.2319119084802,
+        "fsum_min_margin": 468.4911027446438,
+    },
+    "strong": {
+        "rows": 50,
+        "exact_sha256": "95a12d958cde49d6d0fabd11dacbf90c8b21aeb3aedf0d222dd5e37baa0c1cd2",
+        "fsum_cert_s": 30.950468588560497,
+        "fsum_s_star": 2.4991350900670457,
+        "fsum_min_margin": 4.219774382568463,
+    },
+    "tv_trace": {
+        "rows": 13499,
+        "exact_sha256": "ad637cf1d09db2f79f9c6a343d03c7db40316d82961fb0d3ebbd6b0d2155ec53",
+        "fsum_tv": 73.25439498970582,
+    },
+}
 
 
-def test_criterion_1_lazy_variance_identity():
+def test_criterion_1_lazy_variance_identity(tmp_path):
     config = load_config("lazy_variance.json")
     assert config.params["n_chains"] == 100
     assert config.params["tolerance"] == 1e-10
     result, elapsed = timed(lazy_variance_experiment, config)
     report(1, "lazy-variance identity", result, elapsed, budget=5.0)
     assert_pinned(result.summary, PINNED_SUMMARIES["lazy_variance"])
+    assert_pinned(table_fingerprint(tmp_path, result.tables["residuals"]), PINNED_TABLES["residuals"])
 
 
-def test_criterion_2_tv_lipschitz_bound():
+def test_criterion_2_tv_lipschitz_bound(tmp_path):
     config = load_config("bounds.json", families=["lipschitz"])
     assert config.params["n_targets"] == 100
     assert config.params["epsilon"] == 0.1
     result, elapsed = timed(bounds_experiment, config)
     report(2, "weight-TV Lipschitz bound", result, elapsed, budget=10.0)
     assert_pinned(result.summary, PINNED_SUMMARIES["lipschitz"])
+    assert_pinned(table_fingerprint(tmp_path, result.tables["lipschitz"]), PINNED_TABLES["lipschitz"])
 
 
-def test_criterion_3_uniform_ergodicity_bound():
+def test_criterion_3_uniform_ergodicity_bound(tmp_path):
     config = load_config("bounds.json", families=["uniform"])
     assert config.params["n_alphas"] == 20
     assert config.params["horizon"] == 200
     result, elapsed = timed(bounds_experiment, config)
     report(3, "uniform ergodicity bound", result, elapsed, budget=30.0)
     assert_pinned(result.summary, PINNED_SUMMARIES["uniform"])
+    assert_pinned(table_fingerprint(tmp_path, result.tables["uniform"]), PINNED_TABLES["uniform"])
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +263,7 @@ def test_control_check_false_failure_rate_under_the_stationary_tail():
     assert rate < 1e-5
 
 
-def test_criterion_5_truncated_ladder_ergodicity():
+def test_criterion_5_truncated_ladder_ergodicity(tmp_path):
     config = load_config("truncated_ladder.json")
     assert config.params["truncation"] == 20
     assert config.params["tv_target"] == 1e-3
@@ -210,22 +271,70 @@ def test_criterion_5_truncated_ladder_ergodicity():
     print(f"  truncated-ladder horizon: {result.summary['horizon']} steps")
     report(5, "truncated ladder ergodicity", result, elapsed, budget=60.0)
     assert_pinned(result.summary, PINNED_SUMMARIES["truncated_ladder"])
+    assert_pinned(table_fingerprint(tmp_path, result.tables["tv_trace"]), PINNED_TABLES["tv_trace"])
 
 
-def test_criterion_6_geometric_gap():
+def test_criterion_6_geometric_gap(tmp_path):
     config = load_config("geometric_gap.json")
     assert config.params["kernel_band"] == (0.45, 0.5)
     result, elapsed = timed(geometric_gap_experiment, config)
     report(6, "proposal-vs-kernel gap example", result, elapsed, budget=5.0)
     assert_pinned(result.summary, PINNED_SUMMARIES["geometric_gap"])
+    assert table_sha256(tmp_path, [result.tables["gaps"]]) == PINNED_GEOMETRIC_GAPS_SHA256
 
 
-def test_criterion_7_strong_uniform_constants():
+def test_criterion_7_strong_uniform_constants(tmp_path):
     config = load_config("bounds.json", families=["strong"])
     assert config.params["n_chains"] == 50
     result, elapsed = timed(bounds_experiment, config)
     report(7, "strong-uniform constants", result, elapsed, budget=10.0)
     assert_pinned(result.summary, PINNED_SUMMARIES["strong"])
+    assert_pinned(table_fingerprint(tmp_path, result.tables["strong"]), PINNED_TABLES["strong"])
+
+
+def _failed_bound_checks(monkeypatch, name, mutant):
+    """The failed checks, by detail, of a 30-target ``bounds`` run (two weight
+    draws per target, the shipped horizon and chains) with ``experiments.name``
+    replaced by ``mutant``."""
+    monkeypatch.setattr(experiments, name, mutant)
+    result = bounds_experiment(load_config("bounds.json", n_targets=30, n_alphas=2))
+    return {name: check["detail"] for name, check in result.checks.items() if not check["passed"]}
+
+
+@pytest.mark.parametrize(
+    "name, failed",
+    [
+        ("tv_lipschitz_bound", {"lipschitz": "10 violations over 30 weight pairs"}),
+        ("uniform_ergodicity_bound", {"uniform": "56 violations over 60 weight draws"}),
+    ],
+)
+def test_a_halved_bound_fails_its_check_alone(monkeypatch, name, failed):
+    bound = getattr(experiments, name)
+    assert _failed_bound_checks(monkeypatch, name, lambda *args: 0.5 * bound(*args)) == failed
+
+
+def _strong_both_unchanged(m, s):
+    return m, s
+
+
+def _strong_mass_times_16(m, s):
+    m_star, s_star = strong_uniform_constants(m, s)
+    return m_star, 16.0 * s_star
+
+
+@pytest.mark.parametrize(
+    "mutant, failed",
+    [
+        (_strong_both_unchanged, {"strong": "50 violations over 50 chains"}),
+        (_strong_mass_times_16, {"strong": "9 violations over 50 chains"}),
+    ],
+    ids=["m_and_s_unchanged", "s_star_times_16"],
+)
+def test_strong_check_catches_its_mutants(monkeypatch, mutant, failed):
+    """``(m*, s*) = (m, s)``, or ``s*`` times 16, fails the ``strong`` check
+    alone.  ``s* = s`` alone or ``m* = m`` alone passes it: see
+    calibration/README.md."""
+    assert _failed_bound_checks(monkeypatch, "strong_uniform_constants", mutant) == failed
 
 
 @pytest.fixture(scope="module")

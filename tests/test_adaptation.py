@@ -269,14 +269,22 @@ def test_monitor_ladder_rule_gap_bound():
 
 
 def test_monitor_flags_growing_tail():
-    history = [(0.5 - 0.001 * k, 0.5 + 0.001 * k) for k in range(40)]
+    history = [SelectionWeights((0.5 - 0.001 * k, 0.5 + 0.001 * k), 0.1) for k in range(40)]
     report = diminishing_monitor(history)
     assert report.nondecreasing_tail  # constant-size steps never die out
 
 
+def test_monitor_refuses_plain_tuples():
+    with pytest.raises(AttributeError):
+        diminishing_monitor([(0.5, 0.5), (0.4, 0.6)])
+
+
 def test_hst_weight_gap_decays_like_reciprocal_time():
     adaptation, _, _ = run_componentwise("hst", 512, seed=37)
-    weights = [entry["weights"] for entry in adaptation.batch_log]
+    weights = [
+        SelectionWeights(entry["weights"], adaptation.epsilon)
+        for entry in adaptation.batch_log
+    ]
     report = diminishing_monitor(weights)
     gaps = report.gaps
     # window maxima over geometric batch ranges should shrink roughly like

@@ -21,7 +21,7 @@ from adagibbs.kernels import (
     systematic_scan_kernel,
 )
 from adagibbs.targets import FiniteProductTarget
-from adagibbs.weights import SelectionWeights, make_selection_weights
+from adagibbs.weights import InvalidEpsilonError, SelectionWeights, make_selection_weights
 from oracles import certificate_holds
 
 
@@ -106,14 +106,14 @@ def test_uniform_bound_hand_value_and_kernel_cross_check():
 
 def test_lipschitz_bound_examples_and_dominance():
     alpha = SelectionWeights((0.5, 0.5), 0.1)
-    assert tv_lipschitz_bound(alpha, alpha, 0.1) == 0.0
+    assert tv_lipschitz_bound(alpha, alpha) == 0.0
     rng = np.random.default_rng(17)
     for _ in range(30):
         d = int(rng.integers(2, 4))
         eps = 0.1
         a = make_selection_weights(rng.dirichlet(np.ones(d)), eps)
         b = make_selection_weights(rng.dirichlet(np.ones(d)), eps)
-        bound = tv_lipschitz_bound(a, b, eps)
+        bound = tv_lipschitz_bound(a, b)
         delta = max(abs(x - y) for x, y in zip(a.weights, b.weights))
         assert bound <= delta / eps + 1e-15
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(d))
@@ -237,6 +237,27 @@ def test_metropolis_kernel_rejects_invalid_proposals():
     # move 1 -> 0 is accepted with probability q_10 / q_01 = 1/2
     m = metropolis_kernel_matrix(pi, [[0.0, 0.25], [0.5, 0.0]])
     np.testing.assert_array_equal(m, [[0.75, 0.25], [0.25, 0.75]])
+
+
+def test_lipschitz_bound_reads_one_floor_from_its_weights():
+    alpha = SelectionWeights((0.5, 0.5), 0.1)
+    # delta / (epsilon + delta) with delta = 0.1 on the weights' floor 0.2
+    assert tv_lipschitz_bound(
+        SelectionWeights((0.5, 0.5), 0.2), SelectionWeights((0.4, 0.6), 0.2)
+    ) == pytest.approx(1.0 / 3.0)
+    with pytest.raises(ValueError, match="two floors"):
+        tv_lipschitz_bound(alpha, SelectionWeights((0.4, 0.6), 0.2))
+    # a pair that is not a weight vector, let alone one on a floor
+    with pytest.raises(AttributeError):
+        tv_lipschitz_bound((0.5, 0.5), (2.0, -1.0))
+
+
+def test_uniform_bound_refuses_a_floor_with_no_weight_vector():
+    cert = MinorizationCertificate(1, 0.5, _dummy_mu())
+    assert uniform_ergodicity_bound(cert, 0.5, 2, 1) == 1.0 - 0.5
+    for epsilon, d in ((0.5 + 1e-9, 2), (0.0, 2), (-0.1, 2), (0.5, 0)):
+        with pytest.raises(InvalidEpsilonError):
+            uniform_ergodicity_bound(cert, epsilon, d, 1)
 
 
 def test_metropolis_kernel_is_shared_with_bounds():

@@ -74,6 +74,9 @@ CASTER_FIELD_KINDS = {
         ("epsilon", "0.1"),
         ("schedule_slope", True),
         ("tv_target", "0.001"),
+        ("seed", "5"),
+        ("seed", 2.5),
+        ("seed", -3.0),
     ],
 )
 def test_config_casters_are_strict(field, value):
@@ -86,11 +89,15 @@ def test_config_casters_are_strict(field, value):
 
 def test_config_accepts_integral_floats():
     config = ExperimentConfig.from_dict(
-        {"kind": "counterexample", "seed": 1, "n_steps": 1e5, "emit_traces": False}
+        {"kind": "counterexample", "seed": 1e3, "n_steps": 1e5, "emit_traces": False}
     )
     assert config.params["n_steps"] == 100_000
     assert type(config.params["n_steps"]) is int
     assert config.params["emit_traces"] is False
+    assert type(config.seed) is int
+    assert config.digest() == ExperimentConfig.from_dict(
+        {"kind": "counterexample", "seed": 1000, "n_steps": 100_000, "emit_traces": False}
+    ).digest()
 
 
 SHIPPED_DIGESTS = {

@@ -157,7 +157,7 @@ def test_mixture_reconstruction_and_lower_bound(data, d):
     if mix.r < 1.0:
         assert min(mix.q) >= 0.0
         assert math.fsum(mix.q) == pytest.approx(1.0, abs=1e-12)
-    gap = sup_distance(alpha, alpha_prime)
+    gap = sup_distance(alpha.weights, alpha_prime.weights)
     assert mix.r >= eps / (eps + gap) - 1e-12
 
 
