@@ -41,6 +41,12 @@ def adaptation_step_size(batch_index: int) -> float:
     return min(0.1, batch_index**-0.5)
 
 
+def acceptance_fractions(accepts: Sequence[int], proposals: Sequence[int]) -> tuple:
+    """Each coordinate's ``accepts / proposals``, NaN where nothing was
+    proposed."""
+    return tuple((acc / p) if p > 0 else math.nan for acc, p in zip(accepts, proposals))
+
+
 def weight_update(
     variances: Sequence[float], a: Sequence[float], epsilon: float
 ) -> SelectionWeights:
@@ -125,9 +131,7 @@ class ComponentwiseAdaptation:
         batch = len(self.batch_log) + 1
         proposals = tuple(self._proposals)
         accepts = tuple(self._accepts)
-        fractions = tuple(
-            (acc / p) if p > 0 else math.nan for acc, p in zip(accepts, proposals)
-        )
+        fractions = acceptance_fractions(accepts, proposals)
         if self.variant == "rr":
             step = adaptation_step_size(batch)
             for k, fraction in enumerate(fractions):

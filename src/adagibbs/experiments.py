@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .adaptation import BATCH_SIZE, ComponentwiseAdaptation
+from .adaptation import BATCH_SIZE, ComponentwiseAdaptation, acceptance_fractions
 from .bounds import (
     geometric_counterexample_gap,
     minorization_search,
@@ -44,7 +44,7 @@ from .ladder import (
     transience_experiment,
     truncated_ladder_evolution,
 )
-from .samplers import adap_rs_adap_mwg_run, gaussian_random_walk, keep_previous
+from .samplers import _generator, adap_rs_adap_mwg_run, gaussian_random_walk, keep_previous
 from .targets import ContinuousProductTarget, FiniteProductTarget
 from .variance import (
     ReversibleChain,
@@ -359,7 +359,7 @@ def random_finite_product_target(rng: np.random.Generator, d: int):
 def lazy_variance_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Check the exact lazy-variance identity on random reversible chains."""
     p = config.params
-    rng = np.random.Generator(np.random.Philox(config.seed))
+    rng = _generator(config.seed)
     rows = []
     worst = 0.0
     for chain_id in range(p["n_chains"]):
@@ -414,7 +414,7 @@ def _record_bound_family(result, name, header, rows, margins, unit):
 def bounds_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Dominance checks: every closed-form bound against its exact quantity."""
     p = config.params
-    rng = np.random.Generator(np.random.Philox(config.seed))
+    rng = _generator(config.seed)
     result = ExperimentResult(summary={})
     targets = [
         random_finite_product_target(rng, int(rng.integers(2, BOUNDS_MAX_D + 1)))
@@ -668,7 +668,7 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     a = p["a"]
     d = len(scales)
     epsilon = p["epsilon"]
-    target = ContinuousProductTarget(scales, a)
+    target = ContinuousProductTarget(scales)
     adaptation = ComponentwiseAdaptation("rr", a, epsilon)
     n_steps = p["n_batches"] * BATCH_SIZE
     x0 = (0.0,) * d
@@ -703,24 +703,29 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
         + [f"acceptance_{k}" for k in range(1, d + 1)]
     )
 
-    window_fractions = _window_acceptance(window, d)
+    window_fractions = acceptance_fractions(
+        [sum(column) for column in zip(*(entry["accepts"] for entry in window))],
+        [sum(column) for column in zip(*(entry["proposals"] for entry in window))],
+    )
     lo, hi = p["acceptance_band"]
     acceptance_ok = all(lo <= frac <= hi for frac in window_fractions)
 
     # Variance arms: freeze the adapted proposal scales, compare the adapted
-    # weights against the uniform scan on the same kernels.
+    # weights against the uniform scan on the same kernels.  The uniform arm
+    # runs in a worker process while this process runs the adaptive arm; each
+    # arm has its own seed, so the result does not depend on where it ran.
     final_weights = adaptation.weights
     uniform_alpha = SelectionWeights((1.0 / d,) * d, epsilon)
-    ratio, arm_stats = _variance_ratio(
-        target,
-        adaptation.proposal_variances,
-        final_weights,
-        uniform_alpha,
-        x_eval,
-        p["eval_steps"],
-        p["eval_burn_in"],
-        config.seed,
+    gamma = adaptation.proposal_variances
+    eval_steps, burn_in = p["eval_steps"], p["eval_burn_in"]
+    (tau_a, var_a), (tau_u, var_u) = _in_processes(
+        _evaluation_arm,
+        [
+            (target, alpha, a, gamma, x_eval, eval_steps, burn_in, config.seed ^ key)
+            for alpha, key in ((final_weights, 0x5CA1AB1E), (uniform_alpha, 0x0DDBA11))
+        ],
     )
+    ratio = (tau_a * var_a) / (tau_u * var_u)
     theory_ratio = math.fsum(spread) ** 2 / (d * math.fsum(s * s for s in spread))
     ratio_limit = p["variance_ratio_slack"] * theory_ratio
 
@@ -733,7 +738,10 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
             "variance_ratio": ratio,
             "theory_ratio": theory_ratio,
             "ratio_limit": ratio_limit,
-            **arm_stats,
+            "tau_adaptive": tau_a,
+            "var_adaptive": var_a,
+            "tau_uniform": tau_u,
+            "var_uniform": var_u,
         },
         tables={"batches": (header, rows)},
     )
@@ -760,32 +768,16 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _window_acceptance(window: list, d: int):
-    fractions = []
-    for i in range(d):
-        accepts = sum(e["accepts"][i] for e in window)
-        proposals = sum(e["proposals"][i] for e in window)
-        fractions.append(accepts / proposals if proposals else math.nan)
-    return fractions
-
-
-def _evaluation_arm(target, gamma, alpha, x0, eval_steps, burn_in, seed):
+def _evaluation_arm(target, alpha, a, gamma, x0, eval_steps, burn_in, seed):
     """One fixed-parameter arm of the variance comparison, from picklable
     arguments so that it can run in another process: returns the IACT and
-    the variance of the observable after burn-in."""
-    trace = target.observable_trace(
-        adap_rs_adap_mwg_run(
-            target,
-            gaussian_random_walk,
-            keep_previous,
-            keep_previous,
-            x0,
-            alpha,
-            gamma,
-            eval_steps,
-            seed,
-        ).states[burn_in:]
-    )
+    the variance of the observable ``sum_i a_i x_i`` after burn-in."""
+    # The run is not kept: its record is freed once its states are derived,
+    # and they are freed once the observable is taken, before the IACT.
+    trace = adap_rs_adap_mwg_run(
+        target, gaussian_random_walk, keep_previous, keep_previous, x0, alpha, gamma,
+        eval_steps, seed,
+    ).states[burn_in:] @ np.asarray(a)
     return iact_estimate(trace), float(np.var(trace))
 
 
@@ -810,31 +802,6 @@ def _in_processes(fn, calls):
         pending = [pool.submit(fn, *args) for args in calls[1:]]
         first = fn(*calls[0])
         return [first, *(job.result() for job in pending)]
-
-
-def _variance_ratio(
-    target, gamma, adapted_alpha, uniform_alpha, x0, eval_steps, burn_in, seed
-):
-    """Asymptotic variance of the adaptive arm over that of the uniform arm.
-
-    The uniform arm runs in a worker process while this process runs the
-    adaptive arm (:func:`_in_processes`).  Each arm has its own seed, so the
-    result does not depend on where an arm ran.
-    """
-    arms = _in_processes(
-        _evaluation_arm,
-        [
-            (target, gamma, adapted_alpha, x0, eval_steps, burn_in, seed ^ 0x5CA1AB1E),
-            (target, gamma, uniform_alpha, x0, eval_steps, burn_in, seed ^ 0x0DDBA11),
-        ],
-    )
-    stats = {}
-    sigmas = {}
-    for label, (tau, var) in zip(("adaptive", "uniform"), arms):
-        sigmas[label] = tau * var
-        stats[f"tau_{label}"] = tau
-        stats[f"var_{label}"] = var
-    return sigmas["adaptive"] / sigmas["uniform"], stats
 
 
 EXPERIMENT_FUNCTIONS = {

@@ -485,8 +485,10 @@ def unbounded_ladder_law(n_steps: int) -> UnboundedLadderLaw:
 
     pi_enum = np.asarray([_mass(x) / _TOTAL_MASS for x in target.states])
     tail = 1.0 - pi_enum.sum()
-    tv = 0.5 * (float(np.abs(v - pi_enum).sum()) + tail)
     return UnboundedLadderLaw(
-        states=target.states, probs=v, n_steps=n_steps, tv_to_target=tv
+        states=target.states,
+        probs=v,
+        n_steps=n_steps,
+        tv_to_target=tv(np.append(v, 0.0), np.append(pi_enum, tail)),
     )
 

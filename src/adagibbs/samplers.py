@@ -67,7 +67,7 @@ def derive_seed(base_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def generator(seed: int) -> np.random.Generator:
+def _generator(seed: int) -> np.random.Generator:
     """Counter-based generator for one run."""
     return np.random.Generator(np.random.Philox(seed))
 
@@ -231,7 +231,7 @@ def adap_rsg_run(
     """
     _check_n_steps(n_steps)
     x0 = _check_initial_state(target, x0)
-    draw = iter(generator(seed).random(2 * n_steps)).__next__
+    draw = iter(_generator(seed).random(2 * n_steps)).__next__
 
     def move(n, x, i):
         values, cum = target.conditional_cdf(i, x)
@@ -287,7 +287,7 @@ def adap_rs_adap_mwg_run(
             raise ValueError(f"zero conditional density for coordinate {i} at x0={x0!r}")
         densities.append(value)
     reuse = getattr(target, "INDEPENDENT_COORDINATES", False)
-    rng = generator(seed)
+    rng = _generator(seed)
     draw = rng.random
     d = len(x0)
     gamma = _checked_gamma(gamma0, d)

@@ -7,9 +7,8 @@ Two concrete families are supported:
   predicate (for non-rectangular spaces).  This powers both exact kernel
   construction and exact conditional sampling.
 * :class:`ContinuousProductTarget` -- a product of scaled raised-cosine
-  densities ``scale_i * raised_cosine(scale_i * x_i)``, together with the
-  linear observable ``sum_i a_i x_i`` that
-  :meth:`ContinuousProductTarget.observable_trace` evaluates along a run.
+  densities ``scale_i * raised_cosine(scale_i * x_i)``.  It is the density
+  alone: the observable an experiment estimates under it is the experiment's.
 """
 
 from __future__ import annotations
@@ -138,20 +137,15 @@ def raised_cosine(z: float) -> float:
 
 class ContinuousProductTarget:
     """Product density ``prod_i scale_i * raised_cosine(scale_i * x_i)`` on
-    R^d.  ``a`` defines the linear observable ``sum_i a_i x_i``, evaluated
-    along a run by :meth:`observable_trace`.
-    """
+    R^d."""
 
     # Coordinate i's conditional density depends on x_i alone.
     INDEPENDENT_COORDINATES = True
 
-    def __init__(self, scales: Sequence[float], a: Optional[Sequence[float]] = None):
+    def __init__(self, scales: Sequence[float]):
         self.scales = tuple(float(c) for c in scales)
         if any(c <= 0 or not math.isfinite(c) for c in self.scales):
             raise TargetError(f"scales must be strictly positive, got {self.scales}")
-        self.a = tuple(float(v) for v in (a if a is not None else [1.0] * len(self.scales)))
-        if len(self.a) != len(self.scales):
-            raise TargetError("linear coefficients and scales must share the dimension")
 
     @property
     def d(self) -> int:
@@ -165,8 +159,3 @@ class ContinuousProductTarget:
         """
         c = self.scales[i]
         return c * raised_cosine(c * y)
-
-    def observable_trace(self, states: Sequence[Sequence[float]]) -> np.ndarray:
-        """Evaluate ``sum_i a_i x_i`` along a trajectory's states."""
-        arr = np.asarray(states, dtype=np.float64)
-        return arr @ np.asarray(self.a)

@@ -6,6 +6,7 @@ import pytest
 from adagibbs.adaptation import (
     BATCH_SIZE,
     ComponentwiseAdaptation,
+    acceptance_fractions,
     adaptation_step_size,
     diminishing_monitor,
     weight_update,
@@ -55,6 +56,12 @@ def test_adaptation_step_size():
     assert adaptation_step_size(400) == pytest.approx(0.05)
     with pytest.raises(ValueError):
         adaptation_step_size(0)
+
+
+def test_acceptance_fractions_are_nan_where_nothing_was_proposed():
+    fractions = acceptance_fractions((3, 0, 2), (4, 0, 2))
+    assert fractions[0] == 0.75 and fractions[2] == 1.0
+    assert math.isnan(fractions[1])
 
 
 def test_rr_update_direction_and_clamp():

@@ -56,7 +56,7 @@ def test_minorization_certificate_validates_entrywise():
 
 
 def test_uniform_bound_before_first_regeneration_is_one():
-    cert = MinorizationCertificate(4, 0.5, None) if False else minorization_search(
+    cert = minorization_search(
         TransitionMatrix(((0,), (1,)), np.tile([0.5, 0.5], (2, 1))), 4
     )
     assert uniform_ergodicity_bound(cert, 0.5, 2, 3) == 1.0

@@ -194,6 +194,18 @@ PINNED_OPTIMAL_SCAN_SUMMARY = {
 }
 
 
+# The same run with coefficients unequal and of both signs, so that the
+# observable's summary moves if ``a`` loses a sign, a coordinate or its order
+# on the way into the evaluation arms; recorded like the pins above.
+PINNED_SIGNED_OBSERVABLE_SUMMARY = {
+    "tau_adaptive": 7.592691812808548,
+    "var_adaptive": 0.5329693346752304,
+    "tau_uniform": 12.235820874779442,
+    "var_uniform": 0.5474118169311851,
+    "variance_ratio": 0.604158256924877,
+}
+
+
 def test_optimal_scan_outputs_are_pinned(tmp_path):
     out = tmp_path / "scan"
     config = ExperimentConfig.from_dict(SMALL_OPTIMAL_SCAN).with_overrides(out=str(out))
@@ -202,6 +214,14 @@ def test_optimal_scan_outputs_are_pinned(tmp_path):
     assert digest == PINNED_BATCHES_SHA256
     for name, value in PINNED_OPTIMAL_SCAN_SUMMARY.items():
         assert result.summary[name] == pytest.approx(value, rel=1e-9, abs=0.0), name
+
+
+def test_optimal_scan_observable_with_signed_coefficients_is_pinned():
+    params = {**SMALL_OPTIMAL_SCAN["params"], "a": [2.0, -1.0, 0.5]}
+    config = ExperimentConfig.from_dict({**SMALL_OPTIMAL_SCAN, "params": params})
+    summary = experiments.optimal_scan_experiment(config).summary
+    for name, value in PINNED_SIGNED_OBSERVABLE_SUMMARY.items():
+        assert summary[name] == pytest.approx(value, rel=1e-9, abs=0.0), name
 
 
 def test_in_processes_runs_the_later_calls_in_a_worker():
@@ -224,14 +244,18 @@ def test_optimal_scan_result_is_the_same_with_and_without_a_worker(monkeypatch):
 
 
 def test_an_error_in_the_worker_arm_reaches_the_caller():
-    """The uniform arm runs in the worker; weights over three coordinates on
+    """The second arm runs in the worker; weights over three coordinates on
     a two-coordinate target make it raise there."""
     good = make_selection_weights((0.5, 0.5), 0.1)
     bad = make_selection_weights((0.2, 0.2, 0.6), 0.1)
+    target = ContinuousProductTarget((1.0, 2.0))
     with pytest.raises(ValueError, match="weights d=3, x0 d=2"):
-        experiments._variance_ratio(
-            ContinuousProductTarget((1.0, 2.0)), (1.0, 1.0), good, bad, (0.0, 0.0),
-            2_000, 100, 5,
+        experiments._in_processes(
+            experiments._evaluation_arm,
+            [
+                (target, alpha, (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), 2_000, 100, seed)
+                for alpha, seed in ((good, 5), (bad, 6))
+            ],
         )
 
 

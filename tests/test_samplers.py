@@ -12,11 +12,11 @@ from adagibbs import samplers, weights
 from adagibbs.ladder import LADDER_EPSILON, LadderTarget, ladder_update_rule, schedule_a
 from adagibbs.samplers import (
     Trajectory,
+    _generator,
     adap_rs_adap_mwg_run,
     adap_rsg_run,
     derive_seed,
     gaussian_random_walk,
-    generator,
     keep_previous,
     read_trajectory_csv,
     write_trajectory_csv,
@@ -238,7 +238,7 @@ def test_ladder_run_matches_straight_line_oracle():
     b1 = 1000.0
     b2 = b1 * (1.0 + 1.0 / (10.0 + math.log(2)))
     c1, c2 = b1, b1 + b2
-    u = generator(seed).random(2 * n_steps)
+    u = _generator(seed).random(2 * n_steps)
     x = (1, 1)
     states = [x]
     for n in range(1, n_steps + 1):
@@ -388,7 +388,7 @@ def q_free_oracle(density, sample, alpha, x0, n_steps, seed):
     """Straight-line random scan Metropolis-within-Gibbs that recomputes both
     conditional densities on every step: ``density(i, x, y)`` is the target's
     conditional and ``sample(rng, i, x_i)`` a symmetric proposal."""
-    rng = generator(seed)
+    rng = _generator(seed)
     x = tuple(x0)
     states = [x]
     accepted = []
@@ -605,7 +605,7 @@ def test_doubly_adaptive_rejects_bad_gamma():
 
 
 def test_gaussian_family_sampler_matches_density():
-    rng = generator(123)
+    rng = _generator(123)
     x, gamma = 0.7, 0.25
     draws = np.asarray([gaussian_random_walk(rng, 0, x, gamma) for _ in range(50_000)])
     assert abs(draws.mean() - x) <= 3.5 * math.sqrt(gamma / len(draws))

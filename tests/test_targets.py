@@ -85,12 +85,6 @@ def test_raised_cosine_density_constants():
     assert target.conditional_density(0, (0.0, 0.0), 2.0) == 0.0
 
 
-def test_linear_observable():
-    target = ContinuousProductTarget((1.0, 2.0), a=(2.0, -1.0))
-    trace = target.observable_trace([(0.0, 0.0), (0.5, 0.25)])
-    assert trace == pytest.approx([0.0, 0.75])
-
-
 def test_scales_must_be_positive():
     with pytest.raises(TargetError):
         ContinuousProductTarget((1.0, -2.0))
