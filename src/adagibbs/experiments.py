@@ -772,12 +772,15 @@ def _evaluation_arm(target, alpha, a, gamma, x0, eval_steps, burn_in, seed):
     """One fixed-parameter arm of the variance comparison, from picklable
     arguments so that it can run in another process: returns the IACT and
     the variance of the observable ``sum_i a_i x_i`` after burn-in."""
-    # The run is not kept: its record is freed once its states are derived,
-    # and they are freed once the observable is taken, before the IACT.
-    trace = adap_rs_adap_mwg_run(
+    # The observable is taken block by block, so the (n + 1, d) states are
+    # never built whole, and the run's record is freed before the IACT.
+    run = adap_rs_adap_mwg_run(
         target, gaussian_random_walk, keep_previous, keep_previous, x0, alpha, gamma,
         eval_steps, seed,
-    ).states[burn_in:] @ np.asarray(a)
+    )
+    a = np.asarray(a)
+    trace = np.concatenate([block @ a for block in run.row_blocks(burn_in)])
+    del run
     return iact_estimate(trace), float(np.var(trace))
 
 

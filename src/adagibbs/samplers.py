@@ -7,9 +7,11 @@ loop, :func:`_random_scan`, and differ only in the coordinate update.  Per
 step, in this order: the weight rule sets ``alpha_n``, one uniform chooses
 coordinate ``i``, the update moves it (the Metropolis update first sets
 ``gamma_n`` from its proposal rule, then proposes and accepts with
-``gamma_{n-1}``), and the step's move is recorded in a :class:`Trajectory`,
-from which states are derived.  Update rules are called as ``rule(n, prev,
-x_prev)``; a rule that needs history keeps it on itself.
+``gamma_{n-1}``), and the step's move is written into three numpy columns
+preallocated at ``n_steps``, which a :class:`Trajectory` takes as they are.
+States are never kept: any range of rows is derived from the columns by
+forward fill.  Update rules are called as ``rule(n, prev, x_prev)``; a rule
+that needs history keeps it on itself.
 
 The one contract for what a rule returns: a weight rule returns a
 :class:`SelectionWeights` with ``d`` entries on the run's floor
@@ -49,6 +51,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,13 +75,21 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+ROW_BLOCK = 2**15
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Record of one seeded run: the initial state and what each step did.
 
     Per step, the numpy columns ``coordinates`` (0-based), ``values`` (the
-    chosen coordinate's value after the step) and ``accepted``.  States are
-    derived from the record by forward fill, never kept.
+    chosen coordinate's value after the step) and ``accepted``; the sampler
+    loop preallocates them at ``n_steps`` and they are taken as they are.
+    Row ``r`` is the state after ``r`` steps.  States are never kept:
+    :meth:`rows` derives a range of rows by forward fill from each
+    coordinate's last move before it, and :attr:`states`,
+    :meth:`coordinate_trace`, :meth:`row_blocks` and :attr:`final_state`
+    all read from that one derivation.
     """
 
     x0: tuple
@@ -104,27 +115,65 @@ class Trajectory:
     def d(self) -> int:
         return len(self.x0)
 
+    def _last_moves(self, row: int) -> list:
+        """Each coordinate at row ``row``: the value of its last move among
+        the first ``row`` steps, or its initial value if none chose it."""
+        state = list(self.x0)
+        for i in range(self.d):
+            hits = np.flatnonzero(self.coordinates[:row] == i)
+            if len(hits):
+                state[i] = self.values[hits[-1]]
+        return state
+
+    def _column(self, i: int, start: int, stop: int, first) -> np.ndarray:
+        """Coordinate ``i`` at rows ``start..stop - 1``, ``first`` at row
+        ``start``: each later row takes the value of the last step in the
+        range that chose ``i``."""
+        filled = np.concatenate(([first], self.values[start:stop - 1]))
+        last = np.arange(stop - start)
+        last[1:][self.coordinates[start:stop - 1] != i] = 0
+        np.maximum.accumulate(last, out=last)
+        return filled[last]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The states at rows ``start..stop - 1`` as a ``(stop - start, d)``
+        float64 array."""
+        if not 0 <= start < stop <= self.n_steps + 1:
+            last = self.n_steps + 1
+            raise ValueError(f"row range {start}..{stop}: need 0 <= start < stop <= {last}")
+        out = np.empty((stop - start, self.d))
+        for i, first in enumerate(self._last_moves(start)):
+            out[:, i] = self._column(i, start, stop, first)
+        return out
+
+    def row_blocks(self, start: int):
+        """The states from row ``start`` to the last, as consecutive
+        :meth:`rows` blocks of ``ROW_BLOCK`` rows.  A last block of one row
+        is joined to the block before it: numpy takes a one-row matrix
+        product as a dot product, which rounds differently, so ``block @ a``
+        over the blocks equals ``states[start:] @ a`` bit for bit."""
+        stop = self.n_steps + 1
+        bounds = [*range(start, stop, ROW_BLOCK), stop]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield self.rows(lo, hi)
+
     def coordinate_trace(self, i: int) -> np.ndarray:
         """Coordinate ``i`` at steps ``0..n_steps``: the value of the last step
         that chose it, or its initial value before any did."""
-        filled = np.concatenate(([self.x0[i]], self.values))
-        last = np.arange(self.n_steps + 1)
-        last[1:][self.coordinates != i] = 0
-        np.maximum.accumulate(last, out=last)
-        return filled[last]
+        return self._column(i, 0, self.n_steps + 1, self.x0[i])
 
     @property
     def states(self) -> np.ndarray:
         """Every state, initial one first, as an ``(n_steps + 1, d)`` array."""
-        out = np.empty((self.n_steps + 1, self.d))
-        for i in range(self.d):
-            out[:, i] = self.coordinate_trace(i)
-        return out
+        return self.rows(0, self.n_steps + 1)
 
     @property
     def final_state(self) -> tuple:
-        """The last state as a tuple of Python floats."""
-        return tuple(self.coordinate_trace(i)[-1].item() for i in range(self.d))
+        """The last state, each coordinate's last move, as a tuple of Python
+        floats."""
+        return tuple(float(v) for v in self._last_moves(self.n_steps))
 
 
 def gaussian_random_walk(rng, i: int, x: float, gamma: float) -> float:
@@ -188,16 +237,20 @@ def _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer=None):
     """The loop both samplers run, in the step order of the module docstring:
     ``draw()`` gives the uniform that picks the coordinate, ``move(n, x, i)``
     returns its ``(new value, accepted)``.  Returns the per-step records
-    ``(coordinates, values, accepted)``."""
+    ``(coordinates, values, accepted)``, numpy columns preallocated at
+    ``n_steps`` and written through memoryviews, which set an element
+    faster than numpy indexing does."""
     d = len(x0)
     _check_dimension("weights", alpha0.d, d)
     x = x0
     alpha = alpha0
     epsilon = alpha0.epsilon
-    coords, values, accepted = [], [], []
+    records = (np.empty(n_steps, np.intp), np.empty(n_steps), np.empty(n_steps, bool))
+    coords, values, accepted = map(memoryview, records)
     if observer is not None:
         observer(0, x, None, None)
-    for n in range(1, n_steps + 1):
+    for k in range(n_steps):
+        n = k + 1
         out = weight_rule(n, alpha, x)
         if out is not alpha:
             alpha = _checked_weights(out, epsilon, d)
@@ -205,12 +258,12 @@ def _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer=None):
         y, ok = move(n, x, i)
         if y != x[i]:
             x = x[:i] + (y,) + x[i + 1:]
-        coords.append(i)
-        values.append(y)
-        accepted.append(ok)
+        coords[k] = i
+        values[k] = y
+        accepted[k] = ok
         if observer is not None:
             observer(n, x, i, ok)
-    return coords, values, accepted
+    return records
 
 
 def adap_rsg_run(
@@ -320,12 +373,12 @@ def write_trajectory_csv(trajectory: Trajectory, path):
     """
     header = ["step", "coordinate", "accepted", *(f"x_{k}" for k in range(1, trajectory.d + 1))]
     steps = zip((trajectory.coordinates + 1).tolist(), trajectory.accepted.tolist())
+    steps = chain([(0, True)], steps)
+    states = chain.from_iterable(block.tolist() for block in trajectory.row_blocks(0))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for n, (state, (coordinate, accepted)) in enumerate(
-            zip(trajectory.states.tolist(), [(0, True), *steps])
-        ):
+        for n, (state, (coordinate, accepted)) in enumerate(zip(states, steps)):
             writer.writerow([n, coordinate, int(accepted)] + [repr(v) for v in state])
 
 

@@ -140,6 +140,19 @@ def asvar_decomposition(
     )
 
 
+def _autocovariances(x: np.ndarray) -> np.ndarray:
+    """Lags ``0..n-1`` of the autocovariance of ``x`` about its mean, with
+    the biased ``1/n`` normalisation, by a zero-padded FFT.  The centred copy
+    and then the forward spectrum are freed before the inverse transform;
+    the product stays out of place, since an in-place multiply rounds
+    differently."""
+    n = len(x)
+    size = 1 << (2 * n - 1).bit_length()  # the least power of two >= 2n
+    f = np.fft.rfft(x - x.mean(), size)
+    f = f * np.conjugate(f)
+    return np.fft.irfft(f, size)[:n] / n
+
+
 def iact_estimate(trace: Sequence[float]) -> float:
     """Integrated autocorrelation time by the initial-positive-sequence rule.
 
@@ -152,16 +165,11 @@ def iact_estimate(trace: Sequence[float]) -> float:
     n = len(x)
     if n < 1000:
         raise ValueError(f"trace too short for an IACT estimate: {n} < 1000")
-    x = x - x.mean()
-    var = float(x @ x) / n
-    if var <= 0.0:
+    # On the raw trace: centring a constant trace whose value is not its own
+    # float mean leaves rounding dust, not zeros.
+    if x.min() == x.max():
         raise ValueError("constant trace has no autocorrelation time")
-    # FFT autocovariances, biased 1/n normalisation.
-    size = 1
-    while size < 2 * n:
-        size <<= 1
-    f = np.fft.rfft(x, size)
-    acov = np.fft.irfft(f * np.conjugate(f), size)[:n] / n
+    acov = _autocovariances(x)
     rho = acov / acov[0]
 
     total = 0.0

@@ -2,8 +2,9 @@
 
 Each one is the plain statement of a quantity that the package computes by a
 faster or more specialised path, kept here so the fast path can be compared
-with it.  Beside them, the two rules several test files apply: a rule's
-record of what the loop used, and the comparison of a result with its pin.
+with it.  Beside them, the three rules several test files apply: a rule's
+record of what the loop used, the comparison of a result with its pin, and
+bit-for-bit equality of two arrays.
 """
 
 import math
@@ -54,6 +55,11 @@ def assert_pinned(actual, pinned, where=()):
 
 # Variance of the raised cosine density on [-1, 1].
 RAISED_COSINE_VARIANCE = 1.0 / 3.0 - 2.0 / math.pi**2
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def state_dependent_gibbs_kernel(target, weights_at):
@@ -119,3 +125,33 @@ def _stationary_solve(m: np.ndarray):
     if s <= 0:
         return None
     return v / s
+
+
+def autocovariance_oracle(x) -> np.ndarray:
+    """Lags ``0..n-1`` of the biased (``1/n``) autocovariance about the mean,
+    from ``irfft(f * conj(f))`` of the spectrum zero-padded to the least power
+    of two at or above ``2n``."""
+    n = len(x)
+    x = x - x.mean()
+    size = 1
+    while size < 2 * n:
+        size <<= 1
+    f = np.fft.rfft(x, size)
+    return np.fft.irfft(f * np.conjugate(f), size)[:n] / n
+
+
+def iact_oracle(trace) -> float:
+    """Integrated autocorrelation time, the initial-positive-sequence rule
+    written straight through: adjacent lag pairs of the autocorrelation
+    summed until one turns nonpositive."""
+    acov = autocovariance_oracle(np.asarray(trace, dtype=np.float64))
+    rho = acov / acov[0]
+    total = 0.0
+    m = 0
+    while 2 * m + 1 < len(rho):
+        pair = rho[2 * m] + rho[2 * m + 1]
+        if pair <= 0.0:
+            break
+        total += pair
+        m += 1
+    return float(2.0 * total - 1.0)

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from adagibbs import experiments
+from adagibbs import experiments, samplers
 from adagibbs.cli import SUBCOMMAND_KINDS
 from adagibbs.cli import main as cli_main
 from adagibbs.experiments import (
@@ -21,7 +23,8 @@ from adagibbs.experiments import (
 )
 from adagibbs.samplers import adap_rsg_run, keep_previous, write_trajectory_csv
 from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget
-from adagibbs.weights import make_selection_weights
+from adagibbs.variance import iact_estimate
+from adagibbs.weights import SelectionWeights, make_selection_weights
 from oracles import assert_pinned
 
 
@@ -257,6 +260,52 @@ def test_an_error_in_the_worker_arm_reaches_the_caller():
                 for alpha, seed in ((good, 5), (bad, 6))
             ],
         )
+
+
+FIVE_COORDINATE_ARM = (
+    ContinuousProductTarget((1.0, 2.0, 3.0, 4.0, 5.0)),
+    SelectionWeights((0.2,) * 5, 0.02),
+    (1.0, 2.0, 3.0, 4.0, 5.0),
+    (1.0, 4.0, 9.0, 16.0, 25.0),
+    (0.0,) * 5,
+)
+
+
+def test_evaluation_arm_takes_the_observable_of_the_whole_states(monkeypatch):
+    """With blocks of two rows and a one-row tail, the arm's IACT and
+    variance are those of ``states[burn_in:] @ a`` from the same run."""
+    target, alpha, a, gamma, x0 = FIVE_COORDINATE_ARM
+    monkeypatch.setattr(samplers, "ROW_BLOCK", 2)
+    steps, burn_in = 2_000, 100  # 1901 rows after burn-in
+    run = samplers.adap_rs_adap_mwg_run(
+        target, samplers.gaussian_random_walk, keep_previous, keep_previous,
+        x0, alpha, gamma, steps, 11,
+    )
+    trace = run.states[burn_in:] @ np.asarray(a)
+    got = experiments._evaluation_arm(target, alpha, a, gamma, x0, steps, burn_in, 11)
+    assert got == (iact_estimate(trace), float(np.var(trace)))
+
+
+def test_evaluation_arm_never_holds_the_states_matrix():
+    """At 1e5 steps on five coordinates the arm's traced peak stays below the
+    bytes of the ``(n + 1, d)`` states matrix plus the FFT buffers of its
+    IACT (the observable trace and one spectrum).  The observable is taken
+    block by block and the run's record is freed before the IACT; an arm that
+    derives the whole states matrix holds it beside the record and the
+    forward-fill temporaries, and goes above."""
+    target, alpha, a, gamma, x0 = FIVE_COORDINATE_ARM
+    experiments._evaluation_arm(target, alpha, a, gamma, x0, 2_000, 100, 7)  # imports, caches
+    steps, burn_in, d = 100_000, 1_000, 5
+    tracemalloc.start()
+    try:
+        experiments._evaluation_arm(target, alpha, a, gamma, x0, steps, burn_in, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_trace = steps + 1 - burn_in
+    size = 1 << (2 * n_trace - 1).bit_length()  # the IACT's FFT length
+    fft_buffers = 8 * n_trace + 16 * (size // 2 + 1)
+    assert peak < 8 * (steps + 1) * d + fft_buffers
 
 
 def test_optimal_scan_ideal_weights_follow_the_observable():

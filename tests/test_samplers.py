@@ -24,7 +24,7 @@ from adagibbs.samplers import (
 from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget
 from adagibbs.variance import ReversibleChain, spectral_asymptotic_variance
 from adagibbs.weights import SelectionWeights, make_selection_weights
-from oracles import recording, stationary_distribution
+from oracles import assert_bitwise_equal, recording, stationary_distribution
 
 
 def rsg_run(target, alpha, x0, n_steps, seed):
@@ -635,11 +635,6 @@ def replay_record(trajectory):
     return np.array(states, dtype=np.float64)
 
 
-def assert_bitwise_equal(got, want):
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-
-
 def assert_record_replays(trajectory):
     want = replay_record(trajectory)
     assert_bitwise_equal(trajectory.states, want)
@@ -685,6 +680,80 @@ def test_derived_states_change_only_the_chosen_coordinate(data):
     changed[np.arange(n), coordinates] = False
     assert not changed.any()
     assert_record_replays(traj)
+
+
+def test_rows_equal_the_slices_of_the_states():
+    traj = Trajectory((0.5, 1.5, 2.5), (0, 2, 0, 2, 2), (1.0, 2.0, 3.0, 4.0, 5.0), (True,) * 5, 0)
+    states = replay_record(traj)
+    for start in range(6):
+        for stop in range(start + 1, 7):
+            assert_bitwise_equal(traj.rows(start, stop), states[start:stop])
+    for start, stop in ((0, 0), (3, 2), (-1, 2), (0, 7)):
+        with pytest.raises(ValueError, match="row range"):
+            traj.rows(start, stop)
+
+
+def test_final_state_is_each_coordinates_last_move():
+    traj = Trajectory((1, 1.5, 2.5), (0, 2, 0, 2), (3.0, 4.0, 5.0, 6.0), (True,) * 4, 0)
+    assert traj.final_state == (5.0, 1.5, 6.0)  # coordinate 1 never chosen
+    assert traj.final_state == tuple(traj.states[-1].tolist())
+    assert all(type(v) is float for v in traj.final_state)
+    target = ContinuousProductTarget((1.0, 2.0, 3.0, 4.0))
+    run = mwg_run(
+        target, gaussian_random_walk, (1.0,) * 4,
+        SelectionWeights((0.25,) * 4, 0.1), (0.01, 0.02, 0.03, 0.04), 2, seed=5,
+    )
+    assert len(set(run.coordinates.tolist())) < 4
+    assert run.final_state == tuple(run.states[-1].tolist())
+
+
+OBSERVABLE = np.arange(1.0, 6.0)
+
+
+@pytest.fixture(scope="module")
+def five_coordinate_run():
+    return mwg_run(
+        ContinuousProductTarget((1.0, 2.0, 3.0, 4.0, 5.0)), gaussian_random_walk,
+        (1.0, 4.0, 9.0, 16.0, 25.0), SelectionWeights((0.2,) * 5, 0.02), (0.0,) * 5,
+        1_000, seed=5,
+    )
+
+
+@pytest.mark.parametrize(
+    "block, burn_in, n_steps",
+    [
+        (2, 5, 769), (2, 6, 770), (2, 7, 771),
+        (7, 20, 769), (7, 21, 770), (7, 22, 771),
+        (50, 149, 749), (50, 150, 750), (50, 151, 751),
+    ],
+)
+def test_row_blocks_give_the_whole_observable_bit_for_bit(
+    monkeypatch, five_coordinate_run, block, burn_in, n_steps
+):
+    """``block @ a`` over ``row_blocks(burn_in)`` equals ``states[burn_in:] @ a``
+    bit for bit, with ``burn_in`` just before, at and just after a multiple
+    of the block size.  Every case leaves a one-row tail, which must be
+    joined to the block before it: numpy takes a one-row product as a dot
+    product, and on rows 742-795 of this run that rounds differently from
+    the matrix product, so each case ends on one of them."""
+    monkeypatch.setattr(samplers, "ROW_BLOCK", block)
+    assert (n_steps + 1 - burn_in) % block == 1
+    run = five_coordinate_run
+    prefix = Trajectory(
+        run.x0, run.coordinates[:n_steps], run.values[:n_steps], run.accepted[:n_steps], run.seed
+    )
+    blocks = list(prefix.row_blocks(burn_in))
+    assert min(len(b) for b in blocks) >= 2
+    got = np.concatenate([b @ OBSERVABLE for b in blocks])
+    assert_bitwise_equal(got, prefix.states[burn_in:] @ OBSERVABLE)
+
+
+def test_trajectory_csv_is_the_same_in_any_row_blocks(monkeypatch, tmp_path, five_coordinate_run):
+    write_trajectory_csv(five_coordinate_run, tmp_path / "whole.csv")
+    monkeypatch.setattr(samplers, "ROW_BLOCK", 7)
+    write_trajectory_csv(five_coordinate_run, tmp_path / "blocks.csv")
+    assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
+    assert len((tmp_path / "blocks.csv").read_text().splitlines()) == 1_002
 
 
 def test_trajectory_csv_round_trip(tmp_path):

@@ -15,6 +15,7 @@ from adagibbs.bounds import metropolis_kernel_matrix
 from adagibbs.targets import FiniteProductTarget
 from adagibbs.variance import (
     ReversibleChain,
+    _autocovariances,
     asvar_decomposition,
     center_observable,
     iact_estimate,
@@ -24,6 +25,7 @@ from adagibbs.variance import (
     spectral_decomposition,
     stationary_variance,
 )
+from oracles import assert_bitwise_equal, autocovariance_oracle, iact_oracle
 
 
 def reversible_pair(seed, n=6):
@@ -268,3 +270,32 @@ def test_iact_input_validation():
         iact_estimate(np.ones(5_000))
     with pytest.raises(ValueError):
         iact_estimate(np.arange(10))
+
+
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 0.7, 2.2, 0.3, -5.0])
+def test_iact_refuses_a_constant_trace_whose_mean_rounds(value):
+    """A constant trace has no autocorrelation time, whatever its value.
+    For 0.1, 1/3, 0.7 and 2.2 the float mean of 5000 copies is not the
+    value, so centring leaves rounding dust rather than zeros: constancy is
+    read from the raw trace."""
+    trace = np.full(5_000, value)
+    with pytest.raises(ValueError, match="constant trace"):
+        iact_estimate(trace)
+
+
+@pytest.mark.parametrize("n", [1_000, 3_001, 12_345, 100_003])
+def test_iact_equals_the_straight_line_oracle_bit_for_bit(n):
+    """The estimate frees its buffers early but computes the same floats as
+    the plain statements in ``oracles``, on lengths that are not powers of
+    two (so the FFT is zero-padded).  The autocovariances are compared too:
+    the sum of lag pairs absorbs a last-bit change in a single lag."""
+    rng = np.random.default_rng(n)
+    x = np.empty(n)
+    x[0] = 0.0
+    noise = rng.normal(size=n)
+    for k in range(1, n):
+        x[k] = 0.9 * x[k - 1] + noise[k]
+    assert_bitwise_equal(_autocovariances(x), autocovariance_oracle(x))
+    got = iact_estimate(x)
+    assert type(got) is float
+    assert got == iact_oracle(x)
