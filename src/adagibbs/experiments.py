@@ -500,28 +500,27 @@ def counterexample_experiment(config: ExperimentConfig) -> ExperimentResult:
     as the plot file of the runaway chain.
     """
     p = config.params
-    traces = {}
-    hook = None
+    stride = p["trace_stride"]
+    records = transience_experiment(p["n_steps"], p["n_runs"], config.seed, stride)
+    tables = {
+        "runs": (
+            ["arm", "run", "seed", "final_height", "last_half_slope"],
+            [[r.arm, r.run, r.seed, r.final_height, r.slope] for r in records],
+        ),
+    }
     if p["emit_traces"]:
-        stride = p["trace_stride"]
-
-        def hook(arm, run, heights):
-            traces[f"trace_{arm}_{run:02d}"] = (
-                ["step", "x_1"],
-                [[k * stride, float(h)] for k, h in enumerate(heights[::stride])],
+        for r in records:
+            tables[f"trace_{r.arm}_{r.run:02d}"] = (
+                ["step", "x_1"], [[k * stride, float(h)] for k, h in enumerate(r.trace)]
             )
-
-    summary = transience_experiment(
-        p["n_steps"], p["n_runs"], config.seed, trace_hook=hook
+        tables["plot_adaptive_run0"] = tables["trace_adaptive_00"]
+    escapes = sum(
+        r.arm == "adaptive" and r.final_height > p["final_threshold"] and r.slope > 0.0
+        for r in records
     )
-    if "trace_adaptive_00" in traces:
-        traces["plot_adaptive_run0"] = traces["trace_adaptive_00"]
-    rows = []
-    for arm, records in (("adaptive", summary.adaptive), ("control", summary.control)):
-        for run, rec in enumerate(records):
-            rows.append([arm, run, rec.seed, rec.final_height, rec.slope])
-    escapes = summary.adaptive_escapes(p["final_threshold"])
-    contained = summary.control_contained(p["control_threshold"])
+    contained = sum(
+        r.arm == "control" and r.final_height <= p["control_threshold"] for r in records
+    )
     result = ExperimentResult(
         summary={
             "escapes": escapes,
@@ -530,10 +529,7 @@ def counterexample_experiment(config: ExperimentConfig) -> ExperimentResult:
             "final_threshold": p["final_threshold"],
             "control_threshold": p["control_threshold"],
         },
-        tables={
-            "runs": (["arm", "run", "seed", "final_height", "last_half_slope"], rows),
-            **traces,
-        },
+        tables=tables,
     )
     _record_check(
         result,

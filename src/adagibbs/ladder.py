@@ -12,8 +12,10 @@ Everything computable around that construction lives here: the block
 schedule, the two-point conditionals, the exact one-step increment law of
 ``X_1 + X_2 - 2``, the dominating three-point walk with its stochastic-order
 certificate, the Hoeffding tail budget showing the escape event has positive
-probability, and seeded transience experiments (the adaptive arm's sampler
-rule is :func:`ladder_update_rule`, against a fixed-weight control arm).  A
+probability, and the seeded transience experiment (the adaptive arm's
+sampler rule is :func:`ladder_update_rule`, against a fixed-weight control
+arm), which returns one plain :class:`RunRecord` per replicate: seed, final
+height, last-half slope and strided height trace.  A
 truncated variant of the space is ergodic again; the exact chain-law
 evolution for that case is also provided.
 
@@ -320,58 +322,45 @@ def last_half_slope(values: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One replicate of the escape experiment: its arm (``"adaptive"`` or
+    ``"control"``), its index within the arm, its seed, the final height
+    ``X_{n,1}``, the last-half slope of the height trace, and that trace at
+    steps ``0, stride, 2 * stride, ...`` as an array of its own."""
+
+    arm: str
+    run: int
     seed: int
     final_height: int
     slope: float
+    trace: np.ndarray
 
 
-@dataclass(frozen=True)
-class TransienceSummary:
-    """Per-replicate diagnostics for the escape experiment and its control."""
-
-    adaptive: tuple
-    control: tuple
-
-    def adaptive_escapes(self, height: int) -> int:
-        return sum(1 for r in self.adaptive if r.final_height > height and r.slope > 0.0)
-
-    def control_contained(self, height: int) -> int:
-        return sum(1 for r in self.control if r.final_height <= height)
-
-
-def transience_experiment(
-    n_steps: int,
-    n_runs: int,
-    base_seed: int,
-    trace_hook: Optional[Callable] = None,
-) -> TransienceSummary:
+def transience_experiment(n_steps: int, n_runs: int, base_seed: int, stride: int) -> tuple:
     """Escape experiment: adaptive ladder runs against a fixed-weight control.
 
     Each replicate starts at :data:`LADDER_START`.  The adaptive arm follows
     the tilt rule; the control arm fixes the weights at (1/2, 1/2), which is
-    positive recurrent.  Per run the final height ``X_{n,1}`` and the last-half slope
-    of its trace are recorded; ``trace_hook(arm, run_index, trace)`` sees each
-    height trace before it is discarded (the counterexample experiment keeps
-    strided copies as output tables).
+    positive recurrent.  Returns one :class:`RunRecord` per replicate, the
+    adaptive arm's ``n_runs`` first; the strided trace is copied, so no
+    replicate's full height trace outlives its record.
     """
     target = LadderTarget()
     arms = (
         ("adaptive", ladder_update_rule, SelectionWeights((0.5, 0.5), LADDER_EPSILON), 0),
         ("control", keep_previous, SelectionWeights((0.5, 0.5), 0.5), n_runs),
     )
-    records = {}
+    records = []
     for arm, arm_rule, alpha0, offset in arms:
-        runs = []
         for r in range(n_runs):
             seed = derive_seed(base_seed, offset + r)
             heights = adap_rsg_run(
                 target, arm_rule, LADDER_START, alpha0, n_steps, seed
             ).coordinate_trace(0)
-            if trace_hook is not None:
-                trace_hook(arm, r, heights)
-            runs.append(RunRecord(seed, int(heights[-1]), last_half_slope(heights)))
-        records[arm] = tuple(runs)
-    return TransienceSummary(records["adaptive"], records["control"])
+            records.append(RunRecord(
+                arm, r, seed, int(heights[-1]), last_half_slope(heights),
+                heights[::stride].copy(),
+            ))
+    return tuple(records)
 
 
 def linear_schedule(offset: float, slope: float) -> Callable[[int], float]:

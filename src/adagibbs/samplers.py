@@ -383,15 +383,25 @@ def write_trajectory_csv(trajectory: Trajectory, path):
 
 
 def read_trajectory_csv(path) -> dict:
-    """Read a trajectory CSV back into arrays keyed by column name."""
+    """Read a trajectory CSV back into arrays keyed by column name.
+
+    ``ValueError`` for a file without rows, a row whose field count differs
+    from the first row's (naming the row) or from the header's, and a
+    non-finite value (naming the column).
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader]
-    if not rows:
-        raise ValueError(f"trajectory file {path} holds no rows")
-    columns = {}
-    data = np.asarray(rows, dtype=np.float64)
-    for k, name in enumerate(header):
-        columns[name] = data[:, k]
+        header = fh.readline().rstrip("\r\n").split(",")
+        first = fh.readline()
+        if not first.strip():
+            raise ValueError(f"trajectory file {path} holds no rows")
+        data = np.loadtxt(chain([first], fh), delimiter=",", ndmin=2, comments=None)
+    if data.shape[1] != len(header):
+        raise ValueError(
+            f"trajectory file {path}: rows hold {data.shape[1]} fields, "
+            f"the header names {len(header)}"
+        )
+    columns = dict(zip(header, data.T))
+    for name, column in columns.items():
+        if not np.isfinite(column).all():
+            raise ValueError(f"trajectory file {path}: column {name} holds a non-finite value")
     return columns

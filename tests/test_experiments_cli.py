@@ -21,7 +21,13 @@ from adagibbs.experiments import (
     counterexample_experiment,
     run_experiment,
 )
-from adagibbs.samplers import adap_rsg_run, keep_previous, write_trajectory_csv
+from adagibbs.samplers import (
+    adap_rs_adap_mwg_run,
+    adap_rsg_run,
+    gaussian_random_walk,
+    keep_previous,
+    write_trajectory_csv,
+)
 from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget
 from adagibbs.variance import iact_estimate
 from adagibbs.weights import SelectionWeights, make_selection_weights
@@ -815,6 +821,51 @@ def test_cli_trajectory_analysis(tmp_path, capsys):
         cli_main(["variance", "--trajectory", str(path), "--burn-in", "-2000"])
     assert exc.value.code == 2
     assert "--burn-in" in capsys.readouterr().err
+
+
+def _trajectory_lines(tmp_path):
+    target = ContinuousProductTarget((1.0, 2.0))
+    traj = adap_rs_adap_mwg_run(
+        target, gaussian_random_walk, keep_previous, keep_previous, (0.0, 0.0),
+        SelectionWeights((0.5, 0.5), 0.25), (1.0, 1.0), 200, 1,
+    )
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["x_1", "x_2"])
+def test_cli_trajectory_refuses_a_non_finite_value(column, value, tmp_path, capsys):
+    lines = _trajectory_lines(tmp_path)
+    k = lines[0].split(",").index(column)
+    fields = lines[50].split(",")
+    fields[k] = value
+    lines[50] = ",".join(fields)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli_main(["variance", "--trajectory", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"column {column} " in captured.err
+
+
+@pytest.mark.parametrize(
+    "line, ragged, message",
+    [
+        (50, lambda row: row + ",1.5", "row 50"),
+        (50, lambda row: row.rsplit(",", 1)[0], "row 50"),
+        (0, lambda header: header + ",x_3", "the header names 6"),
+    ],
+    ids=["extra-field", "missing-field", "extra-header-field"],
+)
+def test_cli_trajectory_refuses_a_ragged_row(line, ragged, message, tmp_path, capsys):
+    lines = _trajectory_lines(tmp_path)
+    lines[line] = ragged(lines[line])
+    path = tmp_path / "ragged.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli_main(["variance", "--trajectory", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_subcommand_runs_truncated_ladder(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from adagibbs.kernels import tv
 from adagibbs.ladder import (
     LADDER_EPSILON,
+    LADDER_START,
     FailureBudget,
     LadderTarget,
     Schedule,
@@ -16,6 +17,7 @@ from adagibbs.ladder import (
     ladder_increment_floor,
     ladder_step_law,
     ladder_update_rule,
+    last_half_slope,
     linear_schedule,
     schedule_a,
     stochastically_dominates,
@@ -23,8 +25,9 @@ from adagibbs.ladder import (
     truncated_ladder_evolution,
     truncated_ladder_target,
 )
+from adagibbs.samplers import adap_rsg_run, derive_seed, keep_previous
 from adagibbs.weights import SelectionWeights
-from oracles import state_dependent_gibbs_kernel
+from oracles import assert_bitwise_equal, state_dependent_gibbs_kernel
 
 
 def test_ladder_state_invariants():
@@ -309,21 +312,57 @@ def test_linear_schedule_validation():
         linear_schedule(offset=10.0, slope=0.0)
 
 
+def _fields(record):
+    return record.arm, record.run, record.seed, record.final_height, record.slope
+
+
 def test_transience_experiment_deterministic_and_separated():
-    summary_a = transience_experiment(4_000, 3, base_seed=555)
-    summary_b = transience_experiment(4_000, 3, base_seed=555)
-    assert summary_a == summary_b
+    records = transience_experiment(4_000, 3, base_seed=555, stride=100)
+    again = transience_experiment(4_000, 3, base_seed=555, stride=100)
+    assert [_fields(r) for r in records] == [_fields(r) for r in again]
+    for r, s in zip(records, again):
+        assert_bitwise_equal(r.trace, s.trace)
+    assert [(r.arm, r.run) for r in records] == [
+        (arm, run) for arm in ("adaptive", "control") for run in range(3)
+    ]
     # even at this short horizon the arms separate cleanly
-    assert all(r.final_height > 100 for r in summary_a.adaptive)
-    assert all(r.slope > 0 for r in summary_a.adaptive)
-    assert all(r.final_height <= 50 for r in summary_a.control)
-    assert summary_a.adaptive_escapes(100) == 3
-    assert summary_a.control_contained(50) == 3
+    for r in records:
+        if r.arm == "adaptive":
+            assert r.final_height > 100 and r.slope > 0
+        else:
+            assert r.final_height <= 50
+
+
+@pytest.mark.parametrize(
+    "n_steps, n_runs, base_seed, stride",
+    [(600, 2, 3, 7), (500, 2, 8, 100), (40, 1, 21, 1)],
+)
+def test_transience_records_replay_one_run_each(n_steps, n_runs, base_seed, stride):
+    records = transience_experiment(n_steps, n_runs, base_seed, stride)
+    target = LadderTarget()
+    arms = (
+        ("adaptive", ladder_update_rule, SelectionWeights((0.5, 0.5), LADDER_EPSILON), 0),
+        ("control", keep_previous, SelectionWeights((0.5, 0.5), 0.5), n_runs),
+    )
+    expected = []
+    for arm, rule, alpha0, offset in arms:
+        for r in range(n_runs):
+            seed = derive_seed(base_seed, offset + r)
+            run = adap_rsg_run(target, rule, LADDER_START, alpha0, n_steps, seed)
+            heights = run.coordinate_trace(0)
+            expected.append(
+                ((arm, r, seed, int(heights[-1]), last_half_slope(heights)), heights[::stride])
+            )
+    assert [_fields(r) for r in records] == [fields for fields, _ in expected]
+    for record, (_, trace) in zip(records, expected):
+        assert_bitwise_equal(record.trace, trace)
+        assert len(record.trace) == -(-(n_steps + 1) // stride)
+        # the record owns its trace: no view keeps the full height trace alive
+        assert record.trace.base is None
 
 
 def test_unbounded_law_is_exact_at_finite_horizons():
     from adagibbs.ladder import unbounded_ladder_law
-    from adagibbs.samplers import adap_rsg_run, derive_seed
     law = unbounded_ladder_law(25)
     assert law.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert law.probs.min() >= -1e-15

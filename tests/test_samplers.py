@@ -770,6 +770,20 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert columns["coordinate"][3] == traj.coordinates[2] + 1
 
 
+def test_trajectory_csv_columns_read_back_bit_for_bit(tmp_path, five_coordinate_run):
+    run = five_coordinate_run
+    path = tmp_path / "run.csv"
+    write_trajectory_csv(run, path)
+    columns = read_trajectory_csv(path)
+    assert list(columns) == ["step", "coordinate", "accepted", "x_1", "x_2", "x_3", "x_4", "x_5"]
+    assert_bitwise_equal(columns["step"], np.arange(run.n_steps + 1, dtype=np.float64))
+    assert_bitwise_equal(columns["coordinate"][1:], (run.coordinates + 1).astype(np.float64))
+    assert_bitwise_equal(columns["accepted"][1:], run.accepted.astype(np.float64))
+    states = run.states
+    for k in range(run.d):
+        assert_bitwise_equal(columns[f"x_{k + 1}"], np.ascontiguousarray(states[:, k]))
+
+
 @pytest.mark.parametrize("n_steps", [0, -5])
 def test_gibbs_loop_rejects_fewer_than_one_step(n_steps):
     alpha = make_selection_weights((0.5, 0.5), 0.1)
