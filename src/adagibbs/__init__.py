@@ -41,6 +41,7 @@ from .samplers import (
     gaussian_random_walk,
     keep_previous,
     read_trajectory_csv,
+    rs_mwg_run,
     write_trajectory_csv,
 )
 from .ladder import (

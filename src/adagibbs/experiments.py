@@ -44,7 +44,7 @@ from .ladder import (
     transience_experiment,
     truncated_ladder_evolution,
 )
-from .samplers import _generator, adap_rs_adap_mwg_run, gaussian_random_walk, keep_previous
+from .samplers import _generator, adap_rs_adap_mwg_run, gaussian_random_walk, rs_mwg_run
 from .targets import ContinuousProductTarget, FiniteProductTarget
 from .variance import (
     ReversibleChain,
@@ -765,15 +765,15 @@ def optimal_scan_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _evaluation_arm(target, alpha, a, gamma, x0, eval_steps, burn_in, seed):
-    """One fixed-parameter arm of the variance comparison, from picklable
-    arguments so that it can run in another process: returns the IACT and
-    the variance of the observable ``sum_i a_i x_i`` after burn-in."""
+    """One arm of the variance comparison, from picklable arguments so that
+    it can run in another process: a fixed-parameter run of
+    :func:`~adagibbs.samplers.rs_mwg_run` (weights ``alpha``, Gaussian
+    random-walk variances ``gamma``), which draws its randomness in blocks.
+    Returns the IACT and the variance of the observable ``sum_i a_i x_i``
+    after burn-in."""
     # The observable is taken block by block, so the (n + 1, d) states are
     # never built whole, and the run's record is freed before the IACT.
-    run = adap_rs_adap_mwg_run(
-        target, gaussian_random_walk, keep_previous, keep_previous, x0, alpha, gamma,
-        eval_steps, seed,
-    )
+    run = rs_mwg_run(target, alpha, gamma, x0, eval_steps, seed)
     a = np.asarray(a)
     trace = np.concatenate([block @ a for block in run.row_blocks(burn_in)])
     del run

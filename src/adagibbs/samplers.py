@@ -1,9 +1,11 @@
 """Seeded Monte Carlo loops for random scan Gibbs and Metropolis-within-Gibbs.
 
-Two run functions cover every sampler: :func:`adap_rsg_run` (random scan
-Gibbs with adaptive weights) and :func:`adap_rs_adap_mwg_run` (random scan
-Metropolis-within-Gibbs with adaptive weights and proposals).  Both run one
-loop, :func:`_random_scan`, and differ only in the coordinate update.  Per
+Three run functions cover every sampler: :func:`adap_rsg_run` (random scan
+Gibbs with adaptive weights), :func:`adap_rs_adap_mwg_run` (random scan
+Metropolis-within-Gibbs with adaptive weights and proposals) and
+:func:`rs_mwg_run` (random scan Metropolis-within-Gibbs with fixed weights and
+fixed Gaussian random-walk variances).  The two adaptive ones run one loop,
+:func:`_random_scan`, and differ only in the coordinate update.  Per
 step, in this order: the weight rule sets ``alpha_n``, one uniform chooses
 coordinate ``i``, the update moves it (the Metropolis update first sets
 ``gamma_n`` from its proposal rule, then proposes and accepts with
@@ -20,14 +22,15 @@ The one contract for what a rule returns: a weight rule returns a
 the loop used at the previous step is checked once and then taken as is,
 never projected or copied; an output outside the contract raises at the step
 that returns it.  The non-adaptive special cases are these loops driven by
-:func:`keep_previous`.
+:func:`keep_previous`; the fixed-parameter Metropolis sampler with Gaussian
+proposals is also :func:`rs_mwg_run`, which needs no rules.
 
 All runs are driven by a Philox counter-based generator keyed by a 64-bit
 seed, so identical inputs produce bit-identical trajectories; replicate seeds
 come from :func:`derive_seed`, a splitmix-style mix of the base seed and the
 replicate index, so replicates never share a stream.
 
-The Metropolis update evaluates ``target.conditional_density`` at every
+The Metropolis runs evaluate ``target.conditional_density`` at every
 coordinate of ``x0`` before the first draw, and then once per step at the
 proposal.  The current-state density is recomputed every step, unless the
 target declares ``INDEPENDENT_COORDINATES`` (a product target, whose
@@ -39,10 +42,15 @@ alone.
 RNG consumption contracts (relied on by the straight-line oracles in the
 tests): exact-conditional runs pre-draw ``2 * n_steps`` uniforms, consuming
 one for the coordinate choice and one for the conditional inverse-CDF draw
-per step.  Metropolis runs draw, per step and in this order: one uniform for
-the coordinate, the proposal's own draws, one uniform for the accept
-decision (drawn also when the proposal has zero density).  Update rules
-draw nothing.
+per step.  Adaptive Metropolis runs draw, per step and in this order: one
+uniform for the coordinate, the proposal's own draws, one uniform for the
+accept decision (drawn also when the proposal has zero density).  Update
+rules draw nothing.  :func:`rs_mwg_run` draws in blocks of ``DRAW_BLOCK``
+steps (the last block holds the remaining steps), per block and in this
+order: the coordinate uniforms, the standard normals of the increments, the
+accept uniforms.  With fixed parameters only the accept decision depends on
+the past, so its stream differs from the adaptive loop's at the same seed
+but its law is the same.
 """
 
 from __future__ import annotations
@@ -76,6 +84,9 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 ROW_BLOCK = 2**15
+
+# Steps whose coordinate, increment and accept uniforms rs_mwg_run draws at once.
+DRAW_BLOCK = 2**10
 
 
 @dataclass(frozen=True)
@@ -221,6 +232,18 @@ def _checked_gamma(out, d: int) -> tuple:
     return out
 
 
+def _initial_densities(conditional_density, x0: tuple) -> list:
+    """Each coordinate's conditional density at ``x0``, refused if one is
+    zero: the current-state densities a Metropolis run starts from."""
+    densities = []
+    for i, xi in enumerate(x0):
+        value = conditional_density(i, x0, xi)
+        if value <= 0.0:
+            raise ValueError(f"zero conditional density for coordinate {i} at x0={x0!r}")
+        densities.append(value)
+    return densities
+
+
 def keep_previous(n, prev, x_prev):
     """Update rule that never adapts: ``keep_previous(n, prev, x_prev)``
     hands back ``prev``, the value the loop used at the previous step.
@@ -333,12 +356,7 @@ def adap_rs_adap_mwg_run(
     _check_n_steps(n_steps)
     x0 = tuple(x0)
     conditional_density = target.conditional_density
-    densities = []  # each coordinate's conditional density at the current state
-    for i, xi in enumerate(x0):
-        value = conditional_density(i, x0, xi)
-        if value <= 0.0:
-            raise ValueError(f"zero conditional density for coordinate {i} at x0={x0!r}")
-        densities.append(value)
+    densities = _initial_densities(conditional_density, x0)
     reuse = getattr(target, "INDEPENDENT_COORDINATES", False)
     rng = _generator(seed)
     draw = rng.random
@@ -361,6 +379,67 @@ def adap_rs_adap_mwg_run(
         return xi, False
 
     records = _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer)
+    return Trajectory(x0, *records, seed)
+
+
+def rs_mwg_run(
+    target,
+    alpha: SelectionWeights,
+    gamma: tuple,
+    x0,
+    n_steps: int,
+    seed: int,
+) -> Trajectory:
+    """Random scan Metropolis-within-Gibbs with fixed weights ``alpha`` and
+    fixed Gaussian random-walk variances ``gamma``.
+
+    The law of :func:`adap_rs_adap_mwg_run` driven by
+    :func:`gaussian_random_walk` and :func:`keep_previous`, with the same
+    refusals, density calls and :class:`Trajectory`.  With no parameter
+    adapting, a step's coordinate and increment do not depend on the past,
+    so they are drawn for ``DRAW_BLOCK`` steps at once, in the order of the
+    module docstring; each coordinate uniform ``u`` picks
+    ``searchsorted(alpha.cumulative, u, side="right")``, the index
+    ``bisect_right`` gives.  Only the accept decisions run step by step, on
+    Python floats.
+    """
+    _check_n_steps(n_steps)
+    x0 = tuple(x0)
+    conditional_density = target.conditional_density
+    densities = _initial_densities(conditional_density, x0)
+    reuse = getattr(target, "INDEPENDENT_COORDINATES", False)
+    d = len(x0)
+    sd = np.sqrt(_checked_gamma(gamma, d))
+    _check_dimension("weights", alpha.d, d)
+    cumulative = np.asarray(alpha.cumulative)
+    rng = _generator(seed)
+    records = (np.empty(n_steps, np.intp), np.empty(n_steps), np.empty(n_steps, bool))
+    coordinates = records[0]
+    # Per-step writes go through memoryviews, as in _random_scan: a block's
+    # moves gathered in lists leave a long-lived process's heap about 8 MB
+    # higher after a few runs.
+    values, accepted = map(memoryview, records[1:])
+    x = x0
+    for start in range(0, n_steps, DRAW_BLOCK):
+        size = min(DRAW_BLOCK, n_steps - start)
+        chosen = np.searchsorted(cumulative, rng.random(size), side="right")
+        increments = sd[chosen] * rng.standard_normal(size)
+        uniforms = rng.random(size)
+        coordinates[start:start + size] = chosen
+        steps = zip(chosen.tolist(), increments.tolist(), uniforms.tolist())
+        for k, (i, step, u) in enumerate(steps, start):
+            xi = x[i]
+            current = densities[i] if reuse else conditional_density(i, x, xi)
+            y = xi + step
+            proposed = conditional_density(i, x, y)
+            if u < proposed / current:
+                densities[i] = proposed
+                x = x[:i] + (y,) + x[i + 1:]
+                values[k] = y
+                accepted[k] = True
+            else:
+                values[k] = xi
+                accepted[k] = False
     return Trajectory(x0, *records, seed)
 
 

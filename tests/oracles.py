@@ -8,10 +8,12 @@ bit-for-bit equality of two arrays.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
+from adagibbs import samplers
 from adagibbs.bounds import ENTRYWISE_TOL
 from adagibbs.kernels import (
     DistributionVector,
@@ -155,3 +157,30 @@ def iact_oracle(trace) -> float:
         total += pair
         m += 1
     return float(2.0 * total - 1.0)
+
+
+def rs_mwg_oracle(target, alpha, gamma, x0, n_steps, rng):
+    """Fixed-parameter random scan Metropolis-within-Gibbs with Gaussian
+    increments, one step at a time over the block draws of
+    ``samplers.rs_mwg_run``: per block of ``samplers.DRAW_BLOCK`` steps, the
+    coordinate uniforms, then the standard normals, then the accept
+    uniforms.  Each step picks ``bisect_right(alpha.cumulative, u)``, moves
+    by ``sqrt(gamma_i) * z`` and recomputes both conditional densities.
+    Returns the per-step ``(coordinates, values, accepted)`` columns."""
+    x = tuple(x0)
+    coordinates, values, accepted = [], [], []
+    for start in range(0, n_steps, samplers.DRAW_BLOCK):
+        size = min(samplers.DRAW_BLOCK, n_steps - start)
+        picks, normals, accepts = rng.random(size), rng.standard_normal(size), rng.random(size)
+        for k in range(size):
+            i = bisect_right(alpha.cumulative, float(picks[k]))
+            xi = x[i]
+            y = xi + math.sqrt(gamma[i]) * float(normals[k])
+            ratio = target.conditional_density(i, x, y) / target.conditional_density(i, x, xi)
+            ok = float(accepts[k]) < ratio
+            if ok:
+                x = x[:i] + (y,) + x[i + 1:]
+            coordinates.append(i)
+            values.append(x[i])
+            accepted.append(ok)
+    return np.array(coordinates, np.intp), np.array(values), np.array(accepted)

@@ -111,13 +111,13 @@ PINNED_SUMMARIES = {
                           0.05920011953423869, 0.03433427595408665],
         "window_acceptance": [0.4416697726425643, 0.43532145623547636, 0.5158878504672897,
                               0.4318181818181818, 0.4028776978417266],
-        "variance_ratio": 0.5691721092071976,
+        "variance_ratio": 0.5536668440576099,
         "theory_ratio": 0.5636363636363636,
         "ratio_limit": 0.7045454545454545,
-        "tau_adaptive": 13.656772639587308,
-        "var_adaptive": 0.1754168127910921,
-        "tau_uniform": 24.036766917309343,
-        "var_uniform": 0.1751054375818011,
+        "tau_adaptive": 13.797692353078432,
+        "var_adaptive": 0.1745761939841597,
+        "tau_uniform": 24.95818469585469,
+        "var_uniform": 0.17431307617442796,
     },
 }
 # The runs table's arm, run, seed and final-height columns; every trace table.

@@ -11,6 +11,7 @@ from adagibbs.kernels import mwg_kernel_matrix, gibbs_kernel_matrix
 from adagibbs import samplers, weights
 from adagibbs.ladder import LADDER_EPSILON, LadderTarget, ladder_update_rule, schedule_a
 from adagibbs.samplers import (
+    DRAW_BLOCK,
     Trajectory,
     _generator,
     adap_rs_adap_mwg_run,
@@ -19,12 +20,13 @@ from adagibbs.samplers import (
     gaussian_random_walk,
     keep_previous,
     read_trajectory_csv,
+    rs_mwg_run,
     write_trajectory_csv,
 )
 from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget
 from adagibbs.variance import ReversibleChain, spectral_asymptotic_variance
 from adagibbs.weights import SelectionWeights, make_selection_weights
-from oracles import assert_bitwise_equal, recording, stationary_distribution
+from oracles import assert_bitwise_equal, recording, rs_mwg_oracle, stationary_distribution
 
 
 def rsg_run(target, alpha, x0, n_steps, seed):
@@ -494,6 +496,138 @@ def test_mwg_empirical_law_matches_exact_kernel_oracle():
     propose = discrete_proposal(target, matrices)
     traj = mwg_run(target, propose, (1.0, 1.0), alpha, (0, 0), 1_000_000, seed=777)
     occupation_within_three_se(traj, kernel, pi)
+
+
+class CorrelatedGaussianTarget:
+    """Gaussian density ``exp(-(sum_j x_j^2 - 2 rho sum_{j<k} x_j x_k) / 2)``:
+    coordinate ``i``'s conditional depends on the others through their sum,
+    so a run must recompute the current-state density on every step."""
+
+    def __init__(self, rho):
+        self.rho = rho
+
+    def conditional_density(self, i, x, y):
+        others = sum(x[:i]) + sum(x[i + 1:])
+        return math.exp(-0.5 * y * (y - 2.0 * self.rho * others))
+
+
+FIXED_MWG_CASES = {
+    "product": (
+        ContinuousProductTarget((1.0, 2.0, 3.0, 4.0, 5.0)),
+        SelectionWeights((0.3, 0.25, 0.2, 0.15, 0.1), 0.02),
+        (0.8, 0.3, 0.1, 0.05, 0.03),
+        (0.0,) * 5,
+    ),
+    "non-product": (
+        CorrelatedGaussianTarget(0.3),
+        SelectionWeights((0.5, 0.3, 0.2), 0.1),
+        (1.5, 2.0, 0.7),
+        (0.0, 0.5, -0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_MWG_CASES))
+@pytest.mark.parametrize(
+    "n_steps", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 7]
+)
+def test_fixed_parameter_run_equals_the_block_draw_oracle(case, n_steps):
+    """On either side of each block boundary, and on a product target (whose
+    current-state density is reused) and a non-product one (recomputed), the
+    blocked run's records equal a per-step loop's over the same draws."""
+    target, alpha, gamma, x0 = FIXED_MWG_CASES[case]
+    run = rs_mwg_run(target, alpha, gamma, x0, n_steps, 29)
+    want = rs_mwg_oracle(target, alpha, gamma, x0, n_steps, _generator(29))
+    for got, expected in zip((run.coordinates, run.values, run.accepted), want):
+        assert_bitwise_equal(got, expected)
+    if n_steps > DRAW_BLOCK:
+        assert 0.2 < run.accepted.mean() < 0.9
+
+
+class BoundaryUniforms:
+    """A generator whose uniforms are, one in three, exactly the weight
+    boundaries ``boundaries`` in turn; its normals are ``rng``'s."""
+
+    def __init__(self, rng, boundaries):
+        self.rng = rng
+        self.boundaries = np.asarray(boundaries)
+
+    def random(self, size):
+        u = self.rng.random(size)
+        u[::3] = np.resize(self.boundaries, len(u[::3]))
+        return u
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
+
+
+def test_a_coordinate_uniform_on_a_weight_boundary_picks_the_coordinate_above(monkeypatch):
+    """A coordinate uniform equal to ``alpha.cumulative[k]`` picks coordinate
+    ``k + 1``, as ``bisect_right`` does; continuous uniforms almost never
+    land there, so they are placed on the boundaries."""
+    target, alpha, gamma, x0 = FIXED_MWG_CASES["product"]
+    boundaries = alpha.cumulative[:-1]
+    n_steps = 3 * DRAW_BLOCK + 7
+    monkeypatch.setattr(
+        samplers, "_generator", lambda seed: BoundaryUniforms(_generator(seed), boundaries)
+    )
+    run = rs_mwg_run(target, alpha, gamma, x0, n_steps, 3)
+    want = rs_mwg_oracle(target, alpha, gamma, x0, n_steps, samplers._generator(3))
+    for got, expected in zip((run.coordinates, run.values, run.accepted), want):
+        assert_bitwise_equal(got, expected)
+    first = run.coordinates[:DRAW_BLOCK:3]
+    assert np.array_equal(first, np.resize(np.arange(1, target.d), len(first)))
+
+
+TWO_WEIGHTS = SelectionWeights((0.5, 0.5), 0.25)
+
+
+@pytest.mark.parametrize(
+    "alpha, gamma, x0, n_steps, error, match",
+    [
+        (SelectionWeights((0.3, 0.3, 0.4), 0.1), (1.0, 1.0), (0.0, 0.0), 100,
+         ValueError, "weights d=3, x0 d=2"),
+        (TWO_WEIGHTS, [1.0, 1.0], (0.0, 0.0), 100, TypeError, "tuple of Python floats"),
+        (TWO_WEIGHTS, (1.0, 1), (0.0, 0.0), 100, TypeError, "tuple of Python floats"),
+        (TWO_WEIGHTS, (1.0,), (0.0, 0.0), 100, ValueError, "proposal parameters d=1, x0 d=2"),
+        (TWO_WEIGHTS, (1.0, 0.0), (0.0, 0.0), 100, ValueError, "parameter 1 must be finite"),
+        (TWO_WEIGHTS, (1.0, 1.0), (0.0, 5.0), 100, ValueError,
+         "zero conditional density for coordinate 1"),
+        (TWO_WEIGHTS, (1.0, 1.0), (0.0, 0.0), 0, ValueError, "at least one step"),
+    ],
+)
+def test_fixed_parameter_run_refuses_what_the_per_step_loop_refuses(
+    alpha, gamma, x0, n_steps, error, match
+):
+    target = ContinuousProductTarget((1.0, 2.0))
+    with pytest.raises(error, match=match):
+        rs_mwg_run(target, alpha, gamma, x0, n_steps, 1)
+    with pytest.raises(error, match=match):
+        mwg_run(target, gaussian_random_walk, gamma, alpha, x0, n_steps, 1)
+
+
+def raised_cosine_cdf(z):
+    """Distribution function of the raised cosine density on [-1, 1]."""
+    return (z + 1.0) / 2.0 + math.sin(math.pi * z) / (2.0 * math.pi)
+
+
+def test_fixed_parameter_run_has_raised_cosine_marginals():
+    """Coordinate ``i`` of a long run on the product target has the law of
+    ``z / scale_i`` with ``z`` raised-cosine: at five points, the fraction of
+    states at or below the point is within five batch-means standard errors
+    (50 batches) of the exact distribution function."""
+    target = ContinuousProductTarget((1.0, 2.0))
+    run = rs_mwg_run(
+        target, SelectionWeights((0.5, 0.5), 0.25), (0.75, 0.19), (0.0, 0.0), 200_000, 61
+    )
+    n_batches = 50
+    for i, scale in enumerate(target.scales):
+        trace = run.coordinate_trace(i)[1_000:]
+        batches = trace[: len(trace) // n_batches * n_batches].reshape(n_batches, -1)
+        for z in (-0.6, -0.3, 0.0, 0.2, 0.5):
+            below = (batches <= z / scale).mean(axis=1)
+            se = below.std(ddof=1) / math.sqrt(n_batches)
+            assert abs(below.mean() - raised_cosine_cdf(z)) <= 5.0 * se, (i, z)
 
 
 def test_fresh_equal_parameters_match_keep_previous():
