@@ -57,7 +57,6 @@ from .ladder import (
     schedule_a,
     transience_experiment,
     truncated_ladder_evolution,
-    truncated_ladder_target,
     unbounded_ladder_law,
 )
 from .bounds import (

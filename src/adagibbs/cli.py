@@ -4,7 +4,8 @@ Six subcommands: ``simulate`` (exact chain-law simulation of the truncated
 ladder), ``counterexample``, ``bounds``, ``optimal-scan`` and
 ``geometric-gap`` (the corresponding experiments), and ``variance`` (either
 the lazy-variance identity experiment via ``--config`` or per-coordinate
-autocorrelation analysis of an existing trajectory CSV via ``--trajectory``).
+autocorrelation analysis of an existing trajectory CSV via ``--trajectory``,
+which takes only ``--burn-in``).
 Experiment subcommands take ``--config PATH`` plus optional ``--seed`` and
 ``--out`` overrides; with ``--check`` the exit status is 0 when every
 embedded acceptance check passed and 1 otherwise.  Usage errors exit with 2.
@@ -94,7 +95,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "variance" and getattr(args, "trajectory", None):
+    if args.command == "variance" and args.trajectory:
+        ignored = [f"--{k}" for k in ("config", "seed", "out") if getattr(args, k) is not None]
+        if ignored:
+            print(f"error: --trajectory does not take {', '.join(ignored)}", file=sys.stderr)
+            return 2
         try:
             _analyse_trajectory(args.trajectory, args.burn_in)
         except (OSError, ValueError) as exc:

@@ -15,9 +15,9 @@ certificate, the Hoeffding tail budget showing the escape event has positive
 probability, and the seeded transience experiment (the adaptive arm's
 sampler rule is :func:`ladder_update_rule`, against a fixed-weight control
 arm), which returns one plain :class:`RunRecord` per replicate: seed, final
-height, last-half slope and strided height trace.  A
-truncated variant of the space is ergodic again; the exact chain-law
-evolution for that case is also provided.
+height, last-half slope and strided height trace.  A truncated variant of
+the space is ergodic again.  The exact chain laws run on the rungs ``s = i +
+j - 2``: a step moves at most one rung, so it is three diagonals.
 
 Within a block the rule has only two weight vectors, one for diagonal and
 one for off-diagonal states; each is built once per block and handed out on
@@ -36,9 +36,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import single_coordinate_kernel, tv
+from .kernels import tv
 from .samplers import adap_rsg_run, derive_seed, keep_previous
-from .targets import FiniteProductTarget
 from .weights import SelectionWeights
 
 
@@ -49,20 +48,6 @@ def _ij(x) -> tuple:
     if j < 1 or (i != j and i != j + 1):
         raise ValueError(f"{(i, j)} is not on the ladder")
     return i, j
-
-
-def _on_ladder(x) -> bool:
-    """Whether ``x`` is a rung, by :func:`_ij`."""
-    try:
-        _ij(x)
-    except ValueError:
-        return False
-    return True
-
-
-def _mass(x) -> float:
-    """Unnormalised target mass ``j**-2`` of the rung ``(i, j)``."""
-    return x[1] ** -2.0
 
 
 # Both rungs of level j carry j**-2, so the masses sum to 2 * pi**2 / 6.
@@ -170,7 +155,12 @@ class LadderTarget:
         return 2
 
     def contains(self, x) -> bool:
-        return _on_ladder(x)
+        """Whether ``x`` is a rung: ``(1.5, 1)`` is not, ``(3.0, 3.0)`` is."""
+        try:
+            i, j = _ij(x)
+        except (ValueError, OverflowError):
+            return False
+        return (i, j) == (x[0], x[1])
 
     def conditional(self, coord: int, x):
         """Exact full conditional ``(values, probs)`` of one coordinate.
@@ -195,30 +185,34 @@ class LadderTarget:
         return values, (probs[0], 1.0)
 
 
-def truncated_ladder_target(truncation: int) -> FiniteProductTarget:
-    """Finite enumeration of the ladder capped at ``truncation`` rungs."""
-    if truncation < 2:
-        raise ValueError(f"truncation must be >= 2, got {truncation}")
-    rng_states = range(1, truncation + 1)
-    return FiniteProductTarget((rng_states, rng_states), mass=_mass, support=_on_ladder)
+def _rung_moves(rungs: np.ndarray) -> tuple:
+    """``(base, slope)``, rows (up, down), of the ``rungs``: at tilt ``4 /
+    a_n`` a rung moves with probability ``base + tilt * slope``.  Rung ``2j -
+    2`` is (j, j) and rung ``2j - 1`` is (j + 1, j).  The rule weighs the
+    coordinate that can climb by ``1/2 + tilt``, the other by ``1/2 - tilt``.
+    On (j, j) the first climbs with 1/2 and the second falls with the split
+    ``i**2 / (i**2 + (i - 1)**2)``, except on the bottom rung; on (j + 1, j)
+    the second climbs with the rest of the split and the first falls with 1/2.
+    """
+    j = rungs // 2 + 1
+    off_diagonal = rungs % 2 == 1
+    i = j + off_diagonal
+    split = i * i / (i * i + (i - 1) ** 2)
+    climb = np.where(off_diagonal, 1.0 - split, 0.5)
+    fall = np.where(off_diagonal, 0.5, np.where(rungs > 0, split, 0.0))
+    moves = np.stack([climb, fall])
+    return 0.5 * moves, moves * [[1.0], [-1.0]]
 
 
 def ladder_step_law(x, n: int) -> dict:
-    """Exact one-step law of the increment of ``X_1 + X_2 - 2``.
-
-    Composed from the weight rule and the conditionals exactly as the
-    sampler executes them, so it remains valid on the degenerate bottom
-    rung where the naive closed form would assign mass to a missing state.
-    """
-    x = _ij(x)
-    alpha = ladder_update_rule(n, None, x).weights
-    target = LadderTarget()
-    law = {-1: 0.0, 0: 0.0, 1: 0.0}
-    for coord in (0, 1):
-        values, probs = target.conditional(coord, x)
-        for v, p in zip(values, probs):
-            law[v - x[coord]] += alpha[coord] * p
-    return law
+    """Exact one-step law of the increment of ``X_1 + X_2 - 2``, read from
+    the rung table, which stays valid on the degenerate bottom rung where the
+    naive closed form would assign mass to a missing state."""
+    if not LadderTarget().contains(x):
+        raise ValueError(f"{tuple(x)} is not on the ladder")
+    base, slope = _rung_moves(np.array([int(x[0] + x[1]) - 2]))
+    up, down = (base + (4.0 / schedule_a(n)) * slope)[:, 0].tolist()
+    return {-1: down, 0: 1.0 - up - down, 1: up}
 
 
 def dominating_walk_law(n: int) -> dict:
@@ -389,28 +383,26 @@ class TruncatedLadderEvolution:
 
 
 def _law_setup(truncation: int) -> tuple:
-    """``(target, step, v0)`` for the exact adaptive chain law on the ladder
-    enumerated up to ``truncation``: the one-step push-forward ``step(v, a_n)``
-    and the point mass at :data:`LADDER_START`.
-
-    The weights enter each row affinely through the tilt ``4 / a_n``, so the
-    step kernel is ``K_half + (4 / a_n) * B`` for two fixed matrices: the
-    half-half Gibbs kernel and the signed coordinate-kernel difference.  Each
-    step costs two mat-vecs.
+    """``(step, v0, mass)`` on the ladder capped at ``truncation``, whose
+    rungs run up to (truncation, truncation): the one-step push-forward
+    ``step(v, a_n)`` of the exact adaptive chain law along the three
+    diagonals of :func:`_rung_moves`, with no climb from the top rung; the
+    point mass at :data:`LADDER_START`, rung 0; the target masses ``j**-2``.
     """
-    target = truncated_ladder_target(truncation)
-    p1 = single_coordinate_kernel(target, 0).matrix
-    p2 = single_coordinate_kernel(target, 1).matrix
-    k_half = 0.5 * (p1 + p2)
-    sign = np.asarray([1.0 if x[0] == x[1] else -1.0 for x in target.states])
-    bias = sign[:, np.newaxis] * (p1 - p2)
+    rungs = np.arange(2 * truncation - 1)
+    (up, down), (up_slope, down_slope) = _rung_moves(rungs)
+    up[-1] = up_slope[-1] = 0.0
+    base = np.stack([up, down, 1.0 - up - down])
+    slope = np.stack([up_slope, down_slope, -up_slope - down_slope])
 
     def step(v, a):
-        return v @ k_half + (4.0 / a) * (v @ bias)
+        up, down, out = (base + (4.0 / a) * slope) * v
+        out[1:] += up[:-1]
+        out[:-1] += down[1:]
+        return out
 
-    v0 = np.zeros(len(target.states))
-    v0[target.states.index(LADDER_START)] = 1.0
-    return target, step, v0
+    v0 = np.where(rungs == 0, 1.0, 0.0)
+    return step, v0, (rungs // 2 + 1) ** -2.0
 
 
 def truncated_ladder_evolution(
@@ -426,8 +418,10 @@ def truncated_ladder_evolution(
     variation distance to the target drops below ``tv_target`` (the horizon)
     or ``max_steps`` is hit.
     """
-    target, step, v = _law_setup(truncation)
-    pi = target.probabilities()
+    if truncation < 2:
+        raise ValueError(f"truncation must be >= 2, got {truncation}")
+    step, v, mass = _law_setup(truncation)
+    pi = mass / mass.sum()
 
     trace = np.empty(max_steps + 1)
     trace[0] = tv(v, pi)
@@ -447,7 +441,7 @@ class UnboundedLadderLaw:
     """Exact law of the unbounded adaptive chain at a finite horizon.
 
     ``tv_to_target`` is the exact total variation distance to the unbounded
-    target (the enumerated part plus the target's mass beyond the horizon's
+    target (the rungs kept plus the target's mass beyond the horizon's
     reachable support).
     """
 
@@ -461,21 +455,19 @@ def unbounded_ladder_law(n_steps: int) -> UnboundedLadderLaw:
     """Exact chain law of the unbounded adaptive ladder after ``n_steps``,
     started at :data:`LADDER_START` and run on the block schedule.
 
-    The height climbs at most one rung per step, so the reachable support at
-    the horizon fits inside the truncation at ``n_steps + 2`` and the
-    truncated dynamics agree with the unbounded ones on every state the law
-    can touch: no truncation bias.  The total variation distance to
-    the unbounded target is then exact, the unreachable tail contributing its
-    full target mass.
+    The chain moves at most one rung per step, so on the ladder capped at
+    ``n_steps + 2`` the law never reaches the top rung, and the cap is never
+    felt: no truncation bias.  The total variation distance to the unbounded
+    target is then exact, the rungs above contributing their full mass.
     """
-    target, step, v = _law_setup(n_steps + 2)
+    step, v, mass = _law_setup(n_steps + 2)
     for n in range(1, n_steps + 1):
         v = step(v, schedule_a(n))
 
-    pi_enum = np.asarray([_mass(x) / _TOTAL_MASS for x in target.states])
+    pi_enum = mass / _TOTAL_MASS
     tail = 1.0 - pi_enum.sum()
     return UnboundedLadderLaw(
-        states=target.states,
+        states=tuple((s // 2 + 1 + s % 2, s // 2 + 1) for s in range(len(v))),
         probs=v,
         n_steps=n_steps,
         tv_to_target=tv(np.append(v, 0.0), np.append(pi_enum, tail)),

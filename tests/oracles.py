@@ -20,6 +20,8 @@ from adagibbs.kernels import (
     TransitionMatrix,
     single_coordinate_kernel,
 )
+from adagibbs.ladder import LadderTarget, ladder_update_rule
+from adagibbs.targets import FiniteProductTarget
 
 
 def recording(rule, record):
@@ -184,3 +186,95 @@ def rs_mwg_oracle(target, alpha, gamma, x0, n_steps, rng):
             values.append(x[i])
             accepted.append(ok)
     return np.array(coordinates, np.intp), np.array(values), np.array(accepted)
+
+
+def truncated_ladder_target(truncation: int) -> FiniteProductTarget:
+    """The ladder capped at ``truncation``, enumerated: the product of
+    ``1 .. truncation`` with itself, filtered to the states (j, j) and
+    (j + 1, j), with mass ``j**-2``."""
+    values = range(1, truncation + 1)
+    return FiniteProductTarget(
+        (values, values), mass=lambda x: x[1] ** -2.0, support=lambda x: x[0] in (x[1], x[1] + 1)
+    )
+
+
+def dense_ladder_laws(truncation, a_of_n, n_steps):
+    """``(target, laws)``: the adaptive ladder chain's laws at steps ``0 ..
+    n_steps`` from (1, 1) on :func:`truncated_ladder_target`, each pushed by
+    the dense kernel ``K_half + (4 / a_n) B``.  ``K_half`` is the half-half
+    Gibbs kernel and ``B`` the difference of the two coordinate kernels,
+    signed + on the diagonal states (where the rule favours the first
+    coordinate) and - off it."""
+    target = truncated_ladder_target(truncation)
+    p1 = single_coordinate_kernel(target, 0).matrix
+    p2 = single_coordinate_kernel(target, 1).matrix
+    k_half = 0.5 * (p1 + p2)
+    sign = np.array([1.0 if x[0] == x[1] else -1.0 for x in target.states])
+    bias = sign[:, np.newaxis] * (p1 - p2)
+    laws = [np.array([1.0 if x == (1, 1) else 0.0 for x in target.states])]
+    for n in range(1, n_steps + 1):
+        v = laws[-1]
+        laws.append(v @ k_half + (4.0 / a_of_n(n)) * (v @ bias))
+    return target, laws
+
+
+def ladder_step_law_oracle(x, n: int) -> dict:
+    """One-step law of the increment of ``X_1 + X_2 - 2`` at step ``n``,
+    composed from the weight rule and the conditionals as the sampler
+    executes them."""
+    alpha = ladder_update_rule(n, None, x).weights
+    law = {-1: 0.0, 0: 0.0, 1: 0.0}
+    for coord in (0, 1):
+        values, probs = LadderTarget().conditional(coord, x)
+        for v, p in zip(values, probs):
+            law[v - x[coord]] += alpha[coord] * p
+    return law
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Survival function of the chi-square law with ``dof`` (a positive
+    integer) degrees of freedom, in closed form with ``h = x / 2``: for even
+    ``dof``, ``exp(-h)`` times the first ``dof / 2`` terms of the
+    exponential series of ``h``; for odd ``dof``, ``erfc(sqrt(h))`` plus
+    ``exp(-h)`` times the terms ``h**(k - 1/2) / Gamma(k + 1/2)``, ``k = 1
+    .. (dof - 1) / 2``."""
+    if dof < 1 or dof != int(dof):
+        raise ValueError(f"dof must be a positive integer, got {dof!r}")
+    h = x / 2.0
+    if dof % 2 == 0:
+        term = total = 1.0
+        for k in range(1, dof // 2):
+            term *= h / k
+            total += term
+        return math.exp(-h) * total
+    term, total = math.sqrt(h) / math.gamma(1.5), 0.0
+    for k in range(1, (dof + 1) // 2):
+        total += term
+        term *= h / (k + 0.5)
+    return math.erfc(math.sqrt(h)) + math.exp(-h) * total
+
+
+def kolmogorov_sf(t: float) -> float:
+    """``P(K > t)`` for the Kolmogorov distribution: the alternating series
+    ``2 sum_k (-1)**(k - 1) exp(-2 k**2 t**2)`` for ``t >= 1``, and below
+    that one minus the Jacobi form ``sqrt(2 pi) / t sum_k exp(-(2k - 1)**2
+    pi**2 / (8 t**2))``, each summed over ``k = 1 .. 100``."""
+    if t <= 0.0:
+        return 1.0
+    if t >= 1.0:
+        return 2.0 * math.fsum((-1) ** (k - 1) * math.exp(-2.0 * k * k * t * t) for k in range(1, 101))
+    return 1.0 - math.sqrt(2.0 * math.pi) / t * math.fsum(
+        math.exp(-((2 * k - 1) ** 2) * math.pi**2 / (8.0 * t * t)) for k in range(1, 101)
+    )
+
+
+def ks_normal_test(draws, mean: float, sd: float) -> tuple:
+    """``(statistic, pvalue)`` of the Kolmogorov-Smirnov test of ``draws``
+    against the normal law: the largest gap between the empirical
+    distribution function and ``0.5 * erfc((mean - x) / (sd * sqrt(2)))``,
+    and the Kolmogorov tail at ``sqrt(n)`` times it."""
+    x = np.sort(np.asarray(draws, dtype=np.float64))
+    n = len(x)
+    cdf = np.array([0.5 * math.erfc((mean - v) / (sd * math.sqrt(2.0))) for v in x])
+    d = max(float((np.arange(1, n + 1) / n - cdf).max()), float((cdf - np.arange(n) / n).max()))
+    return d, kolmogorov_sf(math.sqrt(n) * d)

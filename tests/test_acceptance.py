@@ -39,8 +39,8 @@ from adagibbs.experiments import (
     optimal_scan_experiment,
     truncated_ladder_experiment,
 )
-from adagibbs.ladder import _TOTAL_MASS, _mass, truncated_ladder_target
-from oracles import assert_pinned
+from adagibbs.ladder import _TOTAL_MASS
+from oracles import assert_pinned, truncated_ladder_target
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -254,8 +254,8 @@ def test_control_check_false_failure_rate_under_the_stationary_tail():
     not proved, to be an upper estimate (see calibration/README.md)."""
     p = load_config("counterexample.json").params
     # the rungs with x_1 <= threshold are those of the ladder truncated there
-    below = truncated_ladder_target(p["control_threshold"]).states
-    tail = 1.0 - math.fsum(_mass(x) for x in below) / _TOTAL_MASS
+    below = truncated_ladder_target(p["control_threshold"])
+    tail = 1.0 - math.fsum(below.mass(x) for x in below.states) / _TOTAL_MASS
     n, k = p["n_runs"], p["n_runs"] - p["min_successes"] + 1
     rate = math.fsum(math.comb(n, m) * tail**m * (1.0 - tail) ** (n - m) for m in range(k, n + 1))
     assert tail == pytest.approx(0.01216, abs=5e-6)

@@ -27,6 +27,7 @@ from adagibbs.samplers import (
     adap_rsg_run,
     gaussian_random_walk,
     keep_previous,
+    rs_mwg_run,
     write_trajectory_csv,
 )
 from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget
@@ -844,6 +845,36 @@ def test_cli_trajectory_analysis(tmp_path, capsys):
         cli_main(["variance", "--trajectory", str(path), "--burn-in", "-2000"])
     assert exc.value.code == 2
     assert "--burn-in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--config", "CONFIG"], "--config"),
+        (["--seed", "3"], "--seed"),
+        (["--out", "OUT"], "--out"),
+        (["--config", "CONFIG", "--out", "OUT", "--check"], "--config, --out"),
+    ],
+)
+def test_cli_trajectory_refuses_the_flags_it_would_ignore(extra, named, tmp_path, capsys):
+    # the console-script check of the CI workflow: 2000 steps, burn-in 100
+    path = tmp_path / "traj.csv"
+    target = ContinuousProductTarget((1.0, 2.0))
+    write_trajectory_csv(
+        rs_mwg_run(target, SelectionWeights((0.5, 0.5), 0.25), (1.0, 1.0), (0.0, 0.0), 2000, 1),
+        path,
+    )
+    out = tmp_path / "out"
+    config = Path(__file__).resolve().parents[1] / "configs" / "lazy_variance.json"
+    extra = [{"OUT": str(out), "CONFIG": str(config)}.get(arg, arg) for arg in extra]
+    argv = ["variance", "--trajectory", str(path), "--burn-in", "100", *extra]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--trajectory does not take {named}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    # the same analysis without the extra flags runs
+    assert cli_main(["variance", "--trajectory", str(path), "--burn-in", "100"]) == 0
 
 
 def _trajectory_lines(tmp_path):

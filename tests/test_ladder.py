@@ -5,6 +5,8 @@ import pytest
 
 from adagibbs.kernels import tv
 from adagibbs.ladder import (
+    _TOTAL_MASS,
+    _law_setup,
     LADDER_EPSILON,
     LADDER_START,
     FailureBudget,
@@ -23,11 +25,17 @@ from adagibbs.ladder import (
     stochastically_dominates,
     transience_experiment,
     truncated_ladder_evolution,
-    truncated_ladder_target,
+    unbounded_ladder_law,
 )
 from adagibbs.samplers import adap_rsg_run, derive_seed, keep_previous
 from adagibbs.weights import SelectionWeights
-from oracles import assert_bitwise_equal, state_dependent_gibbs_kernel
+from oracles import (
+    assert_bitwise_equal,
+    dense_ladder_laws,
+    ladder_step_law_oracle,
+    state_dependent_gibbs_kernel,
+    truncated_ladder_target,
+)
 
 
 def test_ladder_state_invariants():
@@ -134,6 +142,45 @@ def test_conditionals():
     for state in ((1, 1), (5, 4), (9, 9)):
         _, probs1 = target.conditional(0, state)
         assert probs1 == (0.5, 0.5)
+
+
+# A state that enters the chain from outside is refused when a coordinate is
+# not an integer, instead of being truncated to one.  Integral floats, as
+# Trajectory.final_state gives, are the integer state.
+
+
+def test_contains_refuses_a_non_integral_state():
+    target = LadderTarget()
+    for off_ladder in ((1.5, 1), (2.7, 2), (3, 2.5), (math.inf, 1), (math.nan, 1)):
+        assert not target.contains(off_ladder)
+    assert target.contains((3.0, 3.0)) and target.contains((4.0, 3))
+
+
+def test_a_run_refuses_a_non_integral_start():
+    target = LadderTarget()
+    alpha0 = SelectionWeights((0.5, 0.5), LADDER_EPSILON)
+    with pytest.raises(ValueError, match="outside the target support"):
+        adap_rsg_run(target, keep_previous, (1.5, 1), alpha0, 10, 1)
+    first = adap_rsg_run(target, ladder_update_rule, LADDER_START, alpha0, 200, 3)
+    again = adap_rsg_run(target, ladder_update_rule, first.final_state, alpha0, 10, 4)
+    assert again.x0 == first.final_state
+
+
+def test_step_law_refuses_a_non_integral_state():
+    with pytest.raises(ValueError, match="is not on the ladder"):
+        ladder_step_law((2.7, 2), 1)
+    assert ladder_step_law((3.0, 3.0), 1) == ladder_step_law((3, 3), 1)
+
+
+def test_step_law_matches_the_rule_and_conditionals():
+    for n in (1, 1001, 40_000):
+        for level in range(1, 41):
+            for state in ((level, level), (level + 1, level)):
+                law = ladder_step_law(state, n)
+                expected = ladder_step_law_oracle(state, n)
+                assert all(type(law[k]) is float for k in law)
+                for k in (-1, 0, 1):
+                    assert law[k] == pytest.approx(expected[k], abs=1e-15), (state, n, k)
 
 
 def test_step_law_bottom_state():
@@ -267,8 +314,8 @@ def test_ladder_target_views_agree():
 
 def test_fast_evolution_matches_generic_evolution():
     # The step-n kernel written out state by state: weights (1/2 + 4/a_n,
-    # 1/2 - 4/a_n) on the diagonal, mirrored off it.  Fails if _law_step
-    # tilts the wrong way (the sign of its bias flipped).
+    # 1/2 - 4/a_n) on the diagonal, mirrored off it.  Fails if the rung
+    # table tilts the wrong way (the sign of its slope flipped).
     truncation = 4
     a_of_n = linear_schedule(10.0, 3.0)
     fast = truncated_ladder_evolution(truncation, a_of_n, tv_target=0.0, max_steps=60)
@@ -285,6 +332,45 @@ def test_fast_evolution_matches_generic_evolution():
         assert abs(tv(v, pi) - fast.tv[n - 1]) <= 1e-12
         v = v @ kernel.matrix
     assert abs(tv(v, pi) - fast.tv[60]) <= 1e-12
+
+
+@pytest.mark.parametrize("a_of_n", [linear_schedule(10.0, 3.0), schedule_a])
+@pytest.mark.parametrize("truncation", [2, 3, 4, 5, 6])
+def test_rung_law_matches_the_dense_law_on_the_truncated_ladder(truncation, a_of_n):
+    target, dense = dense_ladder_laws(truncation, a_of_n, 60)
+    step, v, _ = _law_setup(truncation)
+    laws = [v]
+    for n in range(1, 61):
+        laws.append(step(laws[-1], a_of_n(n)))
+    for n, (got, want) in enumerate(zip(laws, dense)):
+        assert np.abs(got - want).max() <= 1e-13, n
+        assert abs(got.sum() - 1.0) <= 1e-13, n
+    pi = target.probabilities()
+    evolution = truncated_ladder_evolution(truncation, a_of_n, tv_target=0.0, max_steps=60)
+    assert np.abs(evolution.tv - [tv(v, pi) for v in dense]).max() <= 1e-13
+
+
+def test_rung_law_keeps_its_mass_on_the_truncated_ladder():
+    # 2000 steps with the block schedule park the mass on the top rungs,
+    # whose climb the truncation removes
+    step, v, _ = _law_setup(3)
+    for n in range(1, 2001):
+        v = step(v, schedule_a(n))
+    assert abs(v.sum() - 1.0) <= 1e-12
+    assert v.min() >= 0.0 and v[-1] > 0.5
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 5, 25, 150])
+def test_unbounded_law_matches_the_dense_law(n_steps):
+    law = unbounded_ladder_law(n_steps)
+    target, dense = dense_ladder_laws(n_steps + 2, schedule_a, n_steps)
+    assert law.states == target.states
+    assert law.n_steps == n_steps
+    assert np.abs(law.probs - dense[-1]).max() <= 1e-15
+    assert abs(law.probs.sum() - 1.0) <= 1e-13
+    pi = np.array([target.mass(x) for x in target.states]) / _TOTAL_MASS
+    expected_tv = tv(np.append(dense[-1], 0.0), np.append(pi, 1.0 - pi.sum()))
+    assert law.tv_to_target == pytest.approx(expected_tv, abs=1e-15)
 
 
 def test_block_schedule_keeps_truncated_chain_far_from_target():
@@ -362,7 +448,6 @@ def test_transience_records_replay_one_run_each(n_steps, n_runs, base_seed, stri
 
 
 def test_unbounded_law_is_exact_at_finite_horizons():
-    from adagibbs.ladder import unbounded_ladder_law
     law = unbounded_ladder_law(25)
     assert law.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert law.probs.min() >= -1e-15
@@ -386,8 +471,6 @@ def test_unbounded_law_drifts_away_from_target():
     # characteristic non-ergodic shape: the law first spreads towards the
     # target (TV dips below its point-start value), then the upward drift
     # carries it away for good
-    from adagibbs.ladder import unbounded_ladder_law
-
     tvs = {n: unbounded_ladder_law(n).tv_to_target for n in (0, 5, 10, 25, 50, 150)}
     assert tvs[0] == pytest.approx(1.0 - 1.0 / (math.pi**2 / 3.0), abs=1e-12)
     assert tvs[5] < tvs[0]

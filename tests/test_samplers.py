@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from adagibbs.kernels import mwg_kernel_matrix, gibbs_kernel_matrix
 from adagibbs import samplers, weights
@@ -26,7 +25,15 @@ from adagibbs.samplers import (
 from adagibbs.targets import ContinuousProductTarget, FiniteProductTarget
 from adagibbs.variance import ReversibleChain, spectral_asymptotic_variance
 from adagibbs.weights import SelectionWeights, make_selection_weights
-from oracles import assert_bitwise_equal, recording, rs_mwg_oracle, stationary_distribution
+from oracles import (
+    assert_bitwise_equal,
+    chi2_sf,
+    kolmogorov_sf,
+    ks_normal_test,
+    recording,
+    rs_mwg_oracle,
+    stationary_distribution,
+)
 
 
 def rsg_run(target, alpha, x0, n_steps, seed):
@@ -137,7 +144,7 @@ def test_rsg_transition_frequencies_chi_square():
         observed = counts[r, support]
         chi2 += float(((observed - expected) ** 2 / expected).sum())
         dof += int(support.sum()) - 1
-    p_value = stats.chi2.sf(chi2, dof)
+    p_value = chi2_sf(chi2, dof)
     assert p_value > 1e-3
 
 
@@ -738,14 +745,32 @@ def test_doubly_adaptive_rejects_bad_gamma():
             mwg_run(target, gaussian_random_walk, (bad,), alpha, (0.0,), 5, seed=1)
 
 
+def test_chi_square_and_kolmogorov_tails_match_reference_values():
+    # reference values from scipy 1.17.1: chi2.sf(20.0, 8), chi2.sf(x, 8) at
+    # its 1e-3 quantile, and the Kolmogorov survival function at 1.5
+    assert chi2_sf(20.0, 8) == pytest.approx(0.010336050675925726, rel=1e-12)
+    assert chi2_sf(26.12448155837614, 8) == pytest.approx(1e-3, rel=1e-12)
+    assert kolmogorov_sf(1.5) == pytest.approx(0.022217962616525127, rel=1e-12)
+    # closed forms: one and two degrees of freedom, and the Jacobi branch
+    for x in (0.3, 2.0, 9.0):
+        assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2.0)), rel=1e-14)
+        assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2.0), rel=1e-14)
+    assert kolmogorov_sf(0.999999) == pytest.approx(kolmogorov_sf(1.0), abs=1e-5)
+    assert kolmogorov_sf(0.2) == pytest.approx(1.0, abs=1e-12)
+    # three points against the standard normal: the largest gap is at 1,
+    # between Phi(1) and the 2/3 just below it (and, mirrored, at -1)
+    d, _ = ks_normal_test([0.0, 1.0, -1.0], 0.0, 1.0)
+    assert d == pytest.approx(0.5 * math.erfc(-1.0 / math.sqrt(2.0)) - 2.0 / 3.0)
+
+
 def test_gaussian_family_sampler_matches_density():
     rng = _generator(123)
     x, gamma = 0.7, 0.25
     draws = np.asarray([gaussian_random_walk(rng, 0, x, gamma) for _ in range(50_000)])
     assert abs(draws.mean() - x) <= 3.5 * math.sqrt(gamma / len(draws))
     assert abs(draws.var() - gamma) <= 4.0 * gamma * math.sqrt(2.0 / len(draws))
-    ks = stats.kstest(draws, stats.norm(loc=x, scale=math.sqrt(gamma)).cdf)
-    assert ks.pvalue > 1e-3
+    _, p_value = ks_normal_test(draws, x, math.sqrt(gamma))
+    assert p_value > 1e-3
 
 
 def test_trajectory_invariants():
