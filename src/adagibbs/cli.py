@@ -5,7 +5,7 @@ ladder), ``counterexample``, ``bounds``, ``optimal-scan`` and
 ``geometric-gap`` (the corresponding experiments), and ``variance`` (either
 the lazy-variance identity experiment via ``--config`` or per-coordinate
 autocorrelation analysis of an existing trajectory CSV via ``--trajectory``,
-which takes only ``--burn-in``).
+which takes only ``--burn-in``, a flag that nothing else takes).
 Experiment subcommands take ``--config PATH`` plus optional ``--seed`` and
 ``--out`` overrides; with ``--check`` the exit status is 0 when every
 embedded acceptance check passed and 1 otherwise.  Usage errors exit with 2.
@@ -21,7 +21,7 @@ import numpy as np
 
 from .experiments import ConfigError, ExperimentConfig, run_experiment
 from .samplers import read_trajectory_csv
-from .variance import iact_estimate
+from .variance import IACT_MIN_POINTS, iact_estimate
 
 # The config kind each subcommand accepts.
 SUBCOMMAND_KINDS = {
@@ -67,28 +67,37 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--burn-in",
                 type=_nonnegative_int,
-                default=0,
-                help="samples to drop before analysis",
+                default=None,
+                help="samples to drop before analysis (with --trajectory only)",
             )
     return parser
 
 
 def _analyse_trajectory(path, burn_in):
+    """Print each coordinate's IACT and asymptotic variance, and their total,
+    once all are computed, so a refused trajectory prints nothing."""
     columns = read_trajectory_csv(path)
     coords = sorted(
         int(name[2:]) for name in columns if name.startswith("x_") and name[2:].isdigit()
     )
     if not coords:
         raise ValueError(f"{path} holds no x_i columns")
-    print("coordinate,iact,asymptotic_variance")
+    rows = len(columns[f"x_{coords[0]}"])
+    if burn_in and rows - burn_in < IACT_MIN_POINTS:
+        raise ValueError(
+            f"--burn-in {burn_in} leaves {max(rows - burn_in, 0)} of {rows} rows; "
+            f"an IACT estimate needs {IACT_MIN_POINTS}"
+        )
+    lines = ["coordinate,iact,asymptotic_variance"]
     total = 0.0
     for k in coords:
         trace = columns[f"x_{k}"][burn_in:]
         tau = iact_estimate(trace)
         sigma2 = tau * float(np.var(trace))
         total += sigma2
-        print(f"{k},{tau!r},{sigma2!r}")
-    print(f"total,,{total!r}")
+        lines.append(f"{k},{tau!r},{sigma2!r}")
+    lines.append(f"total,,{total!r}")
+    print("\n".join(lines))
 
 
 def main(argv=None) -> int:
@@ -97,16 +106,21 @@ def main(argv=None) -> int:
 
     if args.command == "variance" and args.trajectory:
         ignored = [f"--{k}" for k in ("config", "seed", "out") if getattr(args, k) is not None]
+        if args.check:
+            ignored.append("--check")
         if ignored:
             print(f"error: --trajectory does not take {', '.join(ignored)}", file=sys.stderr)
             return 2
         try:
-            _analyse_trajectory(args.trajectory, args.burn_in)
+            _analyse_trajectory(args.trajectory, args.burn_in or 0)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
 
+    if getattr(args, "burn_in", None) is not None:
+        print("error: --burn-in applies only with --trajectory", file=sys.stderr)
+        return 2
     if not args.config:
         parser.error(f"{args.command}: --config is required")
     try:

@@ -47,6 +47,7 @@ from .ladder import (
 from .samplers import _generator, adap_rs_adap_mwg_run, gaussian_random_walk, rs_mwg_run
 from .targets import ContinuousProductTarget, FiniteProductTarget
 from .variance import (
+    IACT_MIN_POINTS,
     ReversibleChain,
     center_observable,
     iact_estimate,
@@ -216,9 +217,9 @@ CROSS_FIELD: dict = {
          "must match the length of params.scales"),
         ("epsilon", lambda p: p["epsilon"] <= 1.0 / len(p["scales"]),
          "must not exceed 1/len(params.scales)"),
-        # iact_estimate needs 1000 points of the eval_steps + 1 states.
-        ("eval_burn_in", lambda p: p["eval_steps"] - p["eval_burn_in"] >= 999,
-         "must leave at least 1000 evaluation states"),
+        # iact_estimate's points come from the eval_steps + 1 states.
+        ("eval_burn_in", lambda p: p["eval_steps"] + 1 - p["eval_burn_in"] >= IACT_MIN_POINTS,
+         f"must leave at least {IACT_MIN_POINTS} evaluation states"),
     ),
 }
 
@@ -772,7 +773,8 @@ def _evaluation_arm(target, alpha, a, gamma, x0, eval_steps, burn_in, seed):
     Returns the IACT and the variance of the observable ``sum_i a_i x_i``
     after burn-in."""
     # The observable is taken block by block, so the (n + 1, d) states are
-    # never built whole, and the run's record is freed before the IACT.
+    # never built whole, and the run's record is freed before the IACT,
+    # whose FFT spans only the window of lags its rule reads.
     run = rs_mwg_run(target, alpha, gamma, x0, eval_steps, seed)
     a = np.asarray(a)
     trace = np.concatenate([block @ a for block in run.row_blocks(burn_in)])

@@ -8,6 +8,14 @@ computable exactly.  The keystone identity checked here relates a kernel's
 variance to that of its lazy mixtures, which is what ties a coordinate's
 within-scan autocorrelation time to its selection weight and yields the
 square-root rule for optimal weights.
+
+From a sampled trace the variance is estimated by the integrated
+autocorrelation time, whose initial-positive-sequence rule reads lags only
+up to its first nonpositive pair of autocorrelations.  The lags come from a
+zero-padded FFT, whose lags ``0 .. size - n`` are free of wrap-round, so the
+transform is sized to a window of lags (the least power of two above ``n``)
+and doubled only while the pairs in the window stay positive; one doubling
+makes every lag exact.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .kernels import DistributionVector, TransitionMatrix
 
 REVERSIBILITY_TOL = 1e-10
 CENTERING_TOL = 1e-12
+IACT_MIN_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -140,17 +149,20 @@ def asvar_decomposition(
     )
 
 
-def _autocovariances(x: np.ndarray) -> np.ndarray:
-    """Lags ``0..n-1`` of the autocovariance of ``x`` about its mean, with
-    the biased ``1/n`` normalisation, by a zero-padded FFT.  The centred copy
-    and then the forward spectrum are freed before the inverse transform;
-    the product stays out of place, since an in-place multiply rounds
-    differently."""
+def _autocovariances(x: np.ndarray, size: int) -> np.ndarray:
+    """Lags ``0 .. min(size - n, n - 1)`` of the autocovariance of ``x``
+    about its mean, with the biased ``1/n`` normalisation, from an FFT
+    zero-padded to ``size >= n`` points.
+
+    The transform is circular: its lag ``k`` also sums the products that
+    wrap round the end, and those exist only for ``k > size - n``, so the
+    lags returned are exact and no others are.  The centred copy and then
+    the forward spectrum are freed before the inverse transform; the product
+    stays out of place, since an in-place multiply rounds differently."""
     n = len(x)
-    size = 1 << (2 * n - 1).bit_length()  # the least power of two >= 2n
     f = np.fft.rfft(x - x.mean(), size)
     f = f * np.conjugate(f)
-    return np.fft.irfft(f, size)[:n] / n
+    return np.fft.irfft(f, size)[: min(size - n + 1, n)] / n
 
 
 def iact_estimate(trace: Sequence[float]) -> float:
@@ -158,26 +170,39 @@ def iact_estimate(trace: Sequence[float]) -> float:
 
     Lag autocovariances are summed in adjacent pairs until a pair turns
     nonpositive; for reversible chains those pair sums are provably positive,
-    which makes the truncation parameter-free.  Needs at least 1000 points
-    and a non-constant trace.
+    which makes the truncation parameter-free.  Needs at least
+    ``IACT_MIN_POINTS`` (1000) points and a non-constant trace.
+
+    The rule reads only the lags up to its first nonpositive pair, usually a
+    few hundred, so the FFT is sized to a window of lags, not to all ``n``:
+    first the least power of two above ``n``, whose lags ``0 .. size - n``
+    are exact (see :func:`_autocovariances`).  A nonpositive pair inside
+    the window ends the sum just where the full lags would end it.  While
+    every pair in the window is positive the size doubles and the pairs are
+    summed afresh; a size of at least ``2n - 1`` makes all ``n`` lags exact,
+    and the first doubling reaches it.  So the estimate is the rule over the
+    full autocovariance and differs from it only in FFT rounding.
     """
     x = np.asarray(trace, dtype=np.float64)
     n = len(x)
-    if n < 1000:
-        raise ValueError(f"trace too short for an IACT estimate: {n} < 1000")
+    if n < IACT_MIN_POINTS:
+        raise ValueError(f"trace too short for an IACT estimate: {n} < {IACT_MIN_POINTS}")
     # On the raw trace: centring a constant trace whose value is not its own
     # float mean leaves rounding dust, not zeros.
     if x.min() == x.max():
         raise ValueError("constant trace has no autocorrelation time")
-    acov = _autocovariances(x)
-    rho = acov / acov[0]
-
-    total = 0.0
-    m = 0
-    while 2 * m + 1 < n:
-        pair = rho[2 * m] + rho[2 * m + 1]
-        if pair <= 0.0:
-            break
-        total += pair
-        m += 1
-    return float(2.0 * total - 1.0)
+    size = 1 << n.bit_length()  # the least power of two above n
+    while True:
+        rho = _autocovariances(x, size)
+        rho /= rho[0]
+        total = 0.0
+        m = 0
+        while 2 * m + 1 < len(rho):
+            pair = rho[2 * m] + rho[2 * m + 1]
+            if pair <= 0.0:
+                return float(2.0 * total - 1.0)
+            total += pair
+            m += 1
+        if len(rho) == n:  # all n lags were exact: the rule has run out
+            return float(2.0 * total - 1.0)
+        size *= 2

@@ -146,7 +146,8 @@ def autocovariance_oracle(x) -> np.ndarray:
 
 def iact_oracle(trace) -> float:
     """Integrated autocorrelation time, the initial-positive-sequence rule
-    written straight through: adjacent lag pairs of the autocorrelation
+    written straight through over all ``n`` lags of
+    :func:`autocovariance_oracle`: adjacent lag pairs of the autocorrelation
     summed until one turns nonpositive."""
     acov = autocovariance_oracle(np.asarray(trace, dtype=np.float64))
     rho = acov / acov[0]

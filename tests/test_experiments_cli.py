@@ -854,18 +854,13 @@ def test_cli_trajectory_analysis(tmp_path, capsys):
         (["--seed", "3"], "--seed"),
         (["--out", "OUT"], "--out"),
         (["--config", "CONFIG", "--out", "OUT", "--check"], "--config, --out"),
+        (["--check"], "--check"),
     ],
 )
 def test_cli_trajectory_refuses_the_flags_it_would_ignore(extra, named, tmp_path, capsys):
-    # the console-script check of the CI workflow: 2000 steps, burn-in 100
-    path = tmp_path / "traj.csv"
-    target = ContinuousProductTarget((1.0, 2.0))
-    write_trajectory_csv(
-        rs_mwg_run(target, SelectionWeights((0.5, 0.5), 0.25), (1.0, 1.0), (0.0, 0.0), 2000, 1),
-        path,
-    )
+    path = _ci_trajectory(tmp_path)
     out = tmp_path / "out"
-    config = Path(__file__).resolve().parents[1] / "configs" / "lazy_variance.json"
+    config = REPO / "configs" / "lazy_variance.json"
     extra = [{"OUT": str(out), "CONFIG": str(config)}.get(arg, arg) for arg in extra]
     argv = ["variance", "--trajectory", str(path), "--burn-in", "100", *extra]
     assert cli_main(argv) == 2
@@ -875,6 +870,45 @@ def test_cli_trajectory_refuses_the_flags_it_would_ignore(extra, named, tmp_path
     assert not out.exists()
     # the same analysis without the extra flags runs
     assert cli_main(["variance", "--trajectory", str(path), "--burn-in", "100"]) == 0
+
+
+@pytest.mark.parametrize("burn_in", [1002, 2001, 5000])
+def test_cli_trajectory_refuses_a_burn_in_that_leaves_too_few_rows(burn_in, tmp_path, capsys):
+    """2001 rows less the burn-in must leave the IACT's 1000 points; a
+    shortfall is refused before the CSV header is printed."""
+    path = _ci_trajectory(tmp_path)
+    assert cli_main(["variance", "--trajectory", str(path), "--burn-in", str(burn_in)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--burn-in {burn_in} leaves {max(2001 - burn_in, 0)} of 2001 rows" in captured.err
+    assert cli_main(["variance", "--trajectory", str(path), "--burn-in", "1001"]) == 0
+
+
+@pytest.mark.parametrize("burn_in", ["0", "100"])
+def test_cli_variance_config_refuses_burn_in(burn_in, tmp_path, capsys):
+    """``--burn-in`` acts only on ``--trajectory``; beside ``--config`` it
+    is refused before the run, even at 0."""
+    out = tmp_path / "out"
+    config = REPO / "configs" / "lazy_variance.json"
+    argv = ["variance", "--config", str(config), "--burn-in", burn_in, "--out", str(out)]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--burn-in applies only with --trajectory" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _ci_trajectory(tmp_path):
+    """The trajectory of the CI workflow's console-script check, whose
+    ``variance --trajectory`` call takes ``--burn-in 100``: 2000 steps of a
+    fixed-parameter Metropolis-within-Gibbs run, so 2001 rows."""
+    path = tmp_path / "traj.csv"
+    target = ContinuousProductTarget((1.0, 2.0))
+    write_trajectory_csv(
+        rs_mwg_run(target, SelectionWeights((0.5, 0.5), 0.25), (1.0, 1.0), (0.0, 0.0), 2000, 1),
+        path,
+    )
+    return path
 
 
 def _trajectory_lines(tmp_path):

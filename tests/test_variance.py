@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from adagibbs.kernels import (
 from adagibbs.adaptation import weight_update
 from adagibbs.bounds import metropolis_kernel_matrix
 from adagibbs.targets import FiniteProductTarget
+from adagibbs import variance
 from adagibbs.variance import (
     ReversibleChain,
     _autocovariances,
@@ -283,19 +286,88 @@ def test_iact_refuses_a_constant_trace_whose_mean_rounds(value):
         iact_estimate(trace)
 
 
+def ar1_trace(phi, n, seed):
+    """``n`` points of the AR(1) recursion ``x_k = phi x_{k-1} + e_k`` from
+    ``x_0 = e_0``, with standard normal ``e``."""
+    noise = np.random.default_rng(seed).normal(size=n).tolist()
+    return np.array(list(itertools.accumulate(noise, lambda prev, e: phi * prev + e)))
+
+
+def full_size(n):
+    """The least power of two at or above ``2n``: every lag exact."""
+    return 1 << (2 * n - 1).bit_length()
+
+
 @pytest.mark.parametrize("n", [1_000, 3_001, 12_345, 100_003])
-def test_iact_equals_the_straight_line_oracle_bit_for_bit(n):
-    """The estimate frees its buffers early but computes the same floats as
-    the plain statements in ``oracles``, on lengths that are not powers of
-    two (so the FFT is zero-padded).  The autocovariances are compared too:
-    the sum of lag pairs absorbs a last-bit change in a single lag."""
-    rng = np.random.default_rng(n)
-    x = np.empty(n)
-    x[0] = 0.0
-    noise = rng.normal(size=n)
-    for k in range(1, n):
-        x[k] = 0.9 * x[k - 1] + noise[k]
-    assert_bitwise_equal(_autocovariances(x), autocovariance_oracle(x))
+def test_autocovariances_at_the_full_size_equal_the_oracle_bit_for_bit(n):
+    """At the oracle's transform size the autocovariances, which free their
+    buffers early, are the same floats as the plain statement in
+    ``oracles``, on lengths that are not powers of two (so the FFT is
+    zero-padded)."""
+    x = ar1_trace(0.9, n, n)
+    assert_bitwise_equal(_autocovariances(x, full_size(n)), autocovariance_oracle(x))
+
+
+@pytest.mark.parametrize("n", [1_000, 2_047, 2_049, 12_345, 65_535, 65_536, 100_003, 262_145])
+@pytest.mark.parametrize("phi", [0.0, 0.5, 0.9, 0.99, 0.999])
+def test_iact_matches_the_full_length_oracle(phi, n):
+    """The estimate transforms only a window of lags, doubling it while the
+    pairs stay positive, and so is the rule over all ``n`` lags up to FFT
+    rounding; the lengths include ``2**k - 1``, ``2**k`` and ``2**k + 1``."""
+    x = ar1_trace(phi, n, n + int(1000 * phi))
     got = iact_estimate(x)
     assert type(got) is float
-    assert got == iact_oracle(x)
+    assert got == pytest.approx(iact_oracle(x), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1_000, 1_024, 1_500, 2_047, 2_049, 3_001])
+@pytest.mark.parametrize("doubled", [False, True])
+def test_autocovariances_are_every_exact_lag(n, doubled):
+    """At the first window's size (the least power of two above ``n``) and
+    at twice it, the lags returned, ``0 .. min(size - n, n - 1)``, are the
+    direct sums ``sum_t y_t y_{t+k} / n`` of the centred trace, the last one
+    included, and no wrapped lag is returned.  The trace starts and ends far
+    from its mean, so a wrapped lag would be off by about ``y_0 y_{n-1} / n``."""
+    x = ar1_trace(0.99, n, n)
+    x[0], x[-1] = x.mean() + 40.0, x.mean() - 40.0
+    size = (1 << n.bit_length()) * (2 if doubled else 1)
+    y = x - x.mean()
+    acov = _autocovariances(x, size)
+    assert len(acov) == min(size - n + 1, n)
+    direct = np.array([np.dot(y[: n - k], y[k:]) / n for k in range(len(acov))])
+    np.testing.assert_allclose(acov, direct, rtol=0.0, atol=1e-12 * direct[0])
+
+
+def test_iact_doubles_its_window_while_the_pairs_stay_positive(monkeypatch):
+    """At ``n = 2**12 - 1`` the first transform, of ``2**12`` points, holds
+    only lags 0 and 1, and at ``phi = 0.999`` their pair is positive, so the
+    estimate must transform again at twice the size, where every lag is
+    exact, and read the pairs from there."""
+    n = 2**12 - 1
+    x = ar1_trace(0.999, n, 24)
+    sizes = []
+
+    def recorded(trace, size):
+        sizes.append(size)
+        return _autocovariances(trace, size)
+
+    monkeypatch.setattr(variance, "_autocovariances", recorded)
+    got = iact_estimate(x)
+    assert sizes == [2**12, 2**13]
+    assert got == pytest.approx(iact_oracle(x), rel=1e-15, abs=0.0)
+    assert got > 100.0
+
+
+def test_iact_memory_is_a_window_transform():
+    """The transform of the first window (``2**17`` points for ``n = 100003``)
+    and its spectra peak below 32 bytes a point; the full-length transform
+    at ``2**18`` points peaks above 48, and the oracle above 64."""
+    n = 100_003
+    x = ar1_trace(0.9, n, 5)
+    tracemalloc.start()
+    try:
+        iact_estimate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * n
