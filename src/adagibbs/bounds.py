@@ -7,6 +7,8 @@ of a systematic-scan certificate to the random scan sampler, the proposal-TV
 versus kernel-TV comparison for Metropolis kernels, and the geometric-target
 example showing why that comparison genuinely needs its side condition, on
 Metropolis kernels from :func:`adagibbs.kernels.metropolis_kernel_matrix`.
+Last, the ``bounds`` experiment's checks over random weight draws, which
+power stacks of Gibbs kernels and read their exact worst-row TV.
 """
 
 from __future__ import annotations
@@ -17,8 +19,15 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import DistributionVector, TransitionMatrix, metropolis_kernel_matrix, sup_row_tv, tv
-from .weights import SelectionWeights, _check_floor, sup_distance
+from .kernels import (
+    DistributionVector,
+    TransitionMatrix,
+    gibbs_kernel_matrix,
+    metropolis_kernel_matrix,
+    sup_row_tv,
+    tv,
+)
+from .weights import SelectionWeights, _check_floor, make_selection_weights, sup_distance
 
 ENTRYWISE_TOL = 1e-12
 
@@ -212,3 +221,120 @@ def geometric_counterexample_gap(p: float, n: int) -> GeometricGap:
     kernel_next = metropolis_kernel_matrix(pi, np.tile(q_next, (k_max + 1, 1)))
     kernel_gap = float(kernel_next[n, 0] - kernel_n[n, 0])
     return GeometricGap(p=p, n=n, proposal_gap=proposal_gap, kernel_gap=kernel_gap, k_max=k_max)
+
+
+# ---------------------------------------------------------------------------
+# the bounds experiment's checks over random weight draws
+
+
+# The uniform family advances its weight draws in stacks of as many draws as
+# fit in this many bytes at 8 * (S**2 + horizon) bytes a draw: its kernel or
+# power on S states, and its column of the horizon's tables.  So no stacked
+# array is larger, unless one draw alone is.
+STACK_BYTES = 32 * 1024
+
+
+def _uniform_target(target, epsilon: float, horizon: int, bound) -> tuple:
+    """``(m, s, bounds, pi)`` of one target: the steps and mass of the first
+    positive minorization certificate of its uniform-weight kernel over
+    ``m = d .. 2d``, ``bound(cert, epsilon, d, n)`` at each step ``n = 1 ..
+    horizon``, and the target law."""
+    beta = SelectionWeights((1.0 / target.d,) * target.d, epsilon)
+    p_beta = gibbs_kernel_matrix(target, beta)
+    cert = None
+    for m in range(target.d, 2 * target.d + 1):
+        cert = minorization_search(p_beta, m)
+        if cert.s > 0.0:
+            break
+    # The bound holds for every weight vector on the floor: one per step.
+    bounds = np.array([bound(cert, epsilon, target.d, n) for n in range(1, horizon + 1)])
+    return cert.m, cert.s, bounds, target.probabilities()
+
+
+def _worst_steps(stack: list, epsilon: float, horizon: int) -> list:
+    """``(exact, bound, margin)`` at the first worst step of each weight draw
+    of ``stack``, a list of ``(target, raw weights, bounds, pi)`` on targets
+    of one state count: their kernels are powered together, one stacked
+    matmul and one worst-row TV per draw per step."""
+    size = len(stack[0][0].states)
+    kernels = np.empty((len(stack), size, size))
+    for g, (target, raw, _, _) in enumerate(stack):
+        alpha = make_selection_weights(raw, epsilon)
+        kernels[g] = gibbs_kernel_matrix(target, alpha).matrix
+    pis = np.stack([pi for *_, pi in stack])[:, np.newaxis, :]
+    exacts = np.empty((horizon, len(stack)))
+    power = np.eye(size)
+    for n in range(horizon):
+        power = power @ kernels
+        exacts[n] = sup_row_tv(power, pis)
+    del kernels, power  # before the tables, which peak beside them otherwise
+    margins = np.stack([bounds for _, _, bounds, _ in stack], axis=1)
+    margins -= exacts
+    worst = np.argmin(margins, axis=0)  # the first worst step
+    return [
+        (float(exacts[n, g]), float(stack[g][2][n]), float(margins[n, g]))
+        for g, n in enumerate(worst)
+    ]
+
+
+def _lipschitz_row(t: int, target, pair: np.ndarray, epsilon: float, bound) -> list:
+    """``[t, d, exact, bound]`` for one pair of weight vectors on one target."""
+    alpha, alpha_prime = (make_selection_weights(raw[:target.d], epsilon) for raw in pair)
+    exact = sup_row_tv(
+        gibbs_kernel_matrix(target, alpha).matrix,
+        gibbs_kernel_matrix(target, alpha_prime).matrix,
+    )
+    return [t, target.d, exact, bound(alpha, alpha_prime)]
+
+
+def _weight_family_rows(
+    targets: list, pairs, draws, p: dict, lipschitz_bound, uniform_bound
+) -> tuple:
+    """Rows of the ``bounds`` experiment's ``lipschitz`` and ``uniform``
+    families, in target order, from weight vectors drawn beforehand
+    (``None`` for a family not run), checking ``lipschitz_bound`` (as
+    :func:`tv_lipschitz_bound`) and ``uniform_bound`` (as
+    :func:`uniform_ergodicity_bound`).  The experiment passes in the bounds
+    it names, so that replacing one there replaces the one checked.
+
+    The targets are visited by state count, smallest first.  A group's
+    lipschitz pairs come first, then its uniform draws run their horizon in
+    stacks of at most :data:`STACK_BYTES` per stacked array, and for each
+    the step where the bound's margin over the exact worst-row TV is
+    smallest is kept.  The group's targets are then dropped from
+    ``targets``, and their conditional tables with them; the caller does
+    not read the list again.  Cells are Python numbers.
+    """
+    epsilon, horizon, n_alphas = p["epsilon"], p["horizon"], p["n_alphas"]
+    groups: dict = {}
+    for t, target in enumerate(targets):
+        groups.setdefault(len(target.states), []).append(t)
+    lipschitz = None if pairs is None else [None] * len(targets)
+    uniform = None if draws is None else [None] * len(draws)
+    for size, members in sorted(groups.items()):
+        if pairs is not None:
+            for t in members:
+                pair = pairs[2 * t:2 * t + 2]
+                lipschitz[t] = _lipschitz_row(t, targets[t], pair, epsilon, lipschitz_bound)
+        if draws is not None:
+            group = [k for t in members for k in range(t * n_alphas, (t + 1) * n_alphas)]
+            per_stack = max(1, STACK_BYTES // (8 * (size * size + horizon)))
+            per_target: dict = {}
+            for start in range(0, len(group), per_stack):
+                stack = group[start:start + per_stack]
+                owners = [k // n_alphas for k in stack]
+                # a target whose draws ran on in the last stack keeps its entry
+                per_target = {
+                    t: per_target[t] if t in per_target
+                    else _uniform_target(targets[t], epsilon, horizon, uniform_bound)
+                    for t in dict.fromkeys(owners)
+                }
+                worst = _worst_steps([
+                    (targets[t], draws[k, :targets[t].d], *per_target[t][2:])
+                    for t, k in zip(owners, stack)
+                ], epsilon, horizon)
+                for t, k, cells in zip(owners, stack, worst):
+                    uniform[k] = [t, k % n_alphas, *per_target[t][:2], *cells]
+        for t in members:
+            targets[t] = None
+    return lipschitz, uniform

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .adaptation import BATCH_SIZE, ComponentwiseAdaptation, acceptance_fractions
 from .bounds import (
+    _weight_family_rows,
     geometric_counterexample_gap,
     minorization_search,
     strong_uniform_constants,
@@ -34,9 +35,7 @@ from .bounds import (
 )
 from .kernels import (
     TransitionMatrix,
-    gibbs_kernel_matrix,
     random_reversible_chain,
-    sup_row_tv,
 )
 from .ladder import (
     linear_schedule,
@@ -206,6 +205,8 @@ BOUNDS_MAX_D = 3
 # leaves no weight vector on d coordinates.
 CROSS_FIELD: dict = {
     "bounds": (
+        ("families", lambda p: len(set(p["families"])) == len(p["families"]),
+         "must not name a family twice"),
         ("epsilon", lambda p: p["epsilon"] <= 1.0 / BOUNDS_MAX_D,
          f"must not exceed 1/{BOUNDS_MAX_D}, for the largest random target"),
     ),
@@ -402,18 +403,38 @@ BOUND_SLACK = 1e-12
 
 
 def _record_bound_family(result, name, header, rows, margins, unit):
-    """Record one bound family: its table, with a last ``violation`` column
-    flagging each row whose margin (bound minus exact quantity) is below
-    ``-BOUND_SLACK``, and a check that no row is flagged."""
+    """Record one bound family: its table, each row of which gains a last
+    ``violation`` column flagging a margin (bound minus exact quantity) below
+    ``-BOUND_SLACK``, in place, and a check that no row is flagged."""
     flags = [int(margin < -BOUND_SLACK) for margin in margins]
-    result.tables[name] = ([*header, "violation"], [[*row, f] for row, f in zip(rows, flags)])
+    for row, flag in zip(rows, flags):
+        row.append(flag)
+    result.tables[name] = ([*header, "violation"], rows)
     violations = sum(flags)
     detail = f"{violations} violations over {len(rows)} {unit}"
     _record_check(result, name, violations == 0, detail)
 
 
+def _weight_draws(rng: np.random.Generator, targets: list, count: int) -> np.ndarray:
+    """``count`` raw weight vectors per target, drawn in target order: row
+    ``t * count + a`` is target ``t``'s draw ``a``, zero beyond its ``d``."""
+    draws = np.zeros((len(targets) * count, BOUNDS_MAX_D))
+    for k, raw in enumerate(draws):
+        d = targets[k // count].d
+        raw[:d] = rng.dirichlet(np.ones(d))
+    return draws
+
+
 def bounds_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Dominance checks: every closed-form bound against its exact quantity."""
+    """Dominance checks: every closed-form bound against its exact quantity.
+
+    Every weight vector is drawn before any kernel is built: the lipschitz
+    pairs, then the uniform draws, each in target order, which is the stream
+    of one family's target-by-target loop after the other's.  The targets
+    are then visited in groups of one state count, and a group's uniform
+    draws run their horizon in stacks capped at ``bounds.STACK_BYTES`` per
+    stacked array (see ``bounds._weight_family_rows``).
+    """
     p = config.params
     rng = _generator(config.seed)
     result = ExperimentResult(summary={})
@@ -421,54 +442,22 @@ def bounds_experiment(config: ExperimentConfig) -> ExperimentResult:
         random_finite_product_target(rng, int(rng.integers(2, BOUNDS_MAX_D + 1)))
         for _ in range(p["n_targets"])
     ]
+    pairs = _weight_draws(rng, targets, 2) if "lipschitz" in p["families"] else None
+    draws = _weight_draws(rng, targets, p["n_alphas"]) if "uniform" in p["families"] else None
+    lipschitz, uniform = _weight_family_rows(  # empties targets
+        targets, pairs, draws, p, tv_lipschitz_bound, uniform_ergodicity_bound
+    )
 
-    if "lipschitz" in p["families"]:
-        rows = []
-        margins = []
-        for t_id, target in enumerate(targets):
-            alpha = make_selection_weights(rng.dirichlet(np.ones(target.d)), p["epsilon"])
-            alpha_prime = make_selection_weights(rng.dirichlet(np.ones(target.d)), p["epsilon"])
-            exact = sup_row_tv(
-                gibbs_kernel_matrix(target, alpha).matrix,
-                gibbs_kernel_matrix(target, alpha_prime).matrix,
-            )
-            bound = tv_lipschitz_bound(alpha, alpha_prime)
-            margins.append(bound - exact)
-            rows.append([t_id, target.d, exact, bound])
+    if lipschitz is not None:
         header = ["target", "d", "exact_sup_tv", "bound"]
-        _record_bound_family(result, "lipschitz", header, rows, margins, "weight pairs")
+        margins = [bound - exact for *_, exact, bound in lipschitz]
+        _record_bound_family(result, "lipschitz", header, lipschitz, margins, "weight pairs")
 
-    if "uniform" in p["families"]:
-        rows = []
-        for t_id, target in enumerate(targets):
-            beta = SelectionWeights((1.0 / target.d,) * target.d, p["epsilon"])
-            p_beta = gibbs_kernel_matrix(target, beta)
-            cert = None
-            for m in range(target.d, 2 * target.d + 1):
-                cert = minorization_search(p_beta, m)
-                if cert.s > 0.0:
-                    break
-            pi = target.probabilities()
-            # The bound holds for every weight vector on the floor: one per step.
-            bounds = [
-                uniform_ergodicity_bound(cert, p["epsilon"], target.d, n)
-                for n in range(1, p["horizon"] + 1)
-            ]
-            for a_id in range(p["n_alphas"]):
-                alpha = make_selection_weights(rng.dirichlet(np.ones(target.d)), p["epsilon"])
-                power = np.eye(len(target.states))
-                kernel = gibbs_kernel_matrix(target, alpha).matrix
-                exacts = []
-                for _ in bounds:
-                    power = power @ kernel
-                    exacts.append(sup_row_tv(power, pi))
-                margins = np.subtract(bounds, exacts)
-                n = int(np.argmin(margins))  # the first worst step
-                rows.append([t_id, a_id, cert.m, cert.s, exacts[n], bounds[n], float(margins[n])])
+    if uniform is not None:
         header = ["target", "alpha", "cert_m", "cert_s", "exact_at_worst_n", "bound_at_worst_n",
                   "min_margin"]
-        margins = [row[-1] for row in rows]
-        _record_bound_family(result, "uniform", header, rows, margins, "weight draws")
+        margins = [row[-1] for row in uniform]
+        _record_bound_family(result, "uniform", header, uniform, margins, "weight draws")
 
     if "strong" in p["families"]:
         rows = []

@@ -6,7 +6,9 @@ quantities are computed without sampling error.  Every closed-form bound
 elsewhere in the package is checked against numbers produced here.
 :func:`metropolis_kernel_matrix` is the one finite Metropolis kernel;
 Metropolis-within-Gibbs applies it on every fibre.  :func:`tv` and
-:func:`sup_row_tv` are the one statement of total variation.
+:func:`sup_row_tv` are the one statement of total variation; both take
+stacks, with the distribution on the last axis, and give a Python float for
+one pair and an array for a stack.
 """
 
 from __future__ import annotations
@@ -80,16 +82,29 @@ class TransitionMatrix:
         return len(self.states)
 
 
-def tv(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance between two probability vectors on one
-    enumeration: half the L1 distance between them."""
-    return 0.5 * float(np.abs(p - q).sum())
+def _float_or_array(x):
+    """A 0-d result as a Python float (a data-file cell, not a numpy repr);
+    anything larger as the array."""
+    return float(x) if x.ndim == 0 else x
 
 
-def sup_row_tv(a: np.ndarray, b: np.ndarray) -> float:
-    """Worst-row total variation distance between two row-stochastic arrays
-    on one enumeration; a vector ``b`` is compared with every row of ``a``."""
-    return 0.5 * float(np.abs(a - b).sum(axis=1).max())
+def tv(p: np.ndarray, q: np.ndarray):
+    """Total variation distance, half the L1 distance, between probability
+    vectors on one enumeration, held on the last axis.  ``p`` and ``q``
+    broadcast, so a stack of vectors gives one distance each; one pair gives
+    a Python float."""
+    diff = np.subtract(p, q)
+    np.abs(diff, out=diff)
+    return _float_or_array(0.5 * diff.sum(axis=-1))
+
+
+def sup_row_tv(a: np.ndarray, b: np.ndarray):
+    """Worst-row total variation distance between row-stochastic arrays on one
+    enumeration; a vector ``b`` is compared with every row of ``a``.  A stack
+    of matrices ``(..., S, S)`` gives one distance each; one pair gives a
+    Python float.  Halving is exact, so the worst row of :func:`tv` is half
+    the worst row sum."""
+    return _float_or_array(tv(a, b).max(axis=-1))
 
 
 def _fibres(target: FiniteProductTarget, i: int) -> list:

@@ -405,6 +405,11 @@ def _law_setup(truncation: int) -> tuple:
     return step, v0, (rungs // 2 + 1) ** -2.0
 
 
+# truncated_ladder_evolution pushes the law this many steps between two
+# readings of their total variation distances.
+LAW_CHUNK = 64
+
+
 def truncated_ladder_evolution(
     truncation: int,
     a_of_n: Callable[[int], float],
@@ -416,7 +421,9 @@ def truncated_ladder_evolution(
 
     The law is pushed forward (see :func:`_law_setup`) until the total
     variation distance to the target drops below ``tv_target`` (the horizon)
-    or ``max_steps`` is hit.
+    or ``max_steps`` is hit.  The laws of :data:`LAW_CHUNK` steps at a time
+    go to one buffer and their distances are read in one call; the trace
+    ends at the first step below ``tv_target``.
     """
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
@@ -425,15 +432,19 @@ def truncated_ladder_evolution(
 
     trace = np.empty(max_steps + 1)
     trace[0] = tv(v, pi)
-    horizon = None
-    for n in range(1, max_steps + 1):
-        v = step(v, a_of_n(n))
-        trace[n] = tv(v, pi)
-        if trace[n] < tv_target:
-            horizon = n
-            break
-    end = horizon if horizon is not None else max_steps
-    return TruncatedLadderEvolution(tv=trace[: end + 1], horizon=horizon)
+    laws = np.empty((min(LAW_CHUNK, max_steps), len(v)))
+    for done in range(0, max_steps, LAW_CHUNK):
+        size = min(LAW_CHUNK, max_steps - done)
+        for k in range(size):
+            v = step(v, a_of_n(done + k + 1))
+            laws[k] = v
+        chunk = trace[done + 1:done + 1 + size]
+        chunk[:] = tv(laws[:size], pi)
+        below = np.flatnonzero(chunk < tv_target)
+        if below.size:
+            horizon = done + 1 + int(below[0])
+            return TruncatedLadderEvolution(tv=trace[: horizon + 1], horizon=horizon)
+    return TruncatedLadderEvolution(tv=trace, horizon=None)
 
 
 @dataclass(frozen=True)

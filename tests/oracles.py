@@ -13,15 +13,17 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from adagibbs import samplers
-from adagibbs.bounds import ENTRYWISE_TOL
+from adagibbs import experiments, samplers
+from adagibbs.bounds import ENTRYWISE_TOL, minorization_search, tv_lipschitz_bound
 from adagibbs.kernels import (
     DistributionVector,
     TransitionMatrix,
+    gibbs_kernel_matrix,
     single_coordinate_kernel,
 )
-from adagibbs.ladder import LadderTarget, ladder_update_rule
+from adagibbs.ladder import LadderTarget, _law_setup, ladder_update_rule
 from adagibbs.targets import FiniteProductTarget
+from adagibbs.weights import SelectionWeights, make_selection_weights
 
 
 def recording(rule, record):
@@ -217,6 +219,84 @@ def dense_ladder_laws(truncation, a_of_n, n_steps):
         v = laws[-1]
         laws.append(v @ k_half + (4.0 / a_of_n(n)) * (v @ bias))
     return target, laws
+
+
+def bounds_targets(config) -> tuple:
+    """The random targets of a ``bounds`` config, drawn as the experiment
+    draws them first; returns ``(rng, targets)``."""
+    rng = samplers._generator(config.seed)
+    targets = [
+        experiments.random_finite_product_target(
+            rng, int(rng.integers(2, experiments.BOUNDS_MAX_D + 1))
+        )
+        for _ in range(config.params["n_targets"])
+    ]
+    return rng, targets
+
+
+def lipschitz_family_oracle(rng, targets, p) -> list:
+    """Rows of the ``lipschitz`` family of ``bounds`` with parameters ``p``,
+    one target at a time, each pair of weight vectors drawn from ``rng``
+    just before its kernels are built.  No violation column."""
+    rows = []
+    for t_id, target in enumerate(targets):
+        alpha = make_selection_weights(rng.dirichlet(np.ones(target.d)), p["epsilon"])
+        alpha_prime = make_selection_weights(rng.dirichlet(np.ones(target.d)), p["epsilon"])
+        a = gibbs_kernel_matrix(target, alpha).matrix
+        b = gibbs_kernel_matrix(target, alpha_prime).matrix
+        exact = 0.5 * float(np.abs(a - b).sum(axis=1).max())
+        rows.append([t_id, target.d, exact, tv_lipschitz_bound(alpha, alpha_prime)])
+    return rows
+
+
+def uniform_family_oracle(rng, targets, p) -> list:
+    """Rows of the ``uniform`` family of ``bounds`` with parameters ``p``, one
+    weight draw at a time, each drawn from ``rng`` just before its horizon:
+    each draw's kernel is powered step by step and the worst-row TV to the
+    target read at each step.  The bound is looked up on
+    ``adagibbs.experiments``, as the experiment does, so a test that replaces
+    it there replaces it here too.  No violation column."""
+    rows = []
+    for t_id, target in enumerate(targets):
+        beta = SelectionWeights((1.0 / target.d,) * target.d, p["epsilon"])
+        p_beta = gibbs_kernel_matrix(target, beta)
+        cert = None
+        for m in range(target.d, 2 * target.d + 1):
+            cert = minorization_search(p_beta, m)
+            if cert.s > 0.0:
+                break
+        pi = target.probabilities()
+        bounds = [
+            experiments.uniform_ergodicity_bound(cert, p["epsilon"], target.d, n)
+            for n in range(1, p["horizon"] + 1)
+        ]
+        for a_id in range(p["n_alphas"]):
+            alpha = make_selection_weights(rng.dirichlet(np.ones(target.d)), p["epsilon"])
+            power = np.eye(len(target.states))
+            kernel = gibbs_kernel_matrix(target, alpha).matrix
+            exacts = []
+            for _ in bounds:
+                power = power @ kernel
+                exacts.append(0.5 * float(np.abs(power - pi).sum(axis=1).max()))
+            margins = np.subtract(bounds, exacts)
+            n = int(np.argmin(margins))  # the first worst step
+            rows.append([t_id, a_id, cert.m, cert.s, exacts[n], bounds[n], float(margins[n])])
+    return rows
+
+
+def truncated_ladder_evolution_oracle(truncation, a_of_n, tv_target, max_steps) -> tuple:
+    """``(trace, horizon)`` of the truncated ladder's law pushed one step at a
+    time, with its TV to the target read after each step, until the first
+    step below ``tv_target`` (the horizon) or ``max_steps``."""
+    step, v, mass = _law_setup(truncation)
+    pi = mass / mass.sum()
+    trace = [0.5 * float(np.abs(v - pi).sum())]
+    for n in range(1, max_steps + 1):
+        v = step(v, a_of_n(n))
+        trace.append(0.5 * float(np.abs(v - pi).sum()))
+        if trace[-1] < tv_target:
+            return np.array(trace), n
+    return np.array(trace), None
 
 
 def ladder_step_law_oracle(x, n: int) -> dict:

@@ -1,6 +1,11 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from adagibbs import bounds as bounds_module
+from adagibbs import experiments
 from adagibbs.bounds import (
     GeometricGap,
     MinorizationCertificate,
@@ -20,9 +25,16 @@ from adagibbs.kernels import (
     sup_row_tv,
     systematic_scan_kernel,
 )
+from adagibbs.experiments import ExperimentConfig, bounds_experiment
+from adagibbs.samplers import _generator
 from adagibbs.targets import FiniteProductTarget
 from adagibbs.weights import InvalidEpsilonError, SelectionWeights, make_selection_weights
-from oracles import certificate_holds
+from oracles import (
+    bounds_targets,
+    certificate_holds,
+    lipschitz_family_oracle,
+    uniform_family_oracle,
+)
 
 
 def test_minorization_identity_has_no_certificate():
@@ -347,3 +359,130 @@ def test_uniform_bound_monotone_in_horizon_and_mass():
             for s in (0.1, 0.3, 0.6, 0.9)
         ]
         assert all(b <= a + 1e-15 for a, b in zip(by_mass, by_mass[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the bounds experiment's weight families, against their per-target oracles
+
+
+def bounds_config(families, **params):
+    return ExperimentConfig.from_dict(
+        {"kind": "bounds", "families": families, "epsilon": 0.1, **params}
+    )
+
+
+def assert_same_rows(got, want):
+    """Row for row, cell for cell: the same Python type and the same value,
+    compared by ``repr`` so that each float matches bit for bit."""
+    assert len(got) == len(want)
+    for row, expected in zip(got, want):
+        assert [type(x) for x in row] == [type(x) for x in expected]
+        assert [repr(x) for x in row] == [repr(x) for x in expected]
+
+
+def assert_families_match_the_oracles(config):
+    """The lipschitz and uniform tables, without their violation column,
+    equal the oracles run one family after the other on one stream."""
+    tables = bounds_experiment(config).tables
+    rng, targets = bounds_targets(config)
+    oracles = {"lipschitz": lipschitz_family_oracle, "uniform": uniform_family_oracle}
+    for name in config.params["families"]:
+        want = oracles[name](rng, targets, config.params)
+        assert_same_rows([row[:-1] for row in tables[name][1]], want)
+
+
+BOTH = ("lipschitz", "uniform")
+BOUNDS_CASES = {
+    # the benchmark's bounds call, less the strong family, which draws last
+    "benchmark-size": (BOTH, {"seed": 5, "n_targets": 300, "n_alphas": 1, "horizon": 100}),
+    "reduced-shipped": (BOTH, {"seed": 20260801, "n_targets": 30, "n_alphas": 3, "horizon": 50}),
+    "lipschitz-only": (("lipschitz",), {"seed": 8, "n_targets": 40}),
+    "horizon-one": (("uniform",), {"seed": 3, "n_targets": 20, "n_alphas": 2, "horizon": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_CASES))
+def test_weight_families_equal_the_per_target_oracles(case):
+    families, params = BOUNDS_CASES[case]
+    assert_families_match_the_oracles(bounds_config(list(families), **params))
+
+
+def test_uniform_family_with_a_one_draw_group_equals_the_oracle():
+    config = bounds_config(["uniform"], seed=7, n_targets=6, n_alphas=1, horizon=30)
+    _, targets = bounds_targets(config)
+    counts = Counter(len(t.states) for t in targets)
+    assert 1 in counts.values() and len(counts) > 1  # a group of one draw among others
+    assert_families_match_the_oracles(config)
+
+
+def test_uniform_family_across_capped_stacks_equals_the_oracle(monkeypatch):
+    # One draw of 4 states at horizon 10 needs 8 * (16 + 10) = 208 bytes, so
+    # 1000 bytes hold at most 4 draws: every target's 5 draws, and so every
+    # state-count group, span more than one stack.
+    monkeypatch.setattr(bounds_module, "STACK_BYTES", 1000)
+    assert_families_match_the_oracles(
+        bounds_config(["uniform"], seed=11, n_targets=12, n_alphas=5, horizon=10)
+    )
+
+
+def test_uniform_family_keeps_the_first_worst_step(monkeypatch):
+    # A bound of 1e20 absorbs every exact TV, so all margins tie at 1e20 and
+    # the first step is the worst.
+    monkeypatch.setattr(experiments, "uniform_ergodicity_bound", lambda cert, eps, d, n: 1e20)
+    config = bounds_config(["uniform"], seed=5, n_targets=12, n_alphas=2, horizon=20)
+    assert {row[-2] for row in bounds_experiment(config).tables["uniform"][1]} == {1e20}
+    assert_families_match_the_oracles(config)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _stacked_uniform(rng, targets, p):
+    """The experiment's uniform family alone, as the oracle's counterpart."""
+    draws = experiments._weight_draws(rng, targets, p["n_alphas"])
+    return bounds_module._weight_family_rows(
+        targets, None, draws, p, tv_lipschitz_bound, uniform_ergodicity_bound
+    )[1]
+
+
+BENCHMARK_UNIFORM = bounds_config(["uniform"], **BOUNDS_CASES["benchmark-size"][1])
+
+
+def test_uniform_family_stacks_stay_at_the_per_draw_loop():
+    """At the benchmark's size, with the conditional tables filled by an
+    earlier call, so that only the horizon's own arrays move the peak, the
+    capped stacks peak at most two stacks' worth (64 KiB) above the
+    per-draw loop: about 310 KiB against 280 here, as the largest state
+    counts run last, beside nearly every row.  Whole state-count groups in
+    one stack would peak near 1 MiB.  Each call gets its own list, as the
+    experiment empties the one it is given."""
+
+    def peak_with_filled_tables(rows_of):
+        rng, targets = bounds_targets(BENCHMARK_UNIFORM)
+        rows_of(rng, list(targets), BENCHMARK_UNIFORM.params)
+        rng = _generator(BENCHMARK_UNIFORM.seed)
+        return _traced_peak(lambda: rows_of(rng, list(targets), BENCHMARK_UNIFORM.params))
+
+    stacked = peak_with_filled_tables(_stacked_uniform)
+    per_draw = peak_with_filled_tables(uniform_family_oracle)
+    assert stacked <= per_draw + 2 * bounds_module.STACK_BYTES
+
+
+def test_weight_families_free_each_group_of_targets():
+    """On fresh targets, whose conditional tables fill as the family goes,
+    dropping each state-count group's targets once the group is done keeps
+    the peak under half the per-draw loop's, which holds every target's
+    tables to the end: about 530 KiB against 2.4 MiB here."""
+
+    def peak_on_fresh_targets(rows_of):
+        rng, targets = bounds_targets(BENCHMARK_UNIFORM)
+        return _traced_peak(lambda: rows_of(rng, targets, BENCHMARK_UNIFORM.params))
+
+    stacked = peak_on_fresh_targets(_stacked_uniform)
+    assert stacked < peak_on_fresh_targets(uniform_family_oracle) / 2

@@ -458,8 +458,9 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
 # Configs that no run could finish, or whose checks would pass on nothing:
 # each is refused at parse time, naming the field, so before any sampling and
 # before an output directory exists.  The first four break a rule across
-# fields or a per-field range; the rest are empty arrays, an all-zero ``a``
-# and non-finite numbers (Python's json reads NaN and Infinity).
+# fields or a per-field range; the rest are empty arrays, a repeated family,
+# an all-zero ``a`` and non-finite numbers (Python's json reads NaN and
+# Infinity).
 UNFINISHABLE_CONFIGS = {
     "counterexample-one-step": (
         "counterexample", "n_steps", {**SMALL_COUNTEREXAMPLE, "n_steps": 1}
@@ -477,6 +478,8 @@ UNFINISHABLE_CONFIGS = {
         "optimal-scan", "a", {"scales": [1.0, 2.0], "a": [1.0, 1.0, 1.0]}
     ),
     "bounds-no-family": ("bounds", "families", {"families": []}),
+    # a repeated family would run twice under another digest
+    "bounds-repeated-family": ("bounds", "families", {"families": ["uniform", "uniform"]}),
     "lazy-variance-no-delta": ("lazy-variance", "deltas", {"deltas": []}),
     "geometric-gap-no-p": ("geometric-gap", "p_values", {"p_values": []}),
     "optimal-scan-no-coordinate": ("optimal-scan", "scales", {"scales": [], "a": []}),

@@ -114,6 +114,37 @@ def test_kernel_tv_sup_examples():
     assert sup_row_tv(a, b[0]) == pytest.approx(to_first, abs=1e-15)
 
 
+def test_stacked_tv_equals_the_per_slice_calls_bit_for_bit():
+    rng = np.random.default_rng(25)
+    p = rng.dirichlet(np.ones(7), size=(3, 5))
+    q = rng.dirichlet(np.ones(7), size=5)
+    stacked = tv(p, q)  # the distribution on the last axis, q broadcast
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (3, 5)
+    for i in range(3):
+        for j in range(5):
+            one = tv(p[i, j], q[j])
+            assert type(one) is float
+            assert one.hex() == float(stacked[i, j]).hex()
+            # the straight-line statement: half the L1 distance
+            assert one.hex() == (0.5 * float(np.abs(p[i, j] - q[j]).sum())).hex()
+
+
+def test_stacked_sup_row_tv_equals_the_per_slice_calls_bit_for_bit():
+    rng = np.random.default_rng(26)
+    a = rng.dirichlet(np.ones(6), size=(4, 6))
+    b = rng.dirichlet(np.ones(6), size=(4, 6))
+    pi = rng.dirichlet(np.ones(6), size=4)[:, np.newaxis, :]
+    for other, slices in ((b, b), (pi, pi[:, 0])):
+        stacked = sup_row_tv(a, other)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (4,)
+        for g in range(4):
+            one = sup_row_tv(a[g], slices[g])
+            assert type(one) is float
+            assert one.hex() == float(stacked[g]).hex()
+            straight = 0.5 * float(np.abs(a[g] - slices[g]).sum(axis=1).max())
+            assert one.hex() == straight.hex()
+
+
 def test_gibbs_kernel_single_state_space_is_identity():
     target = FiniteProductTarget(((0,), (0,)), mass=lambda x: 1.0)
     kernel = gibbs_kernel_matrix(target, SelectionWeights((0.5, 0.5), 0.5))

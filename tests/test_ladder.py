@@ -5,6 +5,7 @@ import pytest
 
 from adagibbs.kernels import tv
 from adagibbs.ladder import (
+    LAW_CHUNK,
     _TOTAL_MASS,
     _law_setup,
     LADDER_EPSILON,
@@ -34,6 +35,7 @@ from oracles import (
     dense_ladder_laws,
     ladder_step_law_oracle,
     state_dependent_gibbs_kernel,
+    truncated_ladder_evolution_oracle,
     truncated_ladder_target,
 )
 
@@ -332,6 +334,30 @@ def test_fast_evolution_matches_generic_evolution():
         assert abs(tv(v, pi) - fast.tv[n - 1]) <= 1e-12
         v = v @ kernel.matrix
     assert abs(tv(v, pi) - fast.tv[60]) <= 1e-12
+
+
+@pytest.mark.parametrize("step", [1, LAW_CHUNK, LAW_CHUNK + 1, 2 * LAW_CHUNK])
+def test_truncated_evolution_stops_where_the_per_step_oracle_does(step):
+    # at step 1, at a chunk's last step and at the next chunk's first
+    a_of_n = linear_schedule(10.0, 2.0)
+    trace, _ = truncated_ladder_evolution_oracle(20, a_of_n, 0.0, step)
+    tv_target = float(np.nextafter(trace[step], 1.0))
+    want, horizon = truncated_ladder_evolution_oracle(20, a_of_n, tv_target, 3 * LAW_CHUNK)
+    assert horizon == step  # the distance falls strictly until then
+    got = truncated_ladder_evolution(20, a_of_n, tv_target, 3 * LAW_CHUNK)
+    assert got.horizon == horizon
+    assert_bitwise_equal(got.tv, want)
+
+
+@pytest.mark.parametrize("max_steps", [1, LAW_CHUNK // 2, LAW_CHUNK + LAW_CHUNK // 2])
+def test_truncated_evolution_without_a_horizon_equals_the_per_step_oracle(max_steps):
+    # max_steps within the first chunk or in the middle of the second
+    a_of_n = linear_schedule(10.0, 2.0)
+    want, horizon = truncated_ladder_evolution_oracle(20, a_of_n, 1e-300, max_steps)
+    assert horizon is None
+    got = truncated_ladder_evolution(20, a_of_n, 1e-300, max_steps)
+    assert got.horizon is None and not got.reached
+    assert_bitwise_equal(got.tv, want)
 
 
 @pytest.mark.parametrize("a_of_n", [linear_schedule(10.0, 3.0), schedule_a])
