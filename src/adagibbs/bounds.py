@@ -185,6 +185,18 @@ class GeometricGap:
 GEOMETRIC_TAIL_MASS = 1e-12
 
 
+def geometric_state_count(p: float, n: int) -> int:
+    """States ``0 .. k_max`` of the geometric-target example at ``(p, n)``:
+    ``k_max`` is the larger of ``n + 2`` and the point where the geometric
+    tail drops below ``GEOMETRIC_TAIL_MASS``."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    k_tail = int(math.ceil(math.log(GEOMETRIC_TAIL_MASS * (1.0 - p)) / math.log(p)))
+    return max(n + 2, k_tail) + 1
+
+
 def geometric_counterexample_gap(p: float, n: int) -> GeometricGap:
     """Proposal-TV and kernel-TV gaps for the geometric-target example.
 
@@ -194,16 +206,10 @@ def geometric_counterexample_gap(p: float, n: int) -> GeometricGap:
     ``1/(1-p) - p^n + p^{2n}``).  Successive proposals converge in TV, yet
     the Metropolis kernels they induce do not: the exit probability from
     state ``n`` to 0 jumps by an amount approaching ``1 - p``.  Computed on
-    the space truncated where the geometric tail drops below
-    ``GEOMETRIC_TAIL_MASS``.
+    the ``geometric_state_count(p, n)`` states ``0 .. k_max``.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    k_tail = int(math.ceil(math.log(GEOMETRIC_TAIL_MASS * (1.0 - p)) / math.log(p)))
-    k_max = max(n + 2, k_tail)
-    grid = np.arange(k_max + 1)
+    grid = np.arange(geometric_state_count(p, n))
+    k_max = len(grid) - 1
 
     def stage_pmf(stage: int) -> np.ndarray:
         norm = 1.0 / (1.0 - p) - p**stage + p ** (2 * stage)

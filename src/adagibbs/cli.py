@@ -1,14 +1,14 @@
 """Command line entry point.
 
-Six subcommands: ``simulate`` (exact chain-law simulation of the truncated
-ladder), ``counterexample``, ``bounds``, ``optimal-scan`` and
-``geometric-gap`` (the corresponding experiments), and ``variance`` (either
-the lazy-variance identity experiment via ``--config`` or per-coordinate
-autocorrelation analysis of an existing trajectory CSV via ``--trajectory``,
-which takes only ``--burn-in``, a flag that nothing else takes).
-Experiment subcommands take ``--config PATH`` plus optional ``--seed`` and
-``--out`` overrides; with ``--check`` the exit status is 0 when every
-embedded acceptance check passed and 1 otherwise.  Usage errors exit with 2.
+Seven subcommands.  Six run an experiment config: ``simulate`` (exact
+chain-law simulation of the truncated ladder), ``counterexample``,
+``bounds``, ``variance`` (the lazy-variance identity), ``optimal-scan`` and
+``geometric-gap``.  Each takes exactly ``--config PATH`` plus optional
+``--seed`` and ``--out`` overrides and ``--check``, with which the exit
+status is 0 when every embedded acceptance check passed and 1 otherwise.
+The seventh, ``iact PATH [--burn-in N]``, prints the per-coordinate
+autocorrelation analysis of an existing trajectory CSV.  Usage errors,
+among them a flag the subcommand does not take, exit with 2.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, kind in SUBCOMMAND_KINDS.items():
         p = sub.add_parser(name, help=f"run a {kind} config")
-        p.add_argument("--config", help="path to a JSON experiment config")
+        p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument(
             "--seed", type=_nonnegative_int, default=None, help="override the config seed"
         )
@@ -59,17 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="exit 1 unless every embedded acceptance check passes",
         )
-        if name == "variance":
-            p.add_argument(
-                "--trajectory",
-                help="trajectory CSV to analyse instead of running a config",
-            )
-            p.add_argument(
-                "--burn-in",
-                type=_nonnegative_int,
-                default=None,
-                help="samples to drop before analysis (with --trajectory only)",
-            )
+    p = sub.add_parser("iact", help="IACT and asymptotic variance of a trajectory CSV")
+    p.add_argument("trajectory", help="trajectory CSV to analyse")
+    p.add_argument(
+        "--burn-in", type=_nonnegative_int, default=0, help="samples to drop before analysis"
+    )
     return parser
 
 
@@ -101,28 +95,14 @@ def _analyse_trajectory(path, burn_in):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "variance" and args.trajectory:
-        ignored = [f"--{k}" for k in ("config", "seed", "out") if getattr(args, k) is not None]
-        if args.check:
-            ignored.append("--check")
-        if ignored:
-            print(f"error: --trajectory does not take {', '.join(ignored)}", file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
+    if args.command == "iact":
         try:
-            _analyse_trajectory(args.trajectory, args.burn_in or 0)
+            _analyse_trajectory(args.trajectory, args.burn_in)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
-
-    if getattr(args, "burn_in", None) is not None:
-        print("error: --burn-in applies only with --trajectory", file=sys.stderr)
-        return 2
-    if not args.config:
-        parser.error(f"{args.command}: --config is required")
     try:
         config = ExperimentConfig.from_file(args.config)
     except (OSError, ConfigError) as exc:

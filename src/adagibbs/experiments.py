@@ -28,6 +28,7 @@ from .adaptation import BATCH_SIZE, ComponentwiseAdaptation, acceptance_fraction
 from .bounds import (
     _weight_family_rows,
     geometric_counterexample_gap,
+    geometric_state_count,
     minorization_search,
     strong_uniform_constants,
     tv_lipschitz_bound,
@@ -200,6 +201,10 @@ PARAM_SPECS: dict = {
 # bounds draws its random targets with 2 to BOUNDS_MAX_D coordinates.
 BOUNDS_MAX_D = 3
 
+# geometric-gap builds about five (S, S) float64 arrays a call on S states:
+# its peak is 41 S**2 bytes, measured at 152 MB on 1971 states.
+GEOMETRIC_MAX_STATES = 2000
+
 # Rules across the fields of one kind: kind -> (field named in the error,
 # predicate on the cleaned parameters, message).  A weight floor above 1/d
 # leaves no weight vector on d coordinates.
@@ -210,10 +215,26 @@ CROSS_FIELD: dict = {
         ("epsilon", lambda p: p["epsilon"] <= 1.0 / BOUNDS_MAX_D,
          f"must not exceed 1/{BOUNDS_MAX_D}, for the largest random target"),
     ),
+    "counterexample": (
+        ("min_successes", lambda p: p["min_successes"] <= p["n_runs"],
+         "must not exceed params.n_runs"),
+    ),
     "geometric-gap": (
         ("n_min", lambda p: p["n_min"] <= p["n_max"], "must not exceed params.n_max"),
+        # the state count grows with p and with n
+        ("p_values",
+         lambda p: geometric_state_count(max(p["p_values"]), p["n_max"]) <= GEOMETRIC_MAX_STATES,
+         f"at params.n_max gives more than {GEOMETRIC_MAX_STATES} states"),
+        ("check_p",
+         lambda p: geometric_state_count(p["check_p"], max(p["proposal_n"], p["kernel_n"]))
+         <= GEOMETRIC_MAX_STATES,
+         f"at params.proposal_n or params.kernel_n gives more than "
+         f"{GEOMETRIC_MAX_STATES} states"),
     ),
     "optimal-scan": (
+        # the check window would take in the first, unadapted batches
+        ("window_batches", lambda p: p["window_batches"] <= p["n_batches"],
+         "must not exceed params.n_batches"),
         ("a", lambda p: len(p["a"]) == len(p["scales"]),
          "must match the length of params.scales"),
         ("epsilon", lambda p: p["epsilon"] <= 1.0 / len(p["scales"]),
@@ -835,14 +856,18 @@ def run_experiment(config: ExperimentConfig):
     through a temporary directory beside it, renamed into place after the
     manifest: a failed run leaves no directory and an existing target
     untouched.  A file, or a non-empty directory without ``manifest.json``,
-    is refused with :class:`ConfigError` before the experiment runs.
+    or a path under a file, is refused with :class:`ConfigError` before the
+    experiment runs.
 
     Returns ``(manifest, result)``, the manifest as the dict written.
     """
     digest = config.digest()
     out = config.out or os.path.join("runs", f"{config.kind}-{digest[:8]}")
-    if os.path.exists(out) and not os.path.isdir(out):
-        raise ConfigError(f"out: {out} exists and is not a directory")
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"out: cannot create {out}: {existing} is not a directory")
     if os.path.isdir(out) and os.listdir(out) and "manifest.json" not in os.listdir(out):
         raise ConfigError(f"out: {out} is neither empty nor an earlier run's directory")
     result = EXPERIMENT_FUNCTIONS[config.kind](config)

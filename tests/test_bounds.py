@@ -10,6 +10,7 @@ from adagibbs.bounds import (
     GeometricGap,
     MinorizationCertificate,
     geometric_counterexample_gap,
+    geometric_state_count,
     minorization_search,
     proposal_vs_kernel_tv,
     strong_uniform_constants,
@@ -345,6 +346,15 @@ def test_geometric_gap_input_validation():
         geometric_counterexample_gap(1.2, 5)
     with pytest.raises(ValueError):
         geometric_counterexample_gap(0.5, 0)
+
+
+@pytest.mark.parametrize("p, n", [(0.3, 10), (0.7, 40), (0.5, 200), (0.9, 5)])
+def test_geometric_gap_runs_on_geometric_state_count_states(p, n):
+    """The config rule that caps geometric-gap's space reads the count the
+    gap function builds on: the tail point, or ``n + 3`` once n passes it."""
+    count = geometric_state_count(p, n)
+    assert geometric_counterexample_gap(p, n).k_max == count - 1
+    assert count == max(n + 3, int(np.ceil(np.log(1e-12 * (1 - p)) / np.log(p))) + 1)
 
 
 def test_uniform_bound_monotone_in_horizon_and_mass():

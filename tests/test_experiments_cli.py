@@ -16,6 +16,7 @@ from adagibbs.cli import SUBCOMMAND_KINDS
 from adagibbs.cli import main as cli_main
 from adagibbs.experiments import (
     EXPERIMENT_FUNCTIONS,
+    GEOMETRIC_MAX_STATES,
     PARAM_SPECS,
     ConfigError,
     ExperimentConfig,
@@ -497,6 +498,24 @@ UNFINISHABLE_CONFIGS = {
     "optimal-scan-floor-above-one-over-d": ("optimal-scan", "epsilon", {"epsilon": 0.3}),
     "bounds-floor-above-one-half": ("bounds", "epsilon", {"epsilon": 0.6}),
     "bounds-floor-above-one-third": ("bounds", "epsilon", {"epsilon": 0.4}),
+    # both checks need more successes than there are runs
+    "counterexample-more-successes-than-runs": (
+        "counterexample", "min_successes", {**SMALL_COUNTEREXAMPLE, "min_successes": 4}
+    ),
+    # the check window would take in the first, unadapted batches
+    "optimal-scan-window-past-start": (
+        "optimal-scan", "window_batches", {"n_batches": 50, "window_batches": 51}
+    ),
+    # 3209 states at p = 0.99: 82 MB an (S, S) array
+    "geometric-gap-sweep-too-large": ("geometric-gap", "p_values", {"p_values": [0.5, 0.99]}),
+    "geometric-gap-check-too-large": ("geometric-gap", "check_p", {"check_p": 0.99}),
+    # n + 3 states at small p, so n = 1998 is one state past the cap
+    "geometric-gap-long-sweep": (
+        "geometric-gap", "p_values", {"n_max": GEOMETRIC_MAX_STATES - 2}
+    ),
+    "geometric-gap-late-kernel-point": (
+        "geometric-gap", "check_p", {"kernel_n": GEOMETRIC_MAX_STATES - 2}
+    ),
 }
 
 
@@ -510,6 +529,23 @@ UNFINISHABLE_CONFIGS = {
 def test_a_weight_floor_of_exactly_one_over_d_is_accepted(kind, params):
     config = ExperimentConfig.from_dict({"kind": kind, "seed": 1, **params})
     assert config.params["epsilon"] == params["epsilon"]
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("counterexample", {**SMALL_COUNTEREXAMPLE, "min_successes": 3}),
+        ("optimal-scan", {"n_batches": 50, "window_batches": 50}),
+        (
+            "geometric-gap",
+            {"n_max": GEOMETRIC_MAX_STATES - 3, "kernel_n": GEOMETRIC_MAX_STATES - 3},
+        ),
+    ],
+    ids=["successes-equal-runs", "window-equals-batches", "geometric-gap-at-the-cap"],
+)
+def test_cross_field_rules_accept_their_edge(kind, params):
+    config = ExperimentConfig.from_dict({"kind": kind, "seed": 1, **params})
+    assert all(config.params[name] == value for name, value in params.items())
 
 
 @pytest.mark.parametrize("case", sorted(UNFINISHABLE_CONFIGS))
@@ -737,6 +773,25 @@ def test_cli_refuses_an_out_path_that_is_a_file(tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["gap.json", "notes.txt"]
 
 
+@pytest.mark.parametrize("below", [["sub"], ["sub", "deeper"]], ids=["child", "grandchild"])
+def test_cli_refuses_an_out_path_under_a_file(below, tmp_path, capsys, monkeypatch):
+    """No directory can be made under a regular file: refused before the
+    experiment runs, not after it in ``os.makedirs``."""
+    notes = tmp_path / "notes.txt"
+    notes.write_text("mine")
+    out = notes.joinpath(*below)
+    path = write_config(tmp_path, "gap.json", SMALL_GAP)
+    ran = []
+    monkeypatch.setitem(EXPERIMENT_FUNCTIONS, "geometric-gap", ran.append)
+    assert cli_main(["geometric-gap", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"out: cannot create {out}: {notes} is not a directory" in captured.err
+    assert ran == []
+    assert notes.read_text() == "mine"
+    assert sorted(os.listdir(tmp_path)) == ["gap.json", "notes.txt"]
+
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -834,7 +889,7 @@ def test_cli_trajectory_analysis(tmp_path, capsys):
     traj = adap_rsg_run(target, keep_previous, (0, 0), alpha, 5_000, seed=77)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
-    assert cli_main(["variance", "--trajectory", str(path)]) == 0
+    assert cli_main(["iact", str(path)]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "coordinate,iact,asymptotic_variance"
     rows = [line.split(",") for line in out[1:]]
@@ -845,34 +900,9 @@ def test_cli_trajectory_analysis(tmp_path, capsys):
     for row in rows[:-1]:
         assert float(row[1]) > 0.0
     with pytest.raises(SystemExit) as exc:
-        cli_main(["variance", "--trajectory", str(path), "--burn-in", "-2000"])
+        cli_main(["iact", str(path), "--burn-in", "-2000"])
     assert exc.value.code == 2
     assert "--burn-in" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "extra, named",
-    [
-        (["--config", "CONFIG"], "--config"),
-        (["--seed", "3"], "--seed"),
-        (["--out", "OUT"], "--out"),
-        (["--config", "CONFIG", "--out", "OUT", "--check"], "--config, --out"),
-        (["--check"], "--check"),
-    ],
-)
-def test_cli_trajectory_refuses_the_flags_it_would_ignore(extra, named, tmp_path, capsys):
-    path = _ci_trajectory(tmp_path)
-    out = tmp_path / "out"
-    config = REPO / "configs" / "lazy_variance.json"
-    extra = [{"OUT": str(out), "CONFIG": str(config)}.get(arg, arg) for arg in extra]
-    argv = ["variance", "--trajectory", str(path), "--burn-in", "100", *extra]
-    assert cli_main(argv) == 2
-    captured = capsys.readouterr()
-    assert f"--trajectory does not take {named}" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
-    # the same analysis without the extra flags runs
-    assert cli_main(["variance", "--trajectory", str(path), "--burn-in", "100"]) == 0
 
 
 @pytest.mark.parametrize("burn_in", [1002, 2001, 5000])
@@ -880,30 +910,77 @@ def test_cli_trajectory_refuses_a_burn_in_that_leaves_too_few_rows(burn_in, tmp_
     """2001 rows less the burn-in must leave the IACT's 1000 points; a
     shortfall is refused before the CSV header is printed."""
     path = _ci_trajectory(tmp_path)
-    assert cli_main(["variance", "--trajectory", str(path), "--burn-in", str(burn_in)]) == 2
+    assert cli_main(["iact", str(path), "--burn-in", str(burn_in)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--burn-in {burn_in} leaves {max(2001 - burn_in, 0)} of 2001 rows" in captured.err
-    assert cli_main(["variance", "--trajectory", str(path), "--burn-in", "1001"]) == 0
+    assert cli_main(["iact", str(path), "--burn-in", "1001"]) == 0
 
 
-@pytest.mark.parametrize("burn_in", ["0", "100"])
-def test_cli_variance_config_refuses_burn_in(burn_in, tmp_path, capsys):
-    """``--burn-in`` acts only on ``--trajectory``; beside ``--config`` it
-    is refused before the run, even at 0."""
+# Each subcommand takes only its own flags: argparse refuses any other with
+# exit 2 before any work, so nothing is printed on stdout and no output
+# directory is made.
+FOREIGN_FLAGS = {
+    "variance-trajectory": ["variance", "--trajectory", "TRAJ", "--out", "OUT"],
+    "variance-config-trajectory": [
+        "variance", "--config", "CONFIG", "--trajectory", "TRAJ", "--out", "OUT"
+    ],
+    "variance-burn-in-0": ["variance", "--config", "CONFIG", "--burn-in", "0", "--out", "OUT"],
+    "variance-burn-in-100": [
+        "variance", "--config", "CONFIG", "--burn-in", "100", "--out", "OUT"
+    ],
+    "iact-seed": ["iact", "TRAJ", "--burn-in", "100", "--seed", "3"],
+    "iact-out": ["iact", "TRAJ", "--burn-in", "100", "--out", "OUT"],
+    "iact-check": ["iact", "TRAJ", "--burn-in", "100", "--check"],
+    "iact-config": ["iact", "TRAJ", "--config", "CONFIG"],
+    "variance-no-config": ["variance", "--out", "OUT", "--check"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_FLAGS))
+def test_cli_refuses_a_foreign_flag(case, tmp_path, capsys):
+    path = _ci_trajectory(tmp_path)
     out = tmp_path / "out"
     config = REPO / "configs" / "lazy_variance.json"
-    argv = ["variance", "--config", str(config), "--burn-in", burn_in, "--out", str(out)]
-    assert cli_main(argv) == 2
+    names = {"TRAJ": str(path), "OUT": str(out), "CONFIG": str(config)}
+    argv = [names.get(arg, arg) for arg in FOREIGN_FLAGS[case]]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert "--burn-in applies only with --trajectory" in captured.err
     assert captured.out == ""
+    assert "usage: adagibbs" in captured.err
     assert not out.exists()
+
+
+IACT_OUTPUT = {
+    "0": (
+        "coordinate,iact,asymptotic_variance\n"
+        "1,11.284247200839784,1.463755374588478\n"
+        "2,13.4150515459898,0.46663747193815514\n"
+        "total,,1.9303928465266331\n"
+    ),
+    "100": (
+        "coordinate,iact,asymptotic_variance\n"
+        "1,11.731364165395489,1.537495085107886\n"
+        "2,12.89249330916408,0.45239993748246216\n"
+        "total,,1.989895022590348\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("burn_in", sorted(IACT_OUTPUT))
+def test_cli_iact_output_is_pinned(burn_in, tmp_path, capsys):
+    """``iact`` on the CI trajectory prints the bytes that the analysis
+    printed as ``variance --trajectory``, before it had its own subcommand."""
+    path = _ci_trajectory(tmp_path)
+    assert cli_main(["iact", str(path), "--burn-in", burn_in]) == 0
+    assert capsys.readouterr().out == IACT_OUTPUT[burn_in]
 
 
 def _ci_trajectory(tmp_path):
     """The trajectory of the CI workflow's console-script check, whose
-    ``variance --trajectory`` call takes ``--burn-in 100``: 2000 steps of a
+    ``iact`` call takes ``--burn-in 100``: 2000 steps of a
     fixed-parameter Metropolis-within-Gibbs run, so 2001 rows."""
     path = tmp_path / "traj.csv"
     target = ContinuousProductTarget((1.0, 2.0))
@@ -935,7 +1012,7 @@ def test_cli_trajectory_refuses_a_non_finite_value(column, value, tmp_path, caps
     lines[50] = ",".join(fields)
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n")
-    assert cli_main(["variance", "--trajectory", str(path)]) == 2
+    assert cli_main(["iact", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"column {column} " in captured.err
@@ -955,7 +1032,7 @@ def test_cli_trajectory_refuses_a_ragged_row(line, ragged, message, tmp_path, ca
     lines[line] = ragged(lines[line])
     path = tmp_path / "ragged.csv"
     path.write_text("\n".join(lines) + "\n")
-    assert cli_main(["variance", "--trajectory", str(path)]) == 2
+    assert cli_main(["iact", str(path)]) == 2
     assert message in capsys.readouterr().err
 
 
