@@ -7,6 +7,8 @@ of a systematic-scan certificate to the random scan sampler, the proposal-TV
 versus kernel-TV comparison for Metropolis kernels, and the geometric-target
 example showing why that comparison genuinely needs its side condition, on
 Metropolis kernels from :func:`adagibbs.kernels.metropolis_kernel_matrix`.
+The example is exact on its infinite space through two reductions: its
+proposal TV on three atoms, and each kernel value on two states.
 Last, the ``bounds`` experiment's checks over random weight draws, which
 power stacks of Gibbs kernels and read their exact worst-row TV.
 """
@@ -14,6 +16,7 @@ power stacks of Gibbs kernels and read their exact worst-row TV.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -175,58 +178,52 @@ def proposal_vs_kernel_tv(
 class GeometricGap:
     """One point of the geometric-target example: proposals converge, kernels don't."""
 
-    p: float
-    n: int
     proposal_gap: float
     kernel_gap: float
-    k_max: int
 
 
-GEOMETRIC_TAIL_MASS = 1e-12
-
-
-def geometric_state_count(p: float, n: int) -> int:
-    """States ``0 .. k_max`` of the geometric-target example at ``(p, n)``:
-    ``k_max`` is the larger of ``n + 2`` and the point where the geometric
-    tail drops below ``GEOMETRIC_TAIL_MASS``."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    k_tail = int(math.ceil(math.log(GEOMETRIC_TAIL_MASS * (1.0 - p)) / math.log(p)))
-    return max(n + 2, k_tail) + 1
+def geometric_mass_is_normal(p: float, n: int) -> bool:
+    """Whether the geometric target's mass ``pi(n) = p^n (1 - p)`` is a normal
+    float: the one limit of :func:`geometric_counterexample_gap` at ``(p, n)``.
+    Within it ``pi(n)`` is full precision, and so is the stage-``n + 1``
+    proposal's mass at ``n``, which is at least ``pi(n)``; past it ``pi(n)``
+    loses bits, then underflows to 0."""
+    return p**n * (1.0 - p) >= sys.float_info.min
 
 
 def geometric_counterexample_gap(p: float, n: int) -> GeometricGap:
     """Proposal-TV and kernel-TV gaps for the geometric-target example.
 
     The independence proposal at stage ``n`` follows the target
-    ``pi(k) = p^k (1 - p)`` except at the single point ``k = n`` where its
-    mass is crushed to ``p^{2n}`` (common normaliser
-    ``1/(1-p) - p^n + p^{2n}``).  Successive proposals converge in TV, yet
-    the Metropolis kernels they induce do not: the exit probability from
-    state ``n`` to 0 jumps by an amount approaching ``1 - p``.  Computed on
-    the ``geometric_state_count(p, n)`` states ``0 .. k_max``.
+    ``pi(k) = p^k (1 - p)`` on ``k = 0, 1, ...`` except at the single point
+    ``k = n``, where its mass is crushed to ``p^{2n}`` (normaliser
+    ``Z_n = 1/(1-p) - p^n + p^{2n}``).  Successive proposals converge in TV,
+    yet the Metropolis kernels they induce do not: the exit probability from
+    state ``n`` to 0 jumps by an amount approaching ``1 - p``.
+
+    Both gaps are exact on the infinite space, through two reductions.  Off
+    ``n`` and ``n + 1`` the stage-``n`` and stage-``n + 1`` proposals differ by
+    the one factor ``Z_n / Z_{n+1}``, so their differences there share a sign
+    and the TV on the three atoms ``n``, ``n + 1`` and the rest is the TV on
+    the whole space.  An independence proposal's move ``n -> 0`` reads only
+    ``pi(n)``, ``pi(0)`` and the proposal masses at ``n`` and 0, so each
+    kernel value is the ``n -> 0`` entry of the Metropolis kernel on the two
+    states ``(n, 0)``.  Raises ``ValueError`` unless
+    :func:`geometric_mass_is_normal` holds at ``(p, n)``.
     """
-    grid = np.arange(geometric_state_count(p, n))
-    k_max = len(grid) - 1
-
-    def stage_pmf(stage: int) -> np.ndarray:
-        norm = 1.0 / (1.0 - p) - p**stage + p ** (2 * stage)
-        q = p**grid.astype(np.float64) / norm
-        q[stage] = p ** (2 * stage) / norm
-        return q / q.sum()
-
-    q_n = stage_pmf(n)
-    q_next = stage_pmf(n + 1)
-    proposal_gap = tv(q_next, q_n)
-
-    pi = p**grid.astype(np.float64) * (1.0 - p)
-    pi = pi / pi.sum()
-    kernel_n = metropolis_kernel_matrix(pi, np.tile(q_n, (k_max + 1, 1)))
-    kernel_next = metropolis_kernel_matrix(pi, np.tile(q_next, (k_max + 1, 1)))
-    kernel_gap = float(kernel_next[n, 0] - kernel_n[n, 0])
-    return GeometricGap(p=p, n=n, proposal_gap=proposal_gap, kernel_gap=kernel_gap, k_max=k_max)
+    if not (0.0 < p < 1.0 and n >= 1 and geometric_mass_is_normal(p, n)):
+        raise ValueError(f"need 0 < p < 1, n >= 1 and p**n (1 - p) normal; got p={p}, n={n}")
+    pi = np.array([p**n * (1.0 - p), 1.0 - p])
+    laws, exits = [], []
+    for s in (n, n + 1):
+        # stage s's unnormalised masses at n, n + 1 and the rest; at 0 it is 1
+        masses = np.array([p**n, p ** (n + 1), 1.0 / (1.0 - p) - p**n - p ** (n + 1)])
+        masses[s - n] = p ** (2 * s)
+        law = masses / masses.sum()
+        row = [law[0], 1.0 / masses.sum()]
+        laws.append(law)
+        exits.append(metropolis_kernel_matrix(pi, np.array([row, row]))[0, 1])
+    return GeometricGap(proposal_gap=tv(laws[1], laws[0]), kernel_gap=float(exits[1] - exits[0]))
 
 
 # ---------------------------------------------------------------------------

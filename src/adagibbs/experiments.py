@@ -28,7 +28,7 @@ from .adaptation import BATCH_SIZE, ComponentwiseAdaptation, acceptance_fraction
 from .bounds import (
     _weight_family_rows,
     geometric_counterexample_gap,
-    geometric_state_count,
+    geometric_mass_is_normal,
     minorization_search,
     strong_uniform_constants,
     tv_lipschitz_bound,
@@ -201,10 +201,6 @@ PARAM_SPECS: dict = {
 # bounds draws its random targets with 2 to BOUNDS_MAX_D coordinates.
 BOUNDS_MAX_D = 3
 
-# geometric-gap builds about five (S, S) float64 arrays a call on S states:
-# its peak is 41 S**2 bytes, measured at 152 MB on 1971 states.
-GEOMETRIC_MAX_STATES = 2000
-
 # Rules across the fields of one kind: kind -> (field named in the error,
 # predicate on the cleaned parameters, message).  A weight floor above 1/d
 # leaves no weight vector on d coordinates.
@@ -221,15 +217,14 @@ CROSS_FIELD: dict = {
     ),
     "geometric-gap": (
         ("n_min", lambda p: p["n_min"] <= p["n_max"], "must not exceed params.n_max"),
-        # the state count grows with p and with n
+        # the target mass p**n (1 - p) falls with n
         ("p_values",
-         lambda p: geometric_state_count(max(p["p_values"]), p["n_max"]) <= GEOMETRIC_MAX_STATES,
-         f"at params.n_max gives more than {GEOMETRIC_MAX_STATES} states"),
+         lambda p: all(geometric_mass_is_normal(pv, p["n_max"]) for pv in p["p_values"]),
+         "at params.n_max gives a target mass below the least normal float"),
         ("check_p",
-         lambda p: geometric_state_count(p["check_p"], max(p["proposal_n"], p["kernel_n"]))
-         <= GEOMETRIC_MAX_STATES,
-         f"at params.proposal_n or params.kernel_n gives more than "
-         f"{GEOMETRIC_MAX_STATES} states"),
+         lambda p: geometric_mass_is_normal(p["check_p"], max(p["proposal_n"], p["kernel_n"])),
+         "at params.proposal_n or params.kernel_n gives a target mass below the least "
+         "normal float"),
     ),
     "optimal-scan": (
         # the check window would take in the first, unadapted batches
@@ -619,11 +614,11 @@ def geometric_gap_experiment(config: ExperimentConfig) -> ExperimentResult:
         for n in range(p["n_min"], p["n_max"] + 1):
             g = geometric_counterexample_gap(pv, n)
             gaps.append(g)
-            rows.append([pv, n, g.proposal_gap, g.kernel_gap, g.k_max])
+            rows.append([pv, n, g.proposal_gap, g.kernel_gap])
         by_p[pv] = gaps
     result = ExperimentResult(
         summary={},
-        tables={"gaps": (["p", "n", "proposal_gap", "kernel_gap", "k_max"], rows)},
+        tables={"gaps": (["p", "n", "proposal_gap", "kernel_gap"], rows)},
     )
 
     check_p = p["check_p"]

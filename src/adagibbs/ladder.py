@@ -423,28 +423,26 @@ def truncated_ladder_evolution(
     variation distance to the target drops below ``tv_target`` (the horizon)
     or ``max_steps`` is hit.  The laws of :data:`LAW_CHUNK` steps at a time
     go to one buffer and their distances are read in one call; the trace
-    ends at the first step below ``tv_target``.
+    ends at the first step below ``tv_target``, and holds only the steps taken.
     """
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
     step, v, mass = _law_setup(truncation)
     pi = mass / mass.sum()
 
-    trace = np.empty(max_steps + 1)
-    trace[0] = tv(v, pi)
+    chunks = [np.array([tv(v, pi)])]
     laws = np.empty((min(LAW_CHUNK, max_steps), len(v)))
     for done in range(0, max_steps, LAW_CHUNK):
         size = min(LAW_CHUNK, max_steps - done)
         for k in range(size):
             v = step(v, a_of_n(done + k + 1))
             laws[k] = v
-        chunk = trace[done + 1:done + 1 + size]
-        chunk[:] = tv(laws[:size], pi)
+        chunk = tv(laws[:size], pi)
         below = np.flatnonzero(chunk < tv_target)
+        chunks.append(chunk[: below[0] + 1] if below.size else chunk)
         if below.size:
-            horizon = done + 1 + int(below[0])
-            return TruncatedLadderEvolution(tv=trace[: horizon + 1], horizon=horizon)
-    return TruncatedLadderEvolution(tv=trace, horizon=None)
+            return TruncatedLadderEvolution(np.concatenate(chunks), done + 1 + int(below[0]))
+    return TruncatedLadderEvolution(np.concatenate(chunks), None)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from adagibbs.kernels import (
     DistributionVector,
     TransitionMatrix,
     gibbs_kernel_matrix,
+    metropolis_kernel_matrix,
     single_coordinate_kernel,
 )
 from adagibbs.ladder import LadderTarget, _law_setup, ladder_update_rule
@@ -297,6 +298,31 @@ def truncated_ladder_evolution_oracle(truncation, a_of_n, tv_target, max_steps) 
         if trace[-1] < tv_target:
             return np.array(trace), n
     return np.array(trace), None
+
+
+def geometric_gap_oracle(p: float, n: int) -> tuple:
+    """``(proposal_gap, kernel_gap)`` of the geometric-target example on the
+    truncated space ``0 .. k_max``, with ``k_max`` the larger of ``n + 2`` and
+    the point where the target's tail drops below 1e-12: both stage
+    proposals renormalised there, their TV summed over every state, and two
+    dense Metropolis kernels built from tiled proposal rows, of which the
+    ``n -> 0`` entries are read."""
+    k_max = max(n + 2, math.ceil(math.log(1e-12 * (1.0 - p)) / math.log(p)))
+    grid = np.arange(k_max + 1, dtype=np.float64)
+
+    def stage_pmf(stage):
+        norm = 1.0 / (1.0 - p) - p**stage + p ** (2 * stage)
+        q = p**grid / norm
+        q[stage] = p ** (2 * stage) / norm
+        return q / q.sum()
+
+    q_n, q_next = stage_pmf(n), stage_pmf(n + 1)
+    pi = p**grid * (1.0 - p)
+    pi = pi / pi.sum()
+    kernel_n = metropolis_kernel_matrix(pi, np.tile(q_n, (k_max + 1, 1)))
+    kernel_next = metropolis_kernel_matrix(pi, np.tile(q_next, (k_max + 1, 1)))
+    proposal_gap = 0.5 * float(np.abs(q_next - q_n).sum())
+    return proposal_gap, float(kernel_next[n, 0] - kernel_n[n, 0])
 
 
 def ladder_step_law_oracle(x, n: int) -> dict:

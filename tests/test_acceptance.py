@@ -24,6 +24,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -101,8 +102,8 @@ PINNED_SUMMARIES = {
                        "final_threshold": 500, "control_threshold": 50},
     "truncated_ladder": {"horizon": 13498, "reached": True, "tv_target": 0.001,
                          "final_tv": 0.0009999875962802217, "schedule": "linear"},
-    "geometric_gap": {"proposal_gap": 4.656612870638467e-10,
-                      "kernel_gap": 0.49999998882424257},
+    "geometric_gap": {"proposal_gap": 4.6566128714510893e-10,
+                      "kernel_gap": 0.4999999888241289},
     "optimal_scan": {
         "weight_gap": 0.029370791664311002,
         "ideal_weights": [0.5161290322580645, 0.25806451612903225, 0.12903225806451613,
@@ -151,7 +152,7 @@ PINNED_TV_TRACE_SHA256 = (
     "c47dd110084be065642992f3c6f179bdf6fc8924892eef9ad4ed677b1e482896"
 )
 PINNED_GEOMETRIC_GAPS_SHA256 = (
-    "1bbe296301126a339913b5359f4aee5b56fbb9fdaa686edb40e298f35fc30fcb"
+    "d0762b4c235d46f68dcf96fc64b7a6e7a999719a321194e57f52a02831ef1a16"
 )
 PINNED_TABLES = {
     "residuals": {
@@ -278,6 +279,30 @@ def test_criterion_5_truncated_ladder_ergodicity(tmp_path):
     assert_pinned(result.summary, PINNED_SUMMARIES["truncated_ladder"])
     assert_pinned(table_fingerprint(tmp_path, result.tables["tv_trace"]), PINNED_TABLES["tv_trace"])
     assert table_sha256(tmp_path, [result.tables["tv_trace"]]) == PINNED_TV_TRACE_SHA256
+
+
+def _traced_peak(function, config):
+    tracemalloc.start()
+    try:
+        return function(config), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_truncated_ladder_memory_follows_its_horizon_not_its_cap(tmp_path):
+    """A cap of 1e10 steps, which the config accepts, stops at the shipped
+    horizon with the shipped bytes, and at the memory of a run capped at that
+    horizon."""
+    result, peak = _traced_peak(
+        truncated_ladder_experiment, load_config("truncated_ladder.json", max_steps=10**10)
+    )
+    assert result.summary["horizon"] == 13498
+    assert_pinned(result.summary, PINNED_SUMMARIES["truncated_ladder"])
+    assert table_sha256(tmp_path, [result.tables["tv_trace"]]) == PINNED_TV_TRACE_SHA256
+    _, peak_at_horizon = _traced_peak(
+        truncated_ladder_experiment, load_config("truncated_ladder.json", max_steps=13498)
+    )
+    assert peak <= peak_at_horizon + 4096
 
 
 def test_criterion_6_geometric_gap(tmp_path):

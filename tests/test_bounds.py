@@ -10,7 +10,7 @@ from adagibbs.bounds import (
     GeometricGap,
     MinorizationCertificate,
     geometric_counterexample_gap,
-    geometric_state_count,
+    geometric_mass_is_normal,
     minorization_search,
     proposal_vs_kernel_tv,
     strong_uniform_constants,
@@ -33,6 +33,7 @@ from adagibbs.weights import InvalidEpsilonError, SelectionWeights, make_selecti
 from oracles import (
     bounds_targets,
     certificate_holds,
+    geometric_gap_oracle,
     lipschitz_family_oracle,
     uniform_family_oracle,
 )
@@ -348,13 +349,46 @@ def test_geometric_gap_input_validation():
         geometric_counterexample_gap(0.5, 0)
 
 
-@pytest.mark.parametrize("p, n", [(0.3, 10), (0.7, 40), (0.5, 200), (0.9, 5)])
-def test_geometric_gap_runs_on_geometric_state_count_states(p, n):
-    """The config rule that caps geometric-gap's space reads the count the
-    gap function builds on: the tail point, or ``n + 3`` once n passes it."""
-    count = geometric_state_count(p, n)
-    assert geometric_counterexample_gap(p, n).k_max == count - 1
-    assert count == max(n + 3, int(np.ceil(np.log(1e-12 * (1 - p)) / np.log(p))) + 1)
+def test_geometric_gap_equals_the_dense_oracle():
+    """The two exact reductions agree with dense kernels on the space
+    truncated at a 1e-12 tail, to that truncation's own error."""
+    for p in (0.3, 0.5, 0.7, 0.9, 0.95):
+        for n in range(1, 41):
+            gap = geometric_counterexample_gap(p, n)
+            proposal_gap, kernel_gap = geometric_gap_oracle(p, n)
+            assert abs(gap.proposal_gap - proposal_gap) <= 1e-12, (p, n)
+            assert abs(gap.kernel_gap - kernel_gap) <= 1e-12, (p, n)
+
+
+def _gap_peak(p, n):
+    tracemalloc.start()
+    try:
+        geometric_counterexample_gap(p, n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_geometric_gap_memory_does_not_grow_with_p_or_n():
+    """No array grows with ``p`` or ``n``; the slack covers Python's ints
+    above 256, which are objects (one vector on the 4003 states the dense
+    route took at (0.99, 4000) is 32 KiB)."""
+    _gap_peak(0.9, 40)  # the first call's one-off allocations
+    assert _gap_peak(0.99, 4000) <= _gap_peak(0.9, 40) + 512
+
+
+def test_geometric_gap_runs_to_the_last_normal_target_mass():
+    """At p = 1/2 the target mass ``p**n (1 - p)`` is 2**-1022, the least
+    normal float, at n = 1021, and the gap runs there.  At n = 1022 the
+    mass is refused though ``p**n`` is still normal: the limit reads the
+    factor ``1 - p`` too."""
+    assert geometric_mass_is_normal(0.5, 1021)
+    assert not geometric_mass_is_normal(0.5, 1022)
+    gap = geometric_counterexample_gap(0.5, 1021)
+    assert gap.kernel_gap == 0.5
+    assert 0.0 < gap.proposal_gap < 1e-300
+    with pytest.raises(ValueError, match="normal"):
+        geometric_counterexample_gap(0.5, 1022)
 
 
 def test_uniform_bound_monotone_in_horizon_and_mass():

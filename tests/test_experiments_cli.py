@@ -16,7 +16,6 @@ from adagibbs.cli import SUBCOMMAND_KINDS
 from adagibbs.cli import main as cli_main
 from adagibbs.experiments import (
     EXPERIMENT_FUNCTIONS,
-    GEOMETRIC_MAX_STATES,
     PARAM_SPECS,
     ConfigError,
     ExperimentConfig,
@@ -506,16 +505,17 @@ UNFINISHABLE_CONFIGS = {
     "optimal-scan-window-past-start": (
         "optimal-scan", "window_batches", {"n_batches": 50, "window_batches": 51}
     ),
-    # 3209 states at p = 0.99: 82 MB an (S, S) array
-    "geometric-gap-sweep-too-large": ("geometric-gap", "p_values", {"p_values": [0.5, 0.99]}),
-    "geometric-gap-check-too-large": ("geometric-gap", "check_p", {"check_p": 0.99}),
-    # n + 3 states at small p, so n = 1998 is one state past the cap
+    # the target mass p**n (1 - p) must be a normal float: 0.5**1100 underflows
+    # to 0
+    "geometric-gap-sweep-too-large": (
+        "geometric-gap", "p_values", {"p_values": [0.5], "n_min": 1090, "n_max": 1100}
+    ),
+    # every p counts, not only the first or the largest
     "geometric-gap-long-sweep": (
-        "geometric-gap", "p_values", {"n_max": GEOMETRIC_MAX_STATES - 2}
+        "geometric-gap", "p_values", {"p_values": [0.99, 0.5], "n_max": 1100}
     ),
-    "geometric-gap-late-kernel-point": (
-        "geometric-gap", "check_p", {"kernel_n": GEOMETRIC_MAX_STATES - 2}
-    ),
+    "geometric-gap-check-too-large": ("geometric-gap", "check_p", {"proposal_n": 1100}),
+    "geometric-gap-late-kernel-point": ("geometric-gap", "check_p", {"kernel_n": 1100}),
 }
 
 
@@ -536,10 +536,9 @@ def test_a_weight_floor_of_exactly_one_over_d_is_accepted(kind, params):
     [
         ("counterexample", {**SMALL_COUNTEREXAMPLE, "min_successes": 3}),
         ("optimal-scan", {"n_batches": 50, "window_batches": 50}),
-        (
-            "geometric-gap",
-            {"n_max": GEOMETRIC_MAX_STATES - 3, "kernel_n": GEOMETRIC_MAX_STATES - 3},
-        ),
+        # the last n whose target mass p**n (1 - p) is a normal float: for
+        # the default p_values that of p = 0.3, and 1021 for check_p = 0.5
+        ("geometric-gap", {"n_max": 588, "proposal_n": 1021, "kernel_n": 1021}),
     ],
     ids=["successes-equal-runs", "window-equals-batches", "geometric-gap-at-the-cap"],
 )
@@ -557,8 +556,25 @@ def test_cli_rejects_configs_a_run_cannot_finish(case, tmp_path, capsys):
     path = write_config(tmp_path, "bad.json", data)
     command = next(name for name, k in SUBCOMMAND_KINDS.items() if k == kind)
     assert cli_main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert f"params.{field}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"params.{field}" in captured.err
+    assert captured.out == ""
     assert sorted(os.listdir(tmp_path)) == ["bad.json"]  # no output directory
+
+
+def test_geometric_gap_runs_at_its_edge_and_refuses_one_n_more(tmp_path, capsys):
+    """The edge of ``test_cross_field_rules_accept_their_edge`` runs and
+    passes its checks; one more ``n`` at any of the three is refused."""
+    edge = {"kind": "geometric-gap", "seed": 1, "n_max": 588, "proposal_n": 1021,
+            "kernel_n": 1021}
+    path = write_config(tmp_path, "edge.json", edge)
+    assert cli_main(["geometric-gap", "--config", path, "--out", str(tmp_path / "out"),
+                     "--check"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    for name, field in (("n_max", "p_values"), ("proposal_n", "check_p"),
+                        ("kernel_n", "check_p")):
+        with pytest.raises(ConfigError, match=rf"^params\.{field}: "):
+            ExperimentConfig.from_dict({**edge, name: edge[name] + 1})
 
 
 SMALL_GAP = {
@@ -678,11 +694,11 @@ PINNED_SMALL_RUNS = {
         },
     ),
     "geometric-gap": (
-        {"kernel_gap": 0.49999998882424257, "proposal_gap": 4.656612870638467e-10},
+        {"kernel_gap": 0.4999999888241289, "proposal_gap": 4.6566128714510893e-10},
         {
             "gaps": (
-                [0.5, 10, 0.0004879233602895081, 0.4996335209364683, 41],
-                [0.5, 12, 0.00012204795666585095, 0.49990843050341105, 41],
+                [0.5, 10, 0.0004879233602894332, 0.4996335209363547],
+                [0.5, 12, 0.00012204795666584397, 0.49990843050329725],
             ),
         },
     ),
