@@ -10,7 +10,8 @@ Metropolis kernels from :func:`adagibbs.kernels.metropolis_kernel_matrix`.
 The example is exact on its infinite space through two reductions: its
 proposal TV on three atoms, and each kernel value on two states.
 Last, the ``bounds`` experiment's checks over random weight draws, which
-power stacks of Gibbs kernels and read their exact worst-row TV.
+mix each kernel from its target's coordinate moves, power stacks of them,
+and read their exact worst-row TV at step 1 and where the bound steps.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import numpy as np
 from .kernels import (
     DistributionVector,
     TransitionMatrix,
-    gibbs_kernel_matrix,
+    coordinate_moves,
     metropolis_kernel_matrix,
+    mix_coordinate_moves,
     sup_row_tv,
-    tv,
 )
 from .weights import SelectionWeights, _check_floor, make_selection_weights, sup_distance
 
@@ -75,8 +76,8 @@ def minorization_search(p: TransitionMatrix, m: int) -> MinorizationCertificate:
 
 
 def uniform_ergodicity_bound(
-    cert: MinorizationCertificate, epsilon: float, d: int, n: int
-) -> float:
+    cert: MinorizationCertificate, epsilon: float, d: int, n: int | np.ndarray
+) -> float | np.ndarray:
     """Weight-independent TV bound after ``n`` steps of any floored-simplex
     random scan sampler, given a certificate for one of them.
 
@@ -84,15 +85,25 @@ def uniform_ergodicity_bound(
     coefficient at least ``eps / (1 - (d-1) eps)`` per step, so the m-step
     minorization survives with mass ``(eps/(1-(d-1)eps))^m * s`` and the
     classical bound ``(1 - mass)^{floor(n/m)}`` applies uniformly.
+
+    An integer ``n`` gives a Python float; a 1-D integer array of steps
+    gives an array of the bound at each, equal to the scalar calls: Python's
+    float power once per distinct exponent, as numpy's can differ from it in
+    the last bit.
     """
     if not 0.0 < cert.s <= 1.0:
         raise ValueError(f"bound needs a certificate mass in (0, 1], got {cert.s}")
     _check_floor(epsilon, d)
-    if n < 0:
+    regenerations = np.asarray(n) // cert.m
+    if regenerations.min(initial=0) < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     floor_ratio = epsilon / (1.0 - (d - 1) * epsilon)
     mass = floor_ratio**cert.m * cert.s
-    return (1.0 - mass) ** (n // cert.m)
+    if regenerations.ndim == 0:
+        return (1.0 - mass) ** int(regenerations)
+    counts = regenerations.tolist()
+    powers = {k: (1.0 - mass) ** k for k in set(counts)}
+    return np.array([powers[k] for k in counts])
 
 
 def tv_lipschitz_bound(alpha: SelectionWeights, alpha_prime: SelectionWeights) -> float:
@@ -214,16 +225,27 @@ def geometric_counterexample_gap(p: float, n: int) -> GeometricGap:
     if not (0.0 < p < 1.0 and n >= 1 and geometric_mass_is_normal(p, n)):
         raise ValueError(f"need 0 < p < 1, n >= 1 and p**n (1 - p) normal; got p={p}, n={n}")
     pi = np.array([p**n * (1.0 - p), 1.0 - p])
-    laws, exits = [], []
+    laws, totals, exits = [], [], []
     for s in (n, n + 1):
         # stage s's unnormalised masses at n, n + 1 and the rest; at 0 it is 1
         masses = np.array([p**n, p ** (n + 1), 1.0 / (1.0 - p) - p**n - p ** (n + 1)])
         masses[s - n] = p ** (2 * s)
-        law = masses / masses.sum()
-        row = [law[0], 1.0 / masses.sum()]
+        total = masses.sum()
+        law = masses / total
+        row = [law[0], 1.0 / total]
         laws.append(law)
+        totals.append(total)
         exits.append(metropolis_kernel_matrix(pi, np.array([row, row]))[0, 1])
-    return GeometricGap(proposal_gap=tv(laws[1], laws[0]), kernel_gap=float(exits[1] - exits[0]))
+    diffs = laws[1] - laws[0]
+    # The rest's two probabilities are near 1, and their difference would lose
+    # its leading digits once p**n < ~1e-16.  Its mass is the same at both
+    # stages, so the difference is that mass times Z_n - Z_{n+1} =
+    # -p^n (1 - p) (1 - p^n (1 + p)), over Z_n Z_{n+1}.
+    z_drop = -(p**n) * (1.0 - p) * (1.0 - p**n * (1.0 + p))
+    diffs[2] = masses[2] * z_drop / (totals[0] * totals[1])
+    return GeometricGap(
+        proposal_gap=0.5 * float(np.abs(diffs).sum()), kernel_gap=float(exits[1] - exits[0])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,60 +254,111 @@ def geometric_counterexample_gap(p: float, n: int) -> GeometricGap:
 
 # The uniform family advances its weight draws in stacks of as many draws as
 # fit in this many bytes at 8 * (S**2 + horizon) bytes a draw: its kernel or
-# power on S states, and its column of the horizon's tables.  So no stacked
-# array is larger, unless one draw alone is.
+# power on S states, and its column of the horizon's bound table.  So no
+# stacked array is larger, unless one draw alone is.
 STACK_BYTES = 32 * 1024
 
 
+def _moves(target) -> list:
+    """Every coordinate's moves of ``target``, built once for a family of
+    kernels on it."""
+    return [coordinate_moves(target, i) for i in range(target.d)]
+
+
 def _uniform_target(target, epsilon: float, horizon: int, bound) -> tuple:
-    """``(m, s, bounds, pi)`` of one target: the steps and mass of the first
-    positive minorization certificate of its uniform-weight kernel over
-    ``m = d .. 2d``, ``bound(cert, epsilon, d, n)`` at each step ``n = 1 ..
-    horizon``, and the target law."""
+    """``(m, s, bounds, pi, moves)`` of one target: the steps and mass of the
+    first positive minorization certificate of its uniform-weight kernel
+    over ``m = d .. 2d``, ``bound(cert, epsilon, d, steps)`` at the steps
+    ``1 .. horizon``, the target law, and the coordinate moves that every
+    kernel of the family mixes."""
+    moves = _moves(target)
     beta = SelectionWeights((1.0 / target.d,) * target.d, epsilon)
-    p_beta = gibbs_kernel_matrix(target, beta)
+    p_beta = TransitionMatrix(
+        target.states, mix_coordinate_moves(moves, beta.weights, len(target.states))
+    )
     cert = None
     for m in range(target.d, 2 * target.d + 1):
         cert = minorization_search(p_beta, m)
         if cert.s > 0.0:
             break
-    # The bound holds for every weight vector on the floor: one per step.
-    bounds = np.array([bound(cert, epsilon, target.d, n) for n in range(1, horizon + 1)])
-    return cert.m, cert.s, bounds, target.probabilities()
+    # The bound holds for every weight vector on the floor: one call for the horizon.
+    bounds = bound(cert, epsilon, target.d, np.arange(1, horizon + 1))
+    return cert.m, cert.s, bounds, target.probabilities(), moves
 
 
-def _worst_steps(stack: list, epsilon: float, horizon: int) -> list:
-    """``(exact, bound, margin)`` at the first worst step of each weight draw
-    of ``stack``, a list of ``(target, raw weights, bounds, pi)`` on targets
-    of one state count: their kernels are powered together, one stacked
-    matmul and one worst-row TV per draw per step."""
-    size = len(stack[0][0].states)
-    kernels = np.empty((len(stack), size, size))
-    for g, (target, raw, _, _) in enumerate(stack):
-        alpha = make_selection_weights(raw, epsilon)
-        kernels[g] = gibbs_kernel_matrix(target, alpha).matrix
-    pis = np.stack([pi for *_, pi in stack])[:, np.newaxis, :]
-    exacts = np.empty((horizon, len(stack)))
-    power = np.eye(size)
-    for n in range(horizon):
-        power = power @ kernels
-        exacts[n] = sup_row_tv(power, pis)
-    del kernels, power  # before the tables, which peak beside them otherwise
-    margins = np.stack([bounds for _, _, bounds, _ in stack], axis=1)
-    margins -= exacts
+def _worst_steps(kernels: np.ndarray, bounds: np.ndarray, pis: np.ndarray) -> list:
+    """``(exact, bound, margin)`` at the first worst step of each of a stack
+    of kernels ``(G, S, S)``, with their bounds ``(horizon, G)`` and target
+    laws ``(G, 1, S)``: the kernels are powered together, one stacked
+    matmul per step.
+
+    The worst-row TV of a ``pi``-stationary kernel's powers to ``pi`` cannot
+    rise with the step, so on a run of steps where no kernel's bound changes
+    each margin is smallest at the run's first step.  The exact TV is read
+    there alone, at step 1 and wherever a bound changes, and the powering
+    stops at the last such step."""
+    reads = [0, *(1 + np.flatnonzero((bounds[1:] != bounds[:-1]).any(axis=1))).tolist()]
+    exacts = np.empty((len(reads), len(kernels)))
+    power = np.eye(kernels.shape[-1])
+    done = 0
+    for r, n in enumerate(reads):  # step n + 1
+        for _ in range(done, n + 1):
+            power = power @ kernels
+        done = n + 1
+        exacts[r] = sup_row_tv(power, pis)
+    margins = bounds[reads] - exacts
     worst = np.argmin(margins, axis=0)  # the first worst step
     return [
-        (float(exacts[n, g]), float(stack[g][2][n]), float(margins[n, g]))
-        for g, n in enumerate(worst)
+        (float(exacts[r, g]), float(bounds[reads[r], g]), float(margins[r, g]))
+        for g, r in enumerate(worst)
     ]
+
+
+def _uniform_rows(targets: list, members: list, draws, p: dict, bound) -> dict:
+    """The ``uniform`` rows of the weight draws of ``members``, targets of one
+    state count, by draw: the draws run their horizon in stacks of at most
+    :data:`STACK_BYTES` per stacked array, and for each the step where the
+    bound's margin over the exact worst-row TV is smallest is kept.  A
+    target's moves are built once, and dropped once its last draw's kernel
+    is mixed."""
+    epsilon, horizon, n_alphas = p["epsilon"], p["horizon"], p["n_alphas"]
+    size = len(targets[members[0]].states)
+    group = [k for t in members for k in range(t * n_alphas, (t + 1) * n_alphas)]
+    per_stack = max(1, STACK_BYTES // (8 * (size * size + horizon)))
+    rows: dict = {}
+    per_target: dict = {}
+    for start in range(0, len(group), per_stack):
+        stack = group[start:start + per_stack]
+        owners = [k // n_alphas for k in stack]
+        # a target whose draws ran on in the last stack keeps its entry
+        per_target = {
+            t: per_target[t] if t in per_target
+            else _uniform_target(targets[t], epsilon, horizon, bound)
+            for t in dict.fromkeys(owners)
+        }
+        kernels = np.empty((len(stack), size, size))
+        for g, (t, k) in enumerate(zip(owners, stack)):
+            weights = make_selection_weights(draws[k, :targets[t].d], epsilon).weights
+            kernels[g] = mix_coordinate_moves(per_target[t][4], weights, size)
+        bounds = np.stack([per_target[t][2] for t in owners], axis=1)
+        pis = np.stack([per_target[t][3] for t in owners])[:, np.newaxis, :]
+        certs = [per_target[t][:2] for t in owners]
+        if (stack[-1] + 1) % n_alphas == 0:  # no target here has a draw left
+            per_target = {}
+        worst = _worst_steps(kernels, bounds, pis)
+        for t, k, cert, cells in zip(owners, stack, certs, worst):
+            rows[k] = [t, k % n_alphas, *cert, *cells]
+        del kernels  # before the next stack's targets are built
+    return rows
 
 
 def _lipschitz_row(t: int, target, pair: np.ndarray, epsilon: float, bound) -> list:
     """``[t, d, exact, bound]`` for one pair of weight vectors on one target."""
     alpha, alpha_prime = (make_selection_weights(raw[:target.d], epsilon) for raw in pair)
+    moves, size = _moves(target), len(target.states)
     exact = sup_row_tv(
-        gibbs_kernel_matrix(target, alpha).matrix,
-        gibbs_kernel_matrix(target, alpha_prime).matrix,
+        mix_coordinate_moves(moves, alpha.weights, size),
+        mix_coordinate_moves(moves, alpha_prime.weights, size),
     )
     return [t, target.d, exact, bound(alpha, alpha_prime)]
 
@@ -297,47 +370,31 @@ def _weight_family_rows(
     families, in target order, from weight vectors drawn beforehand
     (``None`` for a family not run), checking ``lipschitz_bound`` (as
     :func:`tv_lipschitz_bound`) and ``uniform_bound`` (as
-    :func:`uniform_ergodicity_bound`).  The experiment passes in the bounds
-    it names, so that replacing one there replaces the one checked.
+    :func:`uniform_ergodicity_bound`, called once per target on every step
+    of the horizon).  The experiment passes in the bounds it names, so that
+    replacing one there replaces the one checked.
 
     The targets are visited by state count, smallest first.  A group's
-    lipschitz pairs come first, then its uniform draws run their horizon in
-    stacks of at most :data:`STACK_BYTES` per stacked array, and for each
-    the step where the bound's margin over the exact worst-row TV is
-    smallest is kept.  The group's targets are then dropped from
-    ``targets``, and their conditional tables with them; the caller does
-    not read the list again.  Cells are Python numbers.
+    lipschitz pairs come first, then its uniform draws (see
+    :func:`_uniform_rows`).  Each family builds a target's coordinate moves
+    once and mixes every kernel it needs on the target from them.  The
+    group's targets are then dropped from ``targets``, and their
+    conditional tables with them; the caller does not read the list again.
+    Cells are Python numbers.
     """
-    epsilon, horizon, n_alphas = p["epsilon"], p["horizon"], p["n_alphas"]
     groups: dict = {}
     for t, target in enumerate(targets):
         groups.setdefault(len(target.states), []).append(t)
     lipschitz = None if pairs is None else [None] * len(targets)
     uniform = None if draws is None else [None] * len(draws)
-    for size, members in sorted(groups.items()):
+    for _, members in sorted(groups.items()):
         if pairs is not None:
             for t in members:
                 pair = pairs[2 * t:2 * t + 2]
-                lipschitz[t] = _lipschitz_row(t, targets[t], pair, epsilon, lipschitz_bound)
+                lipschitz[t] = _lipschitz_row(t, targets[t], pair, p["epsilon"], lipschitz_bound)
         if draws is not None:
-            group = [k for t in members for k in range(t * n_alphas, (t + 1) * n_alphas)]
-            per_stack = max(1, STACK_BYTES // (8 * (size * size + horizon)))
-            per_target: dict = {}
-            for start in range(0, len(group), per_stack):
-                stack = group[start:start + per_stack]
-                owners = [k // n_alphas for k in stack]
-                # a target whose draws ran on in the last stack keeps its entry
-                per_target = {
-                    t: per_target[t] if t in per_target
-                    else _uniform_target(targets[t], epsilon, horizon, uniform_bound)
-                    for t in dict.fromkeys(owners)
-                }
-                worst = _worst_steps([
-                    (targets[t], draws[k, :targets[t].d], *per_target[t][2:])
-                    for t, k in zip(owners, stack)
-                ], epsilon, horizon)
-                for t, k, cells in zip(owners, stack, worst):
-                    uniform[k] = [t, k % n_alphas, *per_target[t][:2], *cells]
+            for k, row in _uniform_rows(targets, members, draws, p, uniform_bound).items():
+                uniform[k] = row
         for t in members:
             targets[t] = None
     return lipschitz, uniform

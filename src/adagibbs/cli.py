@@ -41,6 +41,15 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+class _TrajectoryMovedToIact(argparse.Action):
+    """``variance --trajectory``, the analysis's old form, refused with a
+    pointer to its subcommand instead of a missing ``--config``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} is not a variance flag; analyse a trajectory "
+                     f"with 'adagibbs iact PATH'")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adagibbs",
@@ -59,6 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="exit 1 unless every embedded acceptance check passes",
         )
+        if name == "variance":
+            p.add_argument("--trajectory", action=_TrajectoryMovedToIact, help=argparse.SUPPRESS)
     p = sub.add_parser("iact", help="IACT and asymptotic variance of a trajectory CSV")
     p.add_argument("trajectory", help="trajectory CSV to analyse")
     p.add_argument(

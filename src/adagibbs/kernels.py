@@ -4,6 +4,10 @@ This is the oracle layer: random scan Gibbs and Metropolis-within-Gibbs
 kernels are materialised as row-stochastic matrices, and total-variation
 quantities are computed without sampling error.  Every closed-form bound
 elsewhere in the package is checked against numbers produced here.
+:func:`coordinate_moves` holds one coordinate's Gibbs step as its nonzero
+entries, and :func:`mix_coordinate_moves` is the one statement of a random
+scan mixture of them, so a caller with many weight vectors on one target
+builds the moves once.
 :func:`metropolis_kernel_matrix` is the one finite Metropolis kernel;
 Metropolis-within-Gibbs applies it on every fibre.  :func:`tv` and
 :func:`sup_row_tv` are the one statement of total variation; both take
@@ -116,18 +120,38 @@ def _fibres(target: FiniteProductTarget, i: int) -> list:
     return list(groups.values())
 
 
-def single_coordinate_kernel(target: FiniteProductTarget, i: int) -> TransitionMatrix:
-    """One Gibbs step that redraws coordinate ``i`` from its conditional."""
-    m = np.zeros((len(target.states),) * 2)
+def coordinate_moves(target: FiniteProductTarget, i: int) -> tuple:
+    """Coordinate ``i``'s Gibbs step as its nonzero entries ``(flat,
+    probs)``: from each state a move to every state of its fibre, at flat
+    index ``row * S + col`` of the ``S``-state matrix, with the conditional
+    probability of the value there.  One conditional lookup per fibre."""
     rows, cols, probs = [], [], []
     for fibre in _fibres(target, i):
         _, p = target.conditional(i, target.states[fibre[0]])
         for r in fibre:
             rows += [r] * len(fibre)
-            cols += fibre
-            probs += p
-    m[rows, cols] = probs
-    return TransitionMatrix(target.states, m)
+        cols += fibre * len(fibre)
+        probs += p * len(fibre)
+    flat = np.array(rows, dtype=np.intp) * len(target.states) + np.array(cols, dtype=np.intp)
+    return flat, np.array(probs)
+
+
+def mix_coordinate_moves(moves: Sequence[tuple], weights: Sequence[float], size: int) -> np.ndarray:
+    """``sum_i weights[i] K_i`` on ``size`` states, where ``K_i`` is the matrix
+    of ``moves[i]`` (as :func:`coordinate_moves`), summed in coordinate order.
+    An entry outside ``K_i``'s moves would gain ``weights[i] * 0``, which is
+    exact, so this rounds as the dense sum ``m += weights[i] * K_i`` does."""
+    m = np.zeros((size, size))
+    entries = m.reshape(-1)  # a view of m
+    for w, (flat, probs) in zip(weights, moves, strict=True):
+        entries[flat] += w * probs
+    return m
+
+
+def single_coordinate_kernel(target: FiniteProductTarget, i: int) -> TransitionMatrix:
+    """One Gibbs step that redraws coordinate ``i`` from its conditional."""
+    moves = [coordinate_moves(target, i)]
+    return TransitionMatrix(target.states, mix_coordinate_moves(moves, (1.0,), len(target.states)))
 
 
 def gibbs_kernel_matrix(
@@ -137,10 +161,10 @@ def gibbs_kernel_matrix(
     then an exact conditional redraw of that coordinate."""
     if alpha.d != target.d:
         raise ValueError(f"weights have d={alpha.d}, target has d={target.d}")
-    m = np.zeros((len(target.states),) * 2)
-    for i, wi in enumerate(alpha.weights):
-        m += wi * single_coordinate_kernel(target, i).matrix
-    return TransitionMatrix(target.states, m)
+    moves = [coordinate_moves(target, i) for i in range(target.d)]
+    return TransitionMatrix(
+        target.states, mix_coordinate_moves(moves, alpha.weights, len(target.states))
+    )
 
 
 def systematic_scan_kernel(target: FiniteProductTarget) -> TransitionMatrix:

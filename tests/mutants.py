@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 BOUNDS = "src/adagibbs/bounds.py"
+KERNELS = "src/adagibbs/kernels.py"
 EXPERIMENTS = "src/adagibbs/experiments.py"
 LADDER = "src/adagibbs/ladder.py"
 CLI = "src/adagibbs/cli.py"
@@ -35,6 +36,7 @@ VARIANCE = "src/adagibbs/variance.py"
 SAMPLERS = "src/adagibbs/samplers.py"
 
 T_BOUNDS = "tests/test_bounds.py::"
+T_KERNELS = "tests/test_kernels.py::"
 T_CLI = "tests/test_experiments_cli.py::"
 T_LADDER = "tests/test_ladder.py::"
 T_ACCEPTANCE = "tests/test_acceptance.py::"
@@ -52,10 +54,17 @@ MUTANTS = {
     # the geometric-target example on its exact reductions
     "geometric-tv-without-the-rest-atom": (
         BOUNDS,
-        "proposal_gap=tv(laws[1], laws[0])",
-        "proposal_gap=tv(laws[1][:2], laws[0][:2])",
+        "proposal_gap=0.5 * float(np.abs(diffs).sum())",
+        "proposal_gap=0.5 * float(np.abs(diffs[:2]).sum())",
         [T_BOUNDS + "test_geometric_gap_closed_forms",
-         T_BOUNDS + "test_geometric_gap_equals_the_dense_oracle"],
+         T_BOUNDS + "test_geometric_gap_equals_the_dense_oracle",
+         T_BOUNDS + "test_geometric_proposal_gap_equals_the_rational_oracle"],
+    ),
+    "geometric-rest-from-its-two-probabilities": (
+        BOUNDS,
+        "    diffs[2] = masses[2] * z_drop / (totals[0] * totals[1])\n",
+        "    diffs[2] = laws[1][2] - laws[0][2]\n",
+        [T_BOUNDS + "test_geometric_proposal_gap_equals_the_rational_oracle"],
     ),
     "geometric-kernel-reads-the-move-0-to-n": (
         BOUNDS,
@@ -279,10 +288,55 @@ MUTANTS = {
     ),
     "bounds-injected-uniform-bound-ignored": (
         BOUNDS,
-        "else _uniform_target(targets[t], epsilon, horizon, uniform_bound)",
+        "else _uniform_target(targets[t], epsilon, horizon, bound)",
         "else _uniform_target(targets[t], epsilon, horizon, uniform_ergodicity_bound)",
         [T_ACCEPTANCE
          + "test_a_halved_bound_fails_its_check_alone[uniform_ergodicity_bound-failed1]"],
+    ),
+    # the bounds experiment's kernels from coordinate moves, and its TV reads
+    "bounds-step-1-unread": (
+        BOUNDS,
+        "reads = [0, *(1 + np.flatnonzero(",
+        "reads = [*(1 + np.flatnonzero(",
+        [FAMILY_ORACLES.format("benchmark-size"),
+         T_BOUNDS + "test_uniform_family_keeps_the_first_worst_step"],
+    ),
+    "bounds-powering-one-step-short": (
+        BOUNDS,
+        "for _ in range(done, n + 1):",
+        "for _ in range(done, n):",
+        [FAMILY_ORACLES.format("benchmark-size"),
+         T_BOUNDS + "test_uniform_family_reads_a_bound_that_dips_for_one_step"],
+    ),
+    "bounds-every-other-change-step-read": (
+        BOUNDS,
+        "(bounds[1:] != bounds[:-1]).any(axis=1))).tolist()]",
+        "(bounds[1:] != bounds[:-1]).any(axis=1))).tolist()][::2]",
+        [T_BOUNDS + "test_uniform_family_reads_a_bound_that_dips_for_one_step"],
+    ),
+    "bounds-numpy-power": (
+        BOUNDS,
+        "return np.array([powers[k] for k in counts])",
+        "return (1.0 - mass) ** regenerations",
+        [T_BOUNDS + "test_uniform_bound_on_an_array_of_steps_equals_its_scalar_calls"],
+    ),
+    "bounds-moves-shared-across-a-stack": (
+        BOUNDS,
+        "mix_coordinate_moves(per_target[t][4], weights, size)",
+        "mix_coordinate_moves(per_target[owners[0]][4], weights, size)",
+        [FAMILY_ORACLES.format("benchmark-size")],
+    ),
+    "bounds-moves-built-per-kernel": (
+        BOUNDS,
+        "kernels[g] = mix_coordinate_moves(per_target[t][4], weights, size)",
+        "kernels[g] = mix_coordinate_moves(_moves(targets[t]), weights, size)",
+        [T_BOUNDS + "test_each_family_builds_a_targets_moves_once[uniform]"],
+    ),
+    "kernels-mixed-in-reverse-coordinate-order": (
+        KERNELS,
+        "zip(weights, moves, strict=True)",
+        "zip(weights[::-1], moves[::-1], strict=True)",
+        [T_KERNELS + "test_mixed_coordinate_moves_equal_the_dense_sum_bit_for_bit"],
     ),
     # one job per subcommand, and the rules refused at parse time
     "cli-config-not-required": (
@@ -293,10 +347,16 @@ MUTANTS = {
     ),
     "cli-variance-takes-a-trajectory": (
         CLI,
-        '        p.add_argument("--out", default=None, help="output directory")\n',
-        '        p.add_argument("--out", default=None, help="output directory")\n'
-        '        p.add_argument("--trajectory")\n',
+        'p.add_argument("--trajectory", action=_TrajectoryMovedToIact, help=argparse.SUPPRESS)',
+        'p.add_argument("--trajectory")',
         [FOREIGN_FLAG.format("variance-config-trajectory")],
+    ),
+    "cli-variance-trajectory-without-the-iact-hint": (
+        CLI,
+        """f"with 'adagibbs iact PATH'")""",
+        """f"elsewhere")""",
+        [FOREIGN_FLAG.format(case)
+         for case in ("variance-trajectory", "variance-config-trajectory")],
     ),
     "cli-experiments-take-a-burn-in": (
         CLI,

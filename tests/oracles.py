@@ -9,6 +9,7 @@ bit-for-bit equality of two arrays.
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from adagibbs.bounds import ENTRYWISE_TOL, minorization_search, tv_lipschitz_bou
 from adagibbs.kernels import (
     DistributionVector,
     TransitionMatrix,
-    gibbs_kernel_matrix,
     metropolis_kernel_matrix,
     single_coordinate_kernel,
 )
@@ -69,6 +69,27 @@ def assert_bitwise_equal(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def coordinate_kernel_oracle(target, i: int) -> np.ndarray:
+    """Coordinate ``i``'s Gibbs step as a dense matrix, state by state: each
+    row's conditional probabilities placed at the states they move to."""
+    index = {x: k for k, x in enumerate(target.states)}
+    m = np.zeros((len(target.states),) * 2)
+    for r, x in enumerate(target.states):
+        values, probs = target.conditional(i, x)
+        for v, p in zip(values, probs):
+            m[r, index[x[:i] + (v,) + x[i + 1:]]] += p
+    return m
+
+
+def gibbs_kernel_oracle(target, alpha) -> np.ndarray:
+    """Random scan Gibbs kernel by the dense route: ``m += alpha_i K_i`` over
+    the dense coordinate kernels, in coordinate order."""
+    m = np.zeros((len(target.states),) * 2)
+    for i, wi in enumerate(alpha.weights):
+        m += wi * coordinate_kernel_oracle(target, i)
+    return m
+
+
 def state_dependent_gibbs_kernel(target, weights_at):
     """Random scan Gibbs kernel whose selection weights ``weights_at(x)`` may
     depend on the current state ``x``: row ``x`` is ``sum_i w_i(x) K_i[x]``.
@@ -79,7 +100,7 @@ def state_dependent_gibbs_kernel(target, weights_at):
     weights = np.array([weights_at(x).weights for x in target.states])
     m = np.zeros((len(target.states),) * 2)
     for i in range(target.d):
-        m += weights[:, i, np.newaxis] * single_coordinate_kernel(target, i).matrix
+        m += weights[:, i, np.newaxis] * coordinate_kernel_oracle(target, i)
     return TransitionMatrix(target.states, m)
 
 
@@ -243,8 +264,8 @@ def lipschitz_family_oracle(rng, targets, p) -> list:
     for t_id, target in enumerate(targets):
         alpha = make_selection_weights(rng.dirichlet(np.ones(target.d)), p["epsilon"])
         alpha_prime = make_selection_weights(rng.dirichlet(np.ones(target.d)), p["epsilon"])
-        a = gibbs_kernel_matrix(target, alpha).matrix
-        b = gibbs_kernel_matrix(target, alpha_prime).matrix
+        a = gibbs_kernel_oracle(target, alpha)
+        b = gibbs_kernel_oracle(target, alpha_prime)
         exact = 0.5 * float(np.abs(a - b).sum(axis=1).max())
         rows.append([t_id, target.d, exact, tv_lipschitz_bound(alpha, alpha_prime)])
     return rows
@@ -260,7 +281,7 @@ def uniform_family_oracle(rng, targets, p) -> list:
     rows = []
     for t_id, target in enumerate(targets):
         beta = SelectionWeights((1.0 / target.d,) * target.d, p["epsilon"])
-        p_beta = gibbs_kernel_matrix(target, beta)
+        p_beta = TransitionMatrix(target.states, gibbs_kernel_oracle(target, beta))
         cert = None
         for m in range(target.d, 2 * target.d + 1):
             cert = minorization_search(p_beta, m)
@@ -274,7 +295,7 @@ def uniform_family_oracle(rng, targets, p) -> list:
         for a_id in range(p["n_alphas"]):
             alpha = make_selection_weights(rng.dirichlet(np.ones(target.d)), p["epsilon"])
             power = np.eye(len(target.states))
-            kernel = gibbs_kernel_matrix(target, alpha).matrix
+            kernel = gibbs_kernel_oracle(target, alpha)
             exacts = []
             for _ in bounds:
                 power = power @ kernel
@@ -323,6 +344,23 @@ def geometric_gap_oracle(p: float, n: int) -> tuple:
     kernel_next = metropolis_kernel_matrix(pi, np.tile(q_next, (k_max + 1, 1)))
     proposal_gap = 0.5 * float(np.abs(q_next - q_n).sum())
     return proposal_gap, float(kernel_next[n, 0] - kernel_n[n, 0])
+
+
+def geometric_proposal_gap_fraction(p: float, n: int) -> Fraction:
+    """The geometric-target example's proposal TV between stages ``n`` and
+    ``n + 1``, exactly in rational arithmetic at the float ``p``: half the
+    summed absolute differences of the two stage laws on the atoms ``n``,
+    ``n + 1`` and the rest."""
+    q = Fraction(p)
+    whole = 1 / (1 - q)  # the unnormalised mass of the whole space
+    laws = []
+    for stage in (n, n + 1):
+        masses = [q**n, q ** (n + 1)]
+        masses[stage - n] = q ** (2 * stage)
+        total = whole - q**stage + q ** (2 * stage)
+        rest = total - sum(masses)
+        laws.append([m / total for m in (*masses, rest)])
+    return sum(abs(b - a) for a, b in zip(*laws)) / 2
 
 
 def ladder_step_law_oracle(x, n: int) -> dict:

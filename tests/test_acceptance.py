@@ -151,8 +151,9 @@ PINNED_OPTIMAL_SCAN_BATCHES_SHA256 = (
 PINNED_TV_TRACE_SHA256 = (
     "c47dd110084be065642992f3c6f179bdf6fc8924892eef9ad4ed677b1e482896"
 )
+# The proposal gaps take the rest atom's difference in closed form.
 PINNED_GEOMETRIC_GAPS_SHA256 = (
-    "d0762b4c235d46f68dcf96fc64b7a6e7a999719a321194e57f52a02831ef1a16"
+    "7795c03cf49bf33b84a51f1f84e01a28b394ffb0d299bfa7957605c69868e91b"
 )
 PINNED_TABLES = {
     "residuals": {

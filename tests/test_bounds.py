@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from oracles import (
     bounds_targets,
     certificate_holds,
     geometric_gap_oracle,
+    geometric_proposal_gap_fraction,
     lipschitz_family_oracle,
     uniform_family_oracle,
 )
@@ -360,6 +362,19 @@ def test_geometric_gap_equals_the_dense_oracle():
             assert abs(gap.kernel_gap - kernel_gap) <= 1e-12, (p, n)
 
 
+def test_geometric_proposal_gap_equals_the_rational_oracle():
+    """To 1e-12 relative, also where ``p**n`` is far below the float
+    spacing at 1 and the rest atom's two probabilities agree to every bit:
+    at (0.3, 40) the difference of those probabilities read 5.53e-22
+    against the exact 8.51e-22.  And where ``p**n (1 + p) > 1`` (0.7, 1),
+    so that atom ``n`` alone is not the TV."""
+    for p in (0.3, 0.5, 0.7, 0.9, 0.99):
+        for n in (*range(1, 61), 100, 200, 300):
+            exact = geometric_proposal_gap_fraction(p, n)
+            got = geometric_counterexample_gap(p, n).proposal_gap
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * exact, (p, n)
+
+
 def _gap_peak(p, n):
     tracemalloc.start()
     try:
@@ -470,12 +485,71 @@ def test_uniform_family_across_capped_stacks_equals_the_oracle(monkeypatch):
 
 
 def test_uniform_family_keeps_the_first_worst_step(monkeypatch):
-    # A bound of 1e20 absorbs every exact TV, so all margins tie at 1e20 and
-    # the first step is the worst.
-    monkeypatch.setattr(experiments, "uniform_ergodicity_bound", lambda cert, eps, d, n: 1e20)
+    # A bound of 1e20 on odd steps and 2e20 on even ones changes on every
+    # step, so the exact TV is read on every step.  1e20 absorbs every exact
+    # TV, so the margins of all odd steps tie at 1e20 and step 1 is the worst.
+    monkeypatch.setattr(
+        experiments, "uniform_ergodicity_bound", lambda cert, eps, d, n: 1e20 * (2 - n % 2)
+    )
     config = bounds_config(["uniform"], seed=5, n_targets=12, n_alphas=2, horizon=20)
     assert {row[-2] for row in bounds_experiment(config).tables["uniform"][1]} == {1e20}
     assert_families_match_the_oracles(config)
+
+
+def test_uniform_family_reads_a_bound_that_dips_for_one_step(monkeypatch):
+    # A bound of 2 that falls to 1 at step 6 and rises back at step 7: the
+    # margin at step 6 is below 1 and every other one above, so step 6 is
+    # the worst, though no step of the true bound's runs starts there.
+    monkeypatch.setattr(
+        experiments, "uniform_ergodicity_bound", lambda cert, eps, d, n: 2.0 - (n == 6)
+    )
+    config = bounds_config(["uniform"], seed=5, n_targets=12, n_alphas=2, horizon=20)
+    header, rows = bounds_experiment(config).tables["uniform"]
+    assert {row[header.index("bound_at_worst_n")] for row in rows} == {1.0}
+    assert_families_match_the_oracles(config)
+
+
+@pytest.mark.parametrize("families", [BOTH, ("lipschitz",), ("uniform",)],
+                         ids=["both", "lipschitz", "uniform"])
+def test_each_family_builds_a_targets_moves_once(monkeypatch, families):
+    """``d`` coordinate-move builds per target and family, the uniform
+    family's draws spread over capped stacks (as in
+    ``test_uniform_family_across_capped_stacks_equals_the_oracle``)."""
+    built = []
+
+    def counting(target, i):
+        built.append((target, i))
+        return build(target, i)
+
+    build = bounds_module.coordinate_moves
+    monkeypatch.setattr(bounds_module, "coordinate_moves", counting)
+    monkeypatch.setattr(bounds_module, "STACK_BYTES", 1000)
+    config = bounds_config(list(families), seed=11, n_targets=12, n_alphas=5, horizon=10)
+    rng, targets = bounds_targets(config)
+    pairs = experiments._weight_draws(rng, targets, 2) if "lipschitz" in families else None
+    draws = experiments._weight_draws(rng, targets, 5) if "uniform" in families else None
+    bounds_module._weight_family_rows(
+        list(targets), pairs, draws, config.params, tv_lipschitz_bound, uniform_ergodicity_bound
+    )
+    per_target = {id(t): sorted(i for u, i in built if u is t) for t in targets}
+    assert len(built) == sum(len(v) for v in per_target.values())
+    assert per_target == {id(t): sorted(list(range(t.d)) * len(families)) for t in targets}
+
+
+def test_uniform_bound_on_an_array_of_steps_equals_its_scalar_calls():
+    """Bit for bit, as Python floats: numpy's float power differs from
+    Python's in the last bit at some of these exponents."""
+    steps = np.arange(1, 201)
+    for m in range(1, 13):
+        for s, epsilon, d in ((0.3, 0.1, 3), (0.77, 0.2, 2), (1.0, 0.05, 4)):
+            cert = MinorizationCertificate(m, s, _dummy_mu())
+            got = uniform_ergodicity_bound(cert, epsilon, d, steps)
+            want = [uniform_ergodicity_bound(cert, epsilon, d, int(n)) for n in steps]
+            assert got.dtype == np.float64 and got.shape == steps.shape
+            assert all(type(b) is float for b in want)
+            assert got.tolist() == want, (m, s)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        uniform_ergodicity_bound(cert, 0.05, 4, np.arange(-1, 3))
 
 
 def _traced_peak(call):

@@ -966,6 +966,9 @@ def test_cli_refuses_a_foreign_flag(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage: adagibbs" in captured.err
+    if "--trajectory" in argv:
+        # its old form points to the subcommand that analyses a trajectory
+        assert "analyse a trajectory with 'adagibbs iact PATH'" in captured.err
     assert not out.exists()
 
 

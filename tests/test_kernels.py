@@ -231,15 +231,31 @@ def test_gibbs_kernel_reversible_and_stationary():
 def test_single_coordinate_kernel_matches_per_state_loop():
     rng = np.random.default_rng(4)
     for target in (random_target(rng, 2, (3, 4)), ladder_target(rng, 6)):
-        index = {x: k for k, x in enumerate(target.states)}
         for i in range(target.d):
-            expected = np.zeros((len(target.states),) * 2)
-            for r, x in enumerate(target.states):
-                values, probs = target.conditional(i, x)
-                for v, p in zip(values, probs):
-                    expected[r, index[x[:i] + (v,) + x[i + 1:]]] += p
             kernel = single_coordinate_kernel(target, i)
-            np.testing.assert_array_equal(kernel.matrix, expected)
+            oracles.assert_bitwise_equal(kernel.matrix, oracles.coordinate_kernel_oracle(target, i))
+
+
+def test_mixed_coordinate_moves_equal_the_dense_sum_bit_for_bit():
+    """The scattered mixture rounds as ``m += w_i K_i`` over dense
+    coordinate kernels does, on full products and on the ladder's
+    restricted support, where fibres differ in size."""
+    rng = np.random.default_rng(12)
+    for k in range(60):
+        if k % 4 == 3:
+            target = ladder_target(rng, int(rng.integers(2, 7)))
+        else:
+            d = int(rng.integers(2, 5))
+            target = random_target(rng, d, tuple(int(v) for v in rng.integers(2, 5, size=d)))
+        alpha = make_selection_weights(rng.dirichlet(np.ones(target.d)), 0.05)
+        oracles.assert_bitwise_equal(
+            gibbs_kernel_matrix(target, alpha).matrix, oracles.gibbs_kernel_oracle(target, alpha)
+        )
+        moves = [kernels_module.coordinate_moves(target, i) for i in range(target.d)]
+        oracles.assert_bitwise_equal(
+            kernels_module.mix_coordinate_moves(moves, alpha.weights, len(target.states)),
+            oracles.gibbs_kernel_oracle(target, alpha),
+        )
 
 
 def test_state_dependent_kernel_reduces_to_constant():
@@ -259,16 +275,16 @@ def test_state_dependent_kernel_reduces_to_constant():
 
 
 def test_gibbs_kernel_builds_each_coordinate_kernel_once(monkeypatch):
-    # the per-layer benchmark counts one coordinate-kernel build per
-    # coordinate per call, looked up through the module global
+    # one coordinate-moves build per coordinate per call, looked up through
+    # the module global
     calls = []
-    build = kernels_module.single_coordinate_kernel
+    build = kernels_module.coordinate_moves
 
     def counting(target, i):
         calls.append(i)
         return build(target, i)
 
-    monkeypatch.setattr(kernels_module, "single_coordinate_kernel", counting)
+    monkeypatch.setattr(kernels_module, "coordinate_moves", counting)
     rng = np.random.default_rng(16)
     target = random_target(rng, 3, (2, 3, 2))
     gibbs_kernel_matrix(target, make_selection_weights((0.2, 0.3, 0.5), 0.1))

@@ -21,7 +21,8 @@ TEST_ONLY = {
     "mixture_decomposition", "mwg_kernel_matrix", "proposal_vs_kernel_tv",
     "scan_autocorrelation_relation", "systematic_to_random_scan",
     # documented entry points
-    "systematic_scan_kernel", "unbounded_ladder_law", "write_trajectory_csv",
+    "gibbs_kernel_matrix", "systematic_scan_kernel", "unbounded_ladder_law",
+    "write_trajectory_csv",
 }
 
 
