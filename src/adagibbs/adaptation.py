@@ -1,17 +1,16 @@
 """Concrete adaptation rules for the doubly adaptive sampler.
 
 :class:`ComponentwiseAdaptation` is the one adaptation object: its observer
-keeps per-batch proposal and acceptance counts (and, for "hst", running
-moments), and every ``BATCH_SIZE`` steps it refreshes the proposal variances
-and the selection weights.  Two proposal-variance tuners are provided: the
-running-moments rule ``5.76 * (sample_variance + 0.05)`` ("hst") and the
-batched acceptance-rate rule that nudges a log-scale, clamped to
-``[-10, 10]``, up or down by ``min(0.1, b^{-1/2})`` per 50-iteration batch
-depending on whether the batch acceptance fraction beat 0.44 ("rr").  Both
-feed the same square-root weight rule, :func:`weight_update`.  Updates are
-applied at batch boundaries only, so the per-step weight change is bounded by
-the per-batch change and adaptation provably dies out; between boundaries the
-two rules hand the sampler the same two immutable objects.
+keeps per-batch proposal and acceptance counts, and every ``BATCH_SIZE``
+steps it refreshes the proposal variances and the selection weights.  The
+proposal variances follow the batched acceptance-rate rule of Roberts &
+Rosenthal: each coordinate's log-scale, clamped to ``[-10, 10]``, moves up
+or down by ``min(0.1, b^{-1/2})`` per 50-iteration batch depending on
+whether the batch acceptance fraction beat 0.44.  The weights follow the
+square-root rule, :func:`weight_update`.  Updates are applied at batch
+boundaries only, so the per-step weight change is bounded by the per-batch
+change and adaptation provably dies out; between boundaries the rules hand
+the sampler the same two immutable objects.
 
 A small monitor summarises how fast adaptation is dying out along a run.
 """
@@ -28,8 +27,6 @@ from .weights import SelectionWeights, make_selection_weights, sup_distance
 
 BATCH_SIZE = 50
 TARGET_ACCEPTANCE = 0.44
-HST_SCALE = 2.4**2
-HST_FLOOR = 0.05
 LOG_SCALE_CLAMP = 10.0
 
 
@@ -68,28 +65,22 @@ class ComponentwiseAdaptation:
 
     Wire ``weight_rule``, ``proposal_rule`` and ``observer`` into
     :func:`~adagibbs.samplers.adap_rs_adap_mwg_run`, starting it from
-    ``proposal_variances``.  The observer folds every state into the running
-    moments ("hst" only) and counts each coordinate's proposals and
-    acceptances; at every batch boundary (each step ``n`` that is a
-    multiple of ``BATCH_SIZE``) it computes the new
+    ``proposal_variances``.  The observer counts each coordinate's proposals
+    and acceptances after every step; at every batch boundary (each step
+    ``n`` that is a multiple of ``BATCH_SIZE``) it moves the log-scales of
+    the coordinates proposed in the batch, computes the new
     ``proposal_variances`` (a tuple of floats) and the square-root
     ``weights`` once, and records the batch in ``batch_log``.  The two rules
     return those same objects until the next boundary.
     """
 
-    def __init__(self, variant: str, a: Sequence[float], epsilon: float):
-        if variant not in ("hst", "rr"):
-            raise ValueError(f"unknown variant {variant!r}; expected 'hst' or 'rr'")
-        self.variant = variant
+    def __init__(self, a: Sequence[float], epsilon: float):
         self.a = tuple(float(v) for v in a)
         self.epsilon = float(epsilon)
         d = len(self.a)
         if d < 1:
             raise ValueError("need at least one coordinate")
         self.log_scales = [0.0] * d
-        self._count = 0
-        self._means = [0.0] * d
-        self._m2 = [0.0] * d
         self._proposals = [0] * d
         self._accepts = [0] * d
         self.proposal_variances = self._variances()
@@ -103,15 +94,6 @@ class ComponentwiseAdaptation:
         return self.proposal_variances
 
     def observer(self, n, x, i, accepted):
-        if self.variant == "hst":
-            # Welford's single-pass update over every state, the first included.
-            self._count += 1
-            for k, v in enumerate(x):
-                delta = v - self._means[k]
-                self._means[k] += delta / self._count
-                self._m2[k] += delta * (v - self._means[k])
-        if i is None:
-            return
         self._proposals[i] += 1
         if accepted:
             self._accepts[i] += 1
@@ -119,28 +101,19 @@ class ComponentwiseAdaptation:
             self._refresh()
 
     def _variances(self) -> tuple:
-        if self.variant == "rr":
-            return tuple(math.exp(ls) for ls in self.log_scales)
-        count = self._count
-        return tuple(
-            HST_SCALE * ((m2 / (count - 1) if count >= 2 else 0.0) + HST_FLOOR)
-            for m2 in self._m2
-        )
+        return tuple(math.exp(ls) for ls in self.log_scales)
 
     def _refresh(self):
         batch = len(self.batch_log) + 1
         proposals = tuple(self._proposals)
         accepts = tuple(self._accepts)
         fractions = acceptance_fractions(accepts, proposals)
-        if self.variant == "rr":
-            step = adaptation_step_size(batch)
-            for k, fraction in enumerate(fractions):
-                # a coordinate not proposed in the batch keeps its scale
-                if proposals[k] > 0:
-                    ls = self.log_scales[k] + (
-                        step if fraction > TARGET_ACCEPTANCE else -step
-                    )
-                    self.log_scales[k] = min(max(ls, -LOG_SCALE_CLAMP), LOG_SCALE_CLAMP)
+        step = adaptation_step_size(batch)
+        for k, fraction in enumerate(fractions):
+            # a coordinate not proposed in the batch keeps its scale
+            if proposals[k] > 0:
+                ls = self.log_scales[k] + (step if fraction > TARGET_ACCEPTANCE else -step)
+                self.log_scales[k] = min(max(ls, -LOG_SCALE_CLAMP), LOG_SCALE_CLAMP)
         self.proposal_variances = self._variances()
         self.weights = weight_update(self.proposal_variances, self.a, self.epsilon)
         self.batch_log.append(

@@ -265,10 +265,10 @@ def _moves(target) -> list:
     return [coordinate_moves(target, i) for i in range(target.d)]
 
 
-def _uniform_target(target, epsilon: float, horizon: int, bound) -> tuple:
+def _uniform_target(target, epsilon: float, horizon: int) -> tuple:
     """``(m, s, bounds, pi, moves)`` of one target: the steps and mass of the
     first positive minorization certificate of its uniform-weight kernel
-    over ``m = d .. 2d``, ``bound(cert, epsilon, d, steps)`` at the steps
+    over ``m = d .. 2d``, :func:`uniform_ergodicity_bound` at the steps
     ``1 .. horizon``, the target law, and the coordinate moves that every
     kernel of the family mixes."""
     moves = _moves(target)
@@ -282,7 +282,7 @@ def _uniform_target(target, epsilon: float, horizon: int, bound) -> tuple:
         if cert.s > 0.0:
             break
     # The bound holds for every weight vector on the floor: one call for the horizon.
-    bounds = bound(cert, epsilon, target.d, np.arange(1, horizon + 1))
+    bounds = uniform_ergodicity_bound(cert, epsilon, target.d, np.arange(1, horizon + 1))
     return cert.m, cert.s, bounds, target.probabilities(), moves
 
 
@@ -314,7 +314,7 @@ def _worst_steps(kernels: np.ndarray, bounds: np.ndarray, pis: np.ndarray) -> li
     ]
 
 
-def _uniform_rows(targets: list, members: list, draws, p: dict, bound) -> dict:
+def _uniform_rows(targets: list, members: list, draws, p: dict) -> dict:
     """The ``uniform`` rows of the weight draws of ``members``, targets of one
     state count, by draw: the draws run their horizon in stacks of at most
     :data:`STACK_BYTES` per stacked array, and for each the step where the
@@ -333,7 +333,7 @@ def _uniform_rows(targets: list, members: list, draws, p: dict, bound) -> dict:
         # a target whose draws ran on in the last stack keeps its entry
         per_target = {
             t: per_target[t] if t in per_target
-            else _uniform_target(targets[t], epsilon, horizon, bound)
+            else _uniform_target(targets[t], epsilon, horizon)
             for t in dict.fromkeys(owners)
         }
         kernels = np.empty((len(stack), size, size))
@@ -352,7 +352,7 @@ def _uniform_rows(targets: list, members: list, draws, p: dict, bound) -> dict:
     return rows
 
 
-def _lipschitz_row(t: int, target, pair: np.ndarray, epsilon: float, bound) -> list:
+def _lipschitz_row(t: int, target, pair: np.ndarray, epsilon: float) -> list:
     """``[t, d, exact, bound]`` for one pair of weight vectors on one target."""
     alpha, alpha_prime = (make_selection_weights(raw[:target.d], epsilon) for raw in pair)
     moves, size = _moves(target), len(target.states)
@@ -360,19 +360,15 @@ def _lipschitz_row(t: int, target, pair: np.ndarray, epsilon: float, bound) -> l
         mix_coordinate_moves(moves, alpha.weights, size),
         mix_coordinate_moves(moves, alpha_prime.weights, size),
     )
-    return [t, target.d, exact, bound(alpha, alpha_prime)]
+    return [t, target.d, exact, tv_lipschitz_bound(alpha, alpha_prime)]
 
 
-def _weight_family_rows(
-    targets: list, pairs, draws, p: dict, lipschitz_bound, uniform_bound
-) -> tuple:
+def _weight_family_rows(targets: list, pairs, draws, p: dict) -> tuple:
     """Rows of the ``bounds`` experiment's ``lipschitz`` and ``uniform``
     families, in target order, from weight vectors drawn beforehand
-    (``None`` for a family not run), checking ``lipschitz_bound`` (as
-    :func:`tv_lipschitz_bound`) and ``uniform_bound`` (as
-    :func:`uniform_ergodicity_bound`, called once per target on every step
-    of the horizon).  The experiment passes in the bounds it names, so that
-    replacing one there replaces the one checked.
+    (``None`` for a family not run), checking :func:`tv_lipschitz_bound`
+    and :func:`uniform_ergodicity_bound` (called once per target on every
+    step of the horizon), as this module names them.
 
     The targets are visited by state count, smallest first.  A group's
     lipschitz pairs come first, then its uniform draws (see
@@ -391,9 +387,9 @@ def _weight_family_rows(
         if pairs is not None:
             for t in members:
                 pair = pairs[2 * t:2 * t + 2]
-                lipschitz[t] = _lipschitz_row(t, targets[t], pair, p["epsilon"], lipschitz_bound)
+                lipschitz[t] = _lipschitz_row(t, targets[t], pair, p["epsilon"])
         if draws is not None:
-            for k, row in _uniform_rows(targets, members, draws, p, uniform_bound).items():
+            for k, row in _uniform_rows(targets, members, draws, p).items():
                 uniform[k] = row
         for t in members:
             targets[t] = None

@@ -9,11 +9,12 @@ fixed Gaussian random-walk variances).  The two adaptive ones run one loop,
 step, in this order: the weight rule sets ``alpha_n``, one uniform chooses
 coordinate ``i``, the update moves it (the Metropolis update first sets
 ``gamma_n`` from its proposal rule, then proposes and accepts with
-``gamma_{n-1}``), and the step's move is written into three numpy columns
-preallocated at ``n_steps``, which a :class:`Trajectory` takes as they are.
-States are never kept: any range of rows is derived from the columns by
-forward fill.  Update rules are called as ``rule(n, prev, x_prev)``; a rule
-that needs history keeps it on itself.
+``gamma_{n-1}``), the step's move is written into three numpy columns
+preallocated at ``n_steps``, which a :class:`Trajectory` takes as they are,
+and an observer, if given, sees the step: once after every step, never
+before the first.  States are never kept: any range of rows is derived from
+the columns by forward fill.  Update rules are called as
+``rule(n, prev, x_prev)``; a rule that needs history keeps it on itself.
 
 The one contract for what a rule returns: a weight rule returns a
 :class:`SelectionWeights` with ``d`` entries on the run's floor
@@ -259,7 +260,8 @@ def keep_previous(n, prev, x_prev):
 def _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer=None):
     """The loop both samplers run, in the step order of the module docstring:
     ``draw()`` gives the uniform that picks the coordinate, ``move(n, x, i)``
-    returns its ``(new value, accepted)``.  Returns the per-step records
+    returns its ``(new value, accepted)``, and ``observer(n, x, i, ok)``, if
+    given, runs after the step is written.  Returns the per-step records
     ``(coordinates, values, accepted)``, numpy columns preallocated at
     ``n_steps`` and written through memoryviews, which set an element
     faster than numpy indexing does."""
@@ -270,8 +272,6 @@ def _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer=None):
     epsilon = alpha0.epsilon
     records = (np.empty(n_steps, np.intp), np.empty(n_steps), np.empty(n_steps, bool))
     coords, values, accepted = map(memoryview, records)
-    if observer is not None:
-        observer(0, x, None, None)
     for k in range(n_steps):
         n = k + 1
         out = weight_rule(n, alpha, x)
@@ -336,9 +336,9 @@ def adap_rs_adap_mwg_run(
     parameters and accept when a uniform falls below the density ratio.  The
     proposal must be symmetric, as :func:`gaussian_random_walk` is; its
     parameters must be finite and positive, one per coordinate.  If given,
-    ``observer(n, x, i, accepted)`` is invoked once with
-    ``(0, x0, None, None)`` before the loop and again after every step;
-    adaptation rules use it to accumulate statistics.
+    ``observer(n, x, i, accepted)`` is invoked after every step, and only
+    then, with the step's state, coordinate and accept decision; adaptation
+    rules use it to accumulate statistics.
 
     ``target.conditional_density(i, x, y)`` evaluates the conditional of
     coordinate ``i`` at value ``y`` up to normalisation (the acceptance ratio

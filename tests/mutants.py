@@ -34,6 +34,7 @@ LADDER = "src/adagibbs/ladder.py"
 CLI = "src/adagibbs/cli.py"
 VARIANCE = "src/adagibbs/variance.py"
 SAMPLERS = "src/adagibbs/samplers.py"
+ADAPTATION = "src/adagibbs/adaptation.py"
 
 T_BOUNDS = "tests/test_bounds.py::"
 T_KERNELS = "tests/test_kernels.py::"
@@ -42,6 +43,7 @@ T_LADDER = "tests/test_ladder.py::"
 T_ACCEPTANCE = "tests/test_acceptance.py::"
 T_VARIANCE = "tests/test_variance.py::"
 T_SAMPLERS = "tests/test_samplers.py::"
+T_ADAPTATION = "tests/test_adaptation.py::"
 
 EDGE = T_CLI + "test_geometric_gap_runs_at_its_edge_and_refuses_one_n_more"
 UNFINISHABLE = T_CLI + "test_cli_rejects_configs_a_run_cannot_finish[{}]"
@@ -116,6 +118,12 @@ MUTANTS = {
         'all(geometric_mass_is_normal(pv, p["n_max"]) for pv in p["p_values"])',
         'all(geometric_mass_is_normal(pv, p["n_min"]) for pv in p["p_values"])',
         [UNFINISHABLE.format("geometric-gap-long-sweep"), EDGE],
+    ),
+    "geometric-trend-at-a-fixed-distance": (
+        EXPERIMENTS,
+        'abs(series[-1] - limit) > pv ** p["n_max"] + 1e-12',
+        "abs(series[-1] - limit) > 1e-5",
+        [T_CLI + "test_geometric_gap_trend_reads_the_distance_left_at_n_max"],
     ),
     "geometric-check-rule-reads-proposal-n-only": (
         EXPERIMENTS,
@@ -253,6 +261,33 @@ MUTANTS = {
         "    reuse = True\n    d = len(x0)\n",
         [BLOCK_ORACLE.format("1025-non-product")],
     ),
+    # the acceptance-rate tuner of the doubly adaptive sampler
+    "adaptation-step-never-shrinks": (
+        ADAPTATION,
+        "return min(0.1, batch_index**-0.5)",
+        "return 0.1",
+        [T_ADAPTATION + "test_adaptation_step_size",
+         T_ADAPTATION + "test_rr_weight_gap_shrinks_with_the_step"],
+    ),
+    "adaptation-unproposed-coordinate-moves": (
+        ADAPTATION,
+        "            if proposals[k] > 0:\n",
+        "            if True:\n",
+        [T_ADAPTATION + "test_rr_update_direction_and_clamp"],
+    ),
+    "adaptation-log-scale-unclamped": (
+        ADAPTATION,
+        "self.log_scales[k] = min(max(ls, -LOG_SCALE_CLAMP), LOG_SCALE_CLAMP)",
+        "self.log_scales[k] = ls",
+        [T_ADAPTATION + "test_rr_update_direction_and_clamp"],
+    ),
+    "adaptation-batch-boundary-one-step-late": (
+        ADAPTATION,
+        "if n % BATCH_SIZE == 0:",
+        "if n % BATCH_SIZE == 1:",
+        [T_ADAPTATION + "test_batch_refresh_matches_straight_line_replay[41]",
+         T_ADAPTATION + "test_batch_refresh_matches_straight_line_replay[43]"],
+    ),
     # the bounds experiment's stacked weight draws
     "bounds-draws-in-state-count-order": (
         EXPERIMENTS,
@@ -285,13 +320,6 @@ MUTANTS = {
         "            targets[t] = None\n",
         "            pass\n",
         [T_BOUNDS + "test_weight_families_free_each_group_of_targets"],
-    ),
-    "bounds-injected-uniform-bound-ignored": (
-        BOUNDS,
-        "else _uniform_target(targets[t], epsilon, horizon, bound)",
-        "else _uniform_target(targets[t], epsilon, horizon, uniform_ergodicity_bound)",
-        [T_ACCEPTANCE
-         + "test_a_halved_bound_fails_its_check_alone[uniform_ergodicity_bound-failed1]"],
     ),
     # the bounds experiment's kernels from coordinate moves, and its TV reads
     "bounds-step-1-unread": (

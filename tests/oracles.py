@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from adagibbs import bounds as bounds_module
 from adagibbs import experiments, samplers
 from adagibbs.bounds import ENTRYWISE_TOL, minorization_search, tv_lipschitz_bound
 from adagibbs.kernels import (
@@ -275,9 +276,9 @@ def uniform_family_oracle(rng, targets, p) -> list:
     """Rows of the ``uniform`` family of ``bounds`` with parameters ``p``, one
     weight draw at a time, each drawn from ``rng`` just before its horizon:
     each draw's kernel is powered step by step and the worst-row TV to the
-    target read at each step.  The bound is looked up on
-    ``adagibbs.experiments``, as the experiment does, so a test that replaces
-    it there replaces it here too.  No violation column."""
+    target read at each step.  The bound is looked up on ``adagibbs.bounds``,
+    as the experiment does, so a test that replaces it there replaces it
+    here too.  No violation column."""
     rows = []
     for t_id, target in enumerate(targets):
         beta = SelectionWeights((1.0 / target.d,) * target.d, p["epsilon"])
@@ -289,7 +290,7 @@ def uniform_family_oracle(rng, targets, p) -> list:
                 break
         pi = target.probabilities()
         bounds = [
-            experiments.uniform_ergodicity_bound(cert, p["epsilon"], target.d, n)
+            bounds_module.uniform_ergodicity_bound(cert, p["epsilon"], target.d, n)
             for n in range(1, p["horizon"] + 1)
         ]
         for a_id in range(p["n_alphas"]):

@@ -28,7 +28,7 @@ import tracemalloc
 
 import pytest
 
-from adagibbs import experiments
+from adagibbs import bounds, experiments
 from adagibbs.bounds import strong_uniform_constants
 from adagibbs.experiments import (
     ExperimentConfig,
@@ -324,11 +324,13 @@ def test_criterion_7_strong_uniform_constants(tmp_path):
     assert_pinned(table_fingerprint(tmp_path, result.tables["strong"]), PINNED_TABLES["strong"])
 
 
-def _failed_bound_checks(monkeypatch, name, mutant):
+def _failed_bound_checks(monkeypatch, module, name, mutant):
     """The failed checks, by detail, of a 30-target ``bounds`` run (two weight
-    draws per target, the shipped horizon and chains) with ``experiments.name``
-    replaced by ``mutant``."""
-    monkeypatch.setattr(experiments, name, mutant)
+    draws per target, the shipped horizon and chains) with ``module.name``
+    replaced by ``mutant``: a closed-form bound in ``adagibbs.bounds``, which
+    checks it, and ``strong_uniform_constants`` in ``adagibbs.experiments``,
+    where the ``strong`` family runs."""
+    monkeypatch.setattr(module, name, mutant)
     result = bounds_experiment(load_config("bounds.json", n_targets=30, n_alphas=2))
     return {name: check["detail"] for name, check in result.checks.items() if not check["passed"]}
 
@@ -341,8 +343,9 @@ def _failed_bound_checks(monkeypatch, name, mutant):
     ],
 )
 def test_a_halved_bound_fails_its_check_alone(monkeypatch, name, failed):
-    bound = getattr(experiments, name)
-    assert _failed_bound_checks(monkeypatch, name, lambda *args: 0.5 * bound(*args)) == failed
+    bound = getattr(bounds, name)
+    halved = _failed_bound_checks(monkeypatch, bounds, name, lambda *args: 0.5 * bound(*args))
+    assert halved == failed
 
 
 def _strong_both_unchanged(m, s):
@@ -366,7 +369,10 @@ def test_strong_check_catches_its_mutants(monkeypatch, mutant, failed):
     """``(m*, s*) = (m, s)``, or ``s*`` times 16, fails the ``strong`` check
     alone.  ``s* = s`` alone or ``m* = m`` alone passes it: see
     calibration/README.md."""
-    assert _failed_bound_checks(monkeypatch, "strong_uniform_constants", mutant) == failed
+    failed_checks = _failed_bound_checks(
+        monkeypatch, experiments, "strong_uniform_constants", mutant
+    )
+    assert failed_checks == failed
 
 
 @pytest.fixture(scope="module")

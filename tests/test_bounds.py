@@ -489,7 +489,7 @@ def test_uniform_family_keeps_the_first_worst_step(monkeypatch):
     # step, so the exact TV is read on every step.  1e20 absorbs every exact
     # TV, so the margins of all odd steps tie at 1e20 and step 1 is the worst.
     monkeypatch.setattr(
-        experiments, "uniform_ergodicity_bound", lambda cert, eps, d, n: 1e20 * (2 - n % 2)
+        bounds_module, "uniform_ergodicity_bound", lambda cert, eps, d, n: 1e20 * (2 - n % 2)
     )
     config = bounds_config(["uniform"], seed=5, n_targets=12, n_alphas=2, horizon=20)
     assert {row[-2] for row in bounds_experiment(config).tables["uniform"][1]} == {1e20}
@@ -501,7 +501,7 @@ def test_uniform_family_reads_a_bound_that_dips_for_one_step(monkeypatch):
     # margin at step 6 is below 1 and every other one above, so step 6 is
     # the worst, though no step of the true bound's runs starts there.
     monkeypatch.setattr(
-        experiments, "uniform_ergodicity_bound", lambda cert, eps, d, n: 2.0 - (n == 6)
+        bounds_module, "uniform_ergodicity_bound", lambda cert, eps, d, n: 2.0 - (n == 6)
     )
     config = bounds_config(["uniform"], seed=5, n_targets=12, n_alphas=2, horizon=20)
     header, rows = bounds_experiment(config).tables["uniform"]
@@ -528,9 +528,7 @@ def test_each_family_builds_a_targets_moves_once(monkeypatch, families):
     rng, targets = bounds_targets(config)
     pairs = experiments._weight_draws(rng, targets, 2) if "lipschitz" in families else None
     draws = experiments._weight_draws(rng, targets, 5) if "uniform" in families else None
-    bounds_module._weight_family_rows(
-        list(targets), pairs, draws, config.params, tv_lipschitz_bound, uniform_ergodicity_bound
-    )
+    bounds_module._weight_family_rows(list(targets), pairs, draws, config.params)
     per_target = {id(t): sorted(i for u, i in built if u is t) for t in targets}
     assert len(built) == sum(len(v) for v in per_target.values())
     assert per_target == {id(t): sorted(list(range(t.d)) * len(families)) for t in targets}
@@ -564,9 +562,7 @@ def _traced_peak(call):
 def _stacked_uniform(rng, targets, p):
     """The experiment's uniform family alone, as the oracle's counterpart."""
     draws = experiments._weight_draws(rng, targets, p["n_alphas"])
-    return bounds_module._weight_family_rows(
-        targets, None, draws, p, tv_lipschitz_bound, uniform_ergodicity_bound
-    )[1]
+    return bounds_module._weight_family_rows(targets, None, draws, p)[1]
 
 
 BENCHMARK_UNIFORM = bounds_config(["uniform"], **BOUNDS_CASES["benchmark-size"][1])

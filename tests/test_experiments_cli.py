@@ -577,6 +577,18 @@ def test_geometric_gap_runs_at_its_edge_and_refuses_one_n_more(tmp_path, capsys)
             ExperimentConfig.from_dict({**edge, name: edge[name] + 1})
 
 
+def test_geometric_gap_trend_reads_the_distance_left_at_n_max(tmp_path, capsys):
+    """At p = 0.99 the kernel gap at n = 40 is still 0.0067 short of 1 - p,
+    within its bound p**40 = 0.67: a correct run passes ``--check``."""
+    path = write_config(tmp_path, "near-one.json",
+                        {"kind": "geometric-gap", "seed": 1, "p_values": [0.5, 0.99]})
+    assert cli_main(["geometric-gap", "--config", path, "--out", str(tmp_path / "out"),
+                     "--check"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS geometric-gap/kernel_gap_trend" in out
+    assert "FAIL" not in out
+
+
 SMALL_GAP = {
     "kind": "geometric-gap", "seed": 1, "n_min": 10, "n_max": 12, "p_values": [0.5]
 }
