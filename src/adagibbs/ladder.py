@@ -22,8 +22,12 @@ j - 2``: a step moves at most one rung, so it is three diagonals.
 Within a block the rule has only two weight vectors, one for diagonal and
 one for off-diagonal states; each is built once per block and handed out on
 every step of that block, and the weight floor is the constant
-:data:`LADDER_EPSILON`.  Ladder membership is checked in one place,
-``_ij``, which every conditional and rule call goes through.
+:data:`LADDER_EPSILON`.  The block itself is found once per block: the
+schedule answers from the block it found last while the step stays inside
+it.  Ladder membership is checked in one place, ``_ij``, which every
+conditional and rule call goes through: a state is a pair of integral
+entries on a rung, and anything else, a state of another length included, is
+refused.
 """
 
 from __future__ import annotations
@@ -43,8 +47,16 @@ from .weights import SelectionWeights
 
 def _ij(x) -> tuple:
     """``(i, j)`` of a rung of the ladder, either (j, j) or (j + 1, j) with
-    ``j >= 1``; ``ValueError`` for anything else."""
-    i, j = int(x[0]), int(x[1])
+    ``j >= 1``, as Python ints; ``ValueError`` for anything else, a state
+    that is not a pair included."""
+    try:
+        i, j = x
+    except (TypeError, ValueError):
+        raise ValueError(f"{x!r} is not on the ladder") from None
+    if type(i) is not int:
+        i = int(i)
+    if type(j) is not int:
+        j = int(j)
     if j < 1 or (i != j and i != j + 1):
         raise ValueError(f"{(i, j)} is not on the ladder")
     return i, j
@@ -68,12 +80,14 @@ class Schedule:
     Block lengths start at ``b_1 = 1000`` and stretch by the factor
     ``1 + 1/(10 + log n)``; block boundaries are the partial sums ``c_n``.
     Lengths are kept as reals (they are not integers) and looked up by
-    binary search over the memoised boundaries.
+    binary search over the memoised boundaries, unless the block found last
+    holds the step.
     """
 
     def __init__(self):
         self._b = [0.0, 1000.0]
         self._c = [0.0, 1000.0]
+        self._last = 1
 
     def _extend_to_block(self, k: int):
         while len(self._b) <= k:
@@ -95,12 +109,18 @@ class Schedule:
         return self._c[k]
 
     def block_of(self, n: int) -> int:
-        """The unique k with c_{k-1} < n <= c_k."""
+        """The unique k with c_{k-1} < n <= c_k: the block found last if it
+        holds ``n``, else a binary search."""
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
-        while self._c[-1] < n:
+        k = self._last
+        c = self._c
+        if c[k - 1] < n <= c[k]:
+            return k
+        while c[-1] < n:
             self._extend_to_block(len(self._b))
-        return bisect_left(self._c, n)
+        self._last = k = bisect_left(c, n)
+        return k
 
     def a(self, n: int) -> float:
         return _block_a(self.block_of(n))
@@ -179,10 +199,13 @@ class LadderTarget:
         return (i - 1, i), (i * i / denom, (i - 1) * (i - 1) / denom)
 
     def conditional_cdf(self, coord: int, x):
-        values, probs = self.conditional(coord, x)
-        if len(values) == 1:
-            return values, (1.0,)
-        return values, (probs[0], 1.0)
+        """The cumulative form of :meth:`conditional`, its last entry 1.0."""
+        i, j = _ij(x)
+        if coord == 0:
+            return (j, j + 1), (0.5, 1.0)
+        if i == 1:
+            return (1,), (1.0,)
+        return (i - 1, i), (i * i / float(i * i + (i - 1) * (i - 1)), 1.0)
 
 
 def _rung_moves(rungs: np.ndarray) -> tuple:
@@ -209,7 +232,7 @@ def ladder_step_law(x, n: int) -> dict:
     the rung table, which stays valid on the degenerate bottom rung where the
     naive closed form would assign mass to a missing state."""
     if not LadderTarget().contains(x):
-        raise ValueError(f"{tuple(x)} is not on the ladder")
+        raise ValueError(f"{x!r} is not on the ladder")
     base, slope = _rung_moves(np.array([int(x[0] + x[1]) - 2]))
     up, down = (base + (4.0 / schedule_a(n)) * slope)[:, 0].tolist()
     return {-1: down, 0: 1.0 - up - down, 1: up}

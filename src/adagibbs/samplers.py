@@ -19,12 +19,13 @@ the columns by forward fill.  Update rules are called as
 The one contract for what a rule returns: a weight rule returns a
 :class:`SelectionWeights` with ``d`` entries on the run's floor
 (``alpha0.epsilon``); a proposal rule, like ``gamma0``, returns a tuple of
-``d`` finite, positive Python floats.  A returned object other than the one
-the loop used at the previous step is checked once and then taken as is,
-never projected or copied; an output outside the contract raises at the step
-that returns it.  The non-adaptive special cases are these loops driven by
-:func:`keep_previous`; the fixed-parameter Metropolis sampler with Gaussian
-proposals is also :func:`rs_mwg_run`, which needs no rules.
+``d`` finite, positive Python floats.  The loop remembers the last two
+objects it used for each rule and takes either back as it is; an object
+other than the last two the loop used is checked once and then taken as is,
+never projected or copied.  An output outside the contract raises at the
+step that returns it.  The non-adaptive special cases are these loops driven
+by :func:`keep_previous`; the fixed-parameter Metropolis sampler with
+Gaussian proposals is also :func:`rs_mwg_run`, which needs no rules.
 
 All runs are driven by a Philox counter-based generator keyed by a 64-bit
 seed, so identical inputs produce bit-identical trajectories; replicate seeds
@@ -43,7 +44,8 @@ alone.
 RNG consumption contracts (relied on by the straight-line oracles in the
 tests): exact-conditional runs pre-draw ``2 * n_steps`` uniforms, consuming
 one for the coordinate choice and one for the conditional inverse-CDF draw
-per step.  Adaptive Metropolis runs draw, per step and in this order: one
+per step; the loop reads them as Python floats, converted ``UNIFORM_CHUNK``
+at a time.  Adaptive Metropolis runs draw, per step and in this order: one
 uniform for the coordinate, the proposal's own draws, one uniform for the
 accept decision (drawn also when the proposal has zero density).  Update
 rules draw nothing.  :func:`rs_mwg_run` draws in blocks of ``DRAW_BLOCK``
@@ -88,6 +90,9 @@ ROW_BLOCK = 2**15
 
 # Steps whose coordinate, increment and accept uniforms rs_mwg_run draws at once.
 DRAW_BLOCK = 2**10
+
+# Pre-drawn uniforms adap_rsg_run turns into Python floats at once.
+UNIFORM_CHUNK = 2**12
 
 
 @dataclass(frozen=True)
@@ -261,14 +266,17 @@ def _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer=None):
     """The loop both samplers run, in the step order of the module docstring:
     ``draw()`` gives the uniform that picks the coordinate, ``move(n, x, i)``
     returns its ``(new value, accepted)``, and ``observer(n, x, i, ok)``, if
-    given, runs after the step is written.  Returns the per-step records
-    ``(coordinates, values, accepted)``, numpy columns preallocated at
-    ``n_steps`` and written through memoryviews, which set an element
-    faster than numpy indexing does."""
+    given, runs after the step is written.  A weight object is taken under
+    the module docstring's contract (the last two used are taken back
+    unchecked), and its cumulative sums are read once per change of object.
+    Returns the per-step records ``(coordinates, values, accepted)``, numpy
+    columns preallocated at ``n_steps`` and written through memoryviews,
+    which set an element faster than numpy indexing does."""
     d = len(x0)
     _check_dimension("weights", alpha0.d, d)
     x = x0
-    alpha = alpha0
+    alpha, other = alpha0, None
+    cumulative = alpha0.cumulative
     epsilon = alpha0.epsilon
     records = (np.empty(n_steps, np.intp), np.empty(n_steps), np.empty(n_steps, bool))
     coords, values, accepted = map(memoryview, records)
@@ -276,8 +284,9 @@ def _random_scan(weight_rule, move, x0, alpha0, n_steps, draw, observer=None):
         n = k + 1
         out = weight_rule(n, alpha, x)
         if out is not alpha:
-            alpha = _checked_weights(out, epsilon, d)
-        i = bisect_right(alpha.cumulative, draw())
+            alpha, other = (out if out is other else _checked_weights(out, epsilon, d)), alpha
+            cumulative = alpha.cumulative
+        i = bisect_right(cumulative, draw())
         y, ok = move(n, x, i)
         if y != x[i]:
             x = x[:i] + (y,) + x[i + 1:]
@@ -302,12 +311,17 @@ def adap_rsg_run(
     Per step, in this order: set ``alpha_n = rule(n, alpha_prev, x_prev)``,
     choose the coordinate from ``alpha_n``, redraw it from its exact
     conditional by inverting ``target.conditional_cdf``.  The rule returns
-    weights under the contract of the module docstring; a
-    :class:`SelectionWeights` caches its cumulative sums.
+    weights under the contract of the module docstring, so a rule handing out
+    two objects in turn, as the ladder rule does within a block, has each
+    checked once.  The ``2 * n_steps`` uniforms are drawn at once and handed
+    to the loop as Python floats, ``UNIFORM_CHUNK`` at a time, so inverse-CDF
+    lookups compare float to float and no list of all of them is built.
     """
     _check_n_steps(n_steps)
     x0 = _check_initial_state(target, x0)
-    draw = iter(_generator(seed).random(2 * n_steps)).__next__
+    uniforms = _generator(seed).random(2 * n_steps)
+    chunks = range(0, 2 * n_steps, UNIFORM_CHUNK)
+    draw = chain.from_iterable(uniforms[k:k + UNIFORM_CHUNK].tolist() for k in chunks).__next__
 
     def move(n, x, i):
         values, cum = target.conditional_cdf(i, x)
@@ -351,7 +365,7 @@ def adap_rs_adap_mwg_run(
     with ``accepted=False``.  Both rules return under the contract of the
     module docstring, so a rule that returns the same object until it next
     adapts (as :class:`~adagibbs.adaptation.ComponentwiseAdaptation` does
-    between batch boundaries) is checked once per change.
+    between batch boundaries) has each new object checked once.
     """
     _check_n_steps(n_steps)
     x0 = tuple(x0)
@@ -361,14 +375,14 @@ def adap_rs_adap_mwg_run(
     rng = _generator(seed)
     draw = rng.random
     d = len(x0)
-    gamma = _checked_gamma(gamma0, d)
+    gamma, other = _checked_gamma(gamma0, d), None
 
     def move(n, x, i):
-        nonlocal gamma
+        nonlocal gamma, other
         gamma_i = gamma[i]
         gamma_n = proposal_rule(n, gamma, x)
         if gamma_n is not gamma:
-            gamma = _checked_gamma(gamma_n, d)
+            gamma, other = (gamma_n if gamma_n is other else _checked_gamma(gamma_n, d)), gamma
         xi = x[i]
         current = densities[i] if reuse else conditional_density(i, x, xi)
         y = propose(rng, i, xi, gamma_i)

@@ -51,6 +51,10 @@ FOREIGN_FLAG = T_CLI + "test_cli_refuses_a_foreign_flag[{}]"
 STOPS = T_LADDER + "test_truncated_evolution_stops_where_the_per_step_oracle_does[{}]"
 FAMILY_ORACLES = T_BOUNDS + "test_weight_families_equal_the_per_target_oracles[{}]"
 BLOCK_ORACLE = T_SAMPLERS + "test_fixed_parameter_run_equals_the_block_draw_oracle[{}]"
+BAD_THIRD = T_SAMPLERS + "test_a_bad_weight_object_after_two_good_ones_raises_at_its_step[{}]"
+STREAM_ORDER = T_SAMPLERS + "test_gibbs_run_reads_its_uniforms_in_stream_order[{}]"
+INT_RUNG = T_LADDER + "test_integral_non_int_entries_give_the_tables_of_the_int_rung[{}]"
+NOT_A_RUNG = T_LADDER + "test_a_state_of_another_length_is_not_a_rung[{}]"
 
 MUTANTS = {
     # the geometric-target example on its exact reductions
@@ -199,6 +203,33 @@ MUTANTS = {
          T_LADDER + "test_a_run_refuses_a_non_integral_start",
          T_LADDER + "test_step_law_refuses_a_non_integral_state"],
     ),
+    "ladder-block-memory-inclusive-below": (
+        LADDER,
+        "if c[k - 1] < n <= c[k]:",
+        "if c[k - 1] <= n <= c[k]:",
+        [T_LADDER + "test_block_lookup_with_memory_equals_a_bisect_of_the_replayed_boundaries"],
+    ),
+    "ladder-cdf-numerator-of-the-lower-rung": (
+        LADDER,
+        "(i * i / float(",
+        "((i - 1) * (i - 1) / float(",
+        [T_LADDER + "test_conditional_cdf_is_the_running_sum_of_the_conditional",
+         T_SAMPLERS + "test_ladder_run_matches_straight_line_oracle"],
+    ),
+    "ladder-rung-entries-not-made-int": (
+        LADDER,
+        "    if type(i) is not int:\n        i = int(i)\n"
+        "    if type(j) is not int:\n        j = int(j)\n",
+        "",
+        [INT_RUNG.format(case) for case in ("floats", "float-int", "bottom", "numpy")],
+    ),
+    "ladder-rung-of-any-length": (
+        LADDER,
+        "        i, j = x\n",
+        "        i, j = x[:2]\n",
+        [NOT_A_RUNG.format("rung-and-more"), NOT_A_RUNG.format("bottom-and-more"),
+         T_LADDER + "test_a_run_refuses_a_start_of_another_length[triple]"],
+    ),
     # the IACT's window transform
     "iact-transform-at-2n": (
         VARIANCE,
@@ -220,6 +251,25 @@ MUTANTS = {
         "[: min(size - n + 2, n)]",
         [T_VARIANCE + "test_autocovariances_are_every_exact_lag[False-1000]",
          T_VARIANCE + "test_autocovariances_are_every_exact_lag[False-2049]"],
+    ),
+    # the per-step loop of both adaptive samplers
+    "gibbs-uniform-chunk-stride-one-short": (
+        SAMPLERS,
+        "chunks = range(0, 2 * n_steps, UNIFORM_CHUNK)",
+        "chunks = range(0, 2 * n_steps, UNIFORM_CHUNK - 1)",
+        [STREAM_ORDER.format(n) for n in (2049, 5000)],
+    ),
+    "loop-weight-memory-takes-any-object": (
+        SAMPLERS,
+        "(out if out is other else _checked_weights(out, epsilon, d))",
+        "out",
+        [BAD_THIRD.format("other-floor"), BAD_THIRD.format("tuple")],
+    ),
+    "loop-proposal-memory-takes-any-object": (
+        SAMPLERS,
+        "(gamma_n if gamma_n is other else _checked_gamma(gamma_n, d))",
+        "gamma_n",
+        [T_SAMPLERS + "test_a_bad_proposal_after_two_good_ones_raises_at_its_step"],
     ),
     # fixed-parameter Metropolis-within-Gibbs in draw blocks
     "mwg-coordinate-drawn-with-side-left": (

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -172,6 +173,130 @@ def test_step_law_refuses_a_non_integral_state():
     with pytest.raises(ValueError, match="is not on the ladder"):
         ladder_step_law((2.7, 2), 1)
     assert ladder_step_law((3.0, 3.0), 1) == ladder_step_law((3, 3), 1)
+
+
+WRONG_LENGTHS = {
+    "rung-and-more": (2, 1, 99),
+    "bottom-and-more": (1, 1, 5),
+    "one": (1,),
+    "none": (),
+    "scalar": 3,
+}
+
+
+@pytest.mark.parametrize("x", list(WRONG_LENGTHS.values()), ids=list(WRONG_LENGTHS))
+def test_a_state_of_another_length_is_not_a_rung(x):
+    """A rung is a pair: every entry point refuses any other length, as it
+    refuses a pair off the ladder."""
+    target = LadderTarget()
+    assert not target.contains(x)
+    for coord in (0, 1):
+        with pytest.raises(ValueError, match="is not on the ladder"):
+            target.conditional(coord, x)
+        with pytest.raises(ValueError, match="is not on the ladder"):
+            target.conditional_cdf(coord, x)
+    with pytest.raises(ValueError, match="is not on the ladder"):
+        ladder_step_law(x, 3)
+    with pytest.raises(ValueError, match="is not on the ladder"):
+        ladder_update_rule(1, None, x)
+
+
+@pytest.mark.parametrize(
+    "x0", [(1, 1, 1), (2, 1, 99), (1,)], ids=["triple", "rung-and-more", "one"]
+)
+def test_a_run_refuses_a_start_of_another_length(x0):
+    alpha0 = SelectionWeights((0.5, 0.5), LADDER_EPSILON)
+    for rule in (ladder_update_rule, keep_previous):
+        with pytest.raises(ValueError, match="outside the target support"):
+            adap_rsg_run(LadderTarget(), rule, x0, alpha0, 10, 1)
+
+
+def running_sum_oracle(target, coord, x):
+    """The cumulative table as the running sum of :meth:`conditional`'s
+    probabilities, its last entry set to 1.0."""
+    values, probs = target.conditional(coord, x)
+    cumulative = []
+    acc = 0.0
+    for p in probs:
+        acc += p
+        cumulative.append(acc)
+    cumulative[-1] = 1.0
+    return values, tuple(cumulative)
+
+
+def assert_same_table(got, want):
+    assert got == want
+    assert [type(v) for v in got[0]] == [int] * len(want[0])
+    assert [type(p) for p in got[1]] == [float] * len(want[1])
+
+
+def test_conditional_cdf_is_the_running_sum_of_the_conditional():
+    """Both coordinates' cumulative tables equal the running sums of the
+    conditional's probabilities bit for bit, on levels 1-2000 and 10**5."""
+    target = LadderTarget()
+    for j in (*range(1, 2001), 10**5):
+        for x in ((j, j), (j + 1, j)):
+            for coord in (0, 1):
+                want = running_sum_oracle(target, coord, x)
+                assert_same_table(target.conditional_cdf(coord, x), want)
+
+
+@pytest.mark.parametrize(
+    "x, rung",
+    [((3.0, 3.0), (3, 3)), ((4.0, 3), (4, 3)), ((1.0, 1.0), (1, 1)),
+     ((np.int64(5), np.float64(4.0)), (5, 4))],
+    ids=["floats", "float-int", "bottom", "numpy"],
+)
+def test_integral_non_int_entries_give_the_tables_of_the_int_rung(x, rung):
+    """An integral float or numpy entry is the integer it equals: the tables
+    hold Python ints and equal those of the integer rung bit for bit."""
+    target = LadderTarget()
+    for coord in (0, 1):
+        want = running_sum_oracle(target, coord, rung)
+        assert_same_table(target.conditional_cdf(coord, x), want)
+        assert_same_table(target.conditional(coord, x), target.conditional(coord, rung))
+
+
+def replayed_boundaries(n_blocks):
+    """``c_0 .. c_{n_blocks}`` replayed straight-line: ``b_1 = 1000`` and
+    ``b_k = b_{k-1} (1 + 1/(10 + log k))``, summed in order."""
+    boundaries = [0.0]
+    length = 0.0
+    for k in range(1, n_blocks + 1):
+        length = 1000.0 if k == 1 else length * (1.0 + 1.0 / (10.0 + math.log(k)))
+        boundaries.append(boundaries[-1] + length)
+    return boundaries
+
+
+def test_block_lookup_with_memory_equals_a_bisect_of_the_replayed_boundaries():
+    """``block_of`` answers from the block it found last only when that
+    block holds ``n``: in any order, each answer is the bisection of the
+    replayed boundaries, the first and last step of each of the first ten
+    blocks included."""
+    c = replayed_boundaries(12)
+    edges = [edge for k in range(1, 11) for edge in (math.floor(c[k - 1]) + 1, math.floor(c[k]))]
+    rng = np.random.default_rng(3)
+    orders = [
+        edges,
+        edges[::-1],  # the last step of a block right after the next block
+        edges + [1, 2, 999, 1000, 1001] + edges,  # n restarting at 1
+        *(rng.permutation(edges + [n + 1 for n in edges]).tolist() for _ in range(20)),
+    ]
+    for order in orders:
+        sched = Schedule()
+        for n in order:
+            assert sched.block_of(n) == bisect.bisect_left(c, n), (order, n)
+    assert [bisect.bisect_left(c, n) for n in edges] == [k for k in range(1, 11) for _ in "ab"]
+
+
+@pytest.mark.parametrize("n", [0, -1, -1000])
+def test_block_lookup_refuses_a_step_below_one_after_any_block(n):
+    sched = Schedule()
+    for last in (None, 1, 1000, 1001, 50_000):
+        if last is not None:
+            sched.block_of(last)
+        with pytest.raises(ValueError, match="step index must be >= 1"):
+            sched.block_of(n)
 
 
 def test_step_law_matches_the_rule_and_conditionals():

@@ -11,6 +11,7 @@ from adagibbs import samplers, weights
 from adagibbs.ladder import LADDER_EPSILON, LadderTarget, ladder_update_rule, schedule_a
 from adagibbs.samplers import (
     DRAW_BLOCK,
+    UNIFORM_CHUNK,
     Trajectory,
     _generator,
     adap_rs_adap_mwg_run,
@@ -178,9 +179,9 @@ def test_adaptive_rule_nonfinite_output_rejected():
 
 def test_ladder_run_takes_each_new_weight_object_with_one_check(monkeypatch):
     """The ladder rule hands back its block's two weight objects in turn.  The
-    loop checks an object once, when it differs from the previous step's, and
-    never projects it again: a 3000-step run makes no
-    ``make_selection_weights`` call."""
+    loop remembers the last two objects it used, so each distinct object is
+    checked exactly once, in the order of its first use, and never projected:
+    a 3000-step run makes no ``make_selection_weights`` call."""
     projections = []
 
     def counting(raw, epsilon):
@@ -203,10 +204,12 @@ def test_ladder_run_takes_each_new_weight_object_with_one_check(monkeypatch):
         LadderTarget(), recording(ladder_update_rule, used), (1, 1), alpha0, 3_000, seed=8
     )
     assert projections == []
-    changes = [w for w, prev in zip(used, [alpha0, *used]) if w is not prev]
-    assert 100 < len(changes) < 3_000
-    assert len(checked) == len(changes)
-    assert all(a is b for a, b in zip(checked, changes))
+    # ``used`` keeps every object alive, so distinct ids are distinct objects
+    first_uses = list(dict.fromkeys(map(id, used)))
+    switches = sum(w is not prev for w, prev in zip(used, [alpha0, *used]))
+    assert id(alpha0) not in first_uses
+    assert 4 <= len(first_uses) < 100 < switches
+    assert [id(w) for w in checked] == first_uses
 
 
 @pytest.mark.parametrize(
@@ -234,16 +237,55 @@ def test_weight_rule_output_outside_the_contract_raises_at_its_step(out, error, 
     assert calls[-1] == 50
 
 
-def test_ladder_run_matches_straight_line_oracle():
-    """Independent reimplementation of the adaptive loop, consuming the same
-    pregenerated uniform stream; crosses the first block boundary."""
-    n_steps = 1_100
-    seed = 31337
-    target = LadderTarget()
-    alpha0 = SelectionWeights((0.5, 0.5), LADDER_EPSILON)
-    traj = adap_rsg_run(target, ladder_update_rule, (1, 1), alpha0, n_steps, seed)
+@pytest.mark.parametrize(
+    "out, error, match",
+    [
+        (SelectionWeights((0.5, 0.5), 0.25), ValueError, "floor 0.25, run floor 0.1"),
+        (SelectionWeights((0.2, 0.3, 0.5), 0.1), ValueError, "dimension mismatch: weights d=3"),
+        ((0.5, 0.5), TypeError, "must return SelectionWeights"),
+    ],
+    ids=["other-floor", "other-dimension", "tuple"],
+)
+def test_a_bad_weight_object_after_two_good_ones_raises_at_its_step(out, error, match):
+    """A rule alternating two good objects, which the loop takes back
+    unchecked, and then returning a third, bad one: the third is checked and
+    raises at its step."""
+    good = (SelectionWeights((0.4, 0.6), 0.1), SelectionWeights((0.6, 0.4), 0.1))
+    calls = []
 
-    # oracle: inline schedule, rule, conditionals and inverse-CDF draws
+    def rule(n, alpha_prev, x_prev):
+        calls.append(n)
+        return out if n == 50 else good[n % 2]
+
+    with pytest.raises(error, match=match):
+        adap_rsg_run(small_target(), rule, (0, 0), good[0], 100, seed=1)
+    assert calls[-1] == 50
+
+
+def test_a_bad_proposal_after_two_good_ones_raises_at_its_step():
+    """The proposal rule's outputs follow the same contract: two alternating
+    tuples, then a third that is not a tuple of positive floats."""
+    alpha = SelectionWeights((0.5, 0.5), 0.25)
+    good = ((0.3, 0.2), (0.5, 0.4))
+    calls = []
+
+    def rule(n, gamma_prev, x_prev):
+        calls.append(n)
+        return (0.5, -1.0) if n == 50 else good[n % 2]
+
+    with pytest.raises(ValueError, match="proposal parameter 1 must be finite and positive"):
+        adap_rs_adap_mwg_run(
+            ContinuousProductTarget((1.0, 2.0)), gaussian_random_walk,
+            keep_previous, rule, (0.0, 0.0), alpha, good[0], 100, seed=1,
+        )
+    assert calls[-1] == 50
+
+
+def ladder_oracle_states(n_steps, seed):
+    """Independent reimplementation of the adaptive ladder loop over the
+    first two blocks, consuming the same pregenerated uniform stream: the
+    states after each step, the initial one first."""
+    # inline schedule, rule, conditionals and inverse-CDF draws
     b1 = 1000.0
     b2 = b1 * (1.0 + 1.0 / (10.0 + math.log(2)))
     c1, c2 = b1, b1 + b2
@@ -272,7 +314,53 @@ def test_ladder_run_matches_straight_line_oracle():
                 new_j = x[0] - 1 if u_draw <= hi / (hi + lo) else x[0]
             x = (x[0], new_j)
         states.append(x)
-    assert np.array_equal(traj.states, states)
+    return states
+
+
+def test_ladder_run_matches_straight_line_oracle():
+    """The adaptive loop against its straight-line oracle; crosses the first
+    block boundary."""
+    n_steps = 1_100
+    seed = 31337
+    alpha0 = SelectionWeights((0.5, 0.5), LADDER_EPSILON)
+    traj = adap_rsg_run(LadderTarget(), ladder_update_rule, (1, 1), alpha0, n_steps, seed)
+    assert np.array_equal(traj.states, ladder_oracle_states(n_steps, seed))
+
+
+@pytest.mark.parametrize("n_steps", [2047, 2048, 2049])
+def test_ladder_run_matches_straight_line_oracle_at_a_uniform_chunk(n_steps):
+    """Runs whose ``2 * n_steps`` uniforms end just short of, at and just past
+    a chunk of ``UNIFORM_CHUNK`` floats equal the straight-line oracle."""
+    assert 2 * 2048 == UNIFORM_CHUNK
+    alpha0 = SelectionWeights((0.5, 0.5), LADDER_EPSILON)
+    for seed in (31337, 7):
+        traj = adap_rsg_run(LadderTarget(), ladder_update_rule, (1, 1), alpha0, n_steps, seed)
+        assert np.array_equal(traj.states, ladder_oracle_states(n_steps, seed))
+
+
+GRID = 2**16
+
+
+class UniformGrid:
+    """Two coordinates, each uniform on ``GRID`` points given the other:
+    a step's coordinate is 1 exactly when its first uniform is at least 1/2,
+    and its value is the grid bin ``floor(GRID * u)`` of its second uniform."""
+
+    values = tuple(range(GRID))
+    cumulative = tuple((k + 1) / GRID for k in range(GRID))
+
+    def conditional_cdf(self, i, x):
+        return self.values, self.cumulative
+
+
+@pytest.mark.parametrize("n_steps", [1, 2047, 2048, 2049, 5000])
+def test_gibbs_run_reads_its_uniforms_in_stream_order(n_steps):
+    """Every pre-drawn uniform is read once, in order, across chunk ends:
+    the even ones choose coordinates, the odd ones draw values."""
+    traj = rsg_run(UniformGrid(), SelectionWeights((0.5, 0.5), 0.5), (0, 0), n_steps, seed=9)
+    u = _generator(9).random(2 * n_steps)
+    assert np.array_equal(traj.coordinates, u[0::2] >= 0.5)
+    assert np.array_equal(traj.values, np.floor(u[1::2] * GRID))
 
 
 def test_ladder_weight_history_change_bound():
