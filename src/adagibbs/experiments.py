@@ -355,15 +355,13 @@ def random_finite_product_target(rng: np.random.Generator, d: int):
     coordinate and log-normal masses."""
     sizes = [int(rng.integers(2, 5)) for _ in range(d)]
     coordinate_states = [tuple(range(s)) for s in sizes]
-    n_total = int(np.prod(sizes))
-    masses = np.exp(rng.normal(0.0, 1.0, size=n_total))
-    strides = np.ones(d, dtype=int)
+    masses = np.exp(rng.normal(0.0, 1.0, size=math.prod(sizes))).tolist()
+    strides = [1] * d
     for i in range(d - 2, -1, -1):
         strides[i] = strides[i + 1] * sizes[i + 1]
 
     def mass(x):
-        flat = int(sum(strides[i] * x[i] for i in range(d)))
-        return float(masses[flat])
+        return masses[sum(s * v for s, v in zip(strides, x))]
 
     return FiniteProductTarget(coordinate_states, mass)
 
@@ -570,7 +568,7 @@ def truncated_ladder_experiment(config: ExperimentConfig) -> ExperimentResult:
         tail_start = int(len(tv) * (1.0 - p["tail_fraction"]))
         tail = tv[tail_start:]
         monotone = bool(np.all(np.diff(tail) <= 1e-12))
-    rows = [[n, float(v)] for n, v in enumerate(tv)]
+    rows = [[n, v] for n, v in enumerate(tv.tolist())]
     result = ExperimentResult(
         summary={
             "horizon": evolution.horizon,
@@ -825,14 +823,7 @@ def _write_table(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
-def _cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
+        writer.writerows(rows)
 
 
 def _write_json(path, payload):

@@ -111,28 +111,17 @@ def sup_row_tv(a: np.ndarray, b: np.ndarray):
     return _float_or_array(tv(a, b).max(axis=-1))
 
 
-def _fibres(target: FiniteProductTarget, i: int) -> list:
-    """State indices of each set of states that agree off coordinate ``i``, in
-    enumeration order: the order of the values ``target.conditional`` returns."""
-    groups: dict = {}
-    for k, x in enumerate(target.states):
-        groups.setdefault(x[:i] + x[i + 1:], []).append(k)
-    return list(groups.values())
-
-
 def coordinate_moves(target: FiniteProductTarget, i: int) -> tuple:
     """Coordinate ``i``'s Gibbs step as its nonzero entries ``(flat,
     probs)``: from each state a move to every state of its fibre, at flat
     index ``row * S + col`` of the ``S``-state matrix, with the conditional
-    probability of the value there.  One conditional lookup per fibre."""
-    rows, cols, probs = [], [], []
-    for fibre in _fibres(target, i):
+    probability of the value there.  The flat indices are the target's (see
+    :meth:`FiniteProductTarget.fibres`); one conditional lookup per fibre."""
+    fibres, flat = target.fibres(i)
+    probs = []
+    for fibre in fibres:
         _, p = target.conditional(i, target.states[fibre[0]])
-        for r in fibre:
-            rows += [r] * len(fibre)
-        cols += fibre * len(fibre)
         probs += p * len(fibre)
-    flat = np.array(rows, dtype=np.intp) * len(target.states) + np.array(cols, dtype=np.intp)
     return flat, np.array(probs)
 
 
@@ -230,7 +219,7 @@ def mwg_kernel_matrix(
         if (q.shape != (size, size) or q.min(initial=0.0) < -NEGATIVE_TOL
                 or np.abs(q.sum(axis=1) - 1.0).max() > ROW_SUM_TOL):
             raise ValueError(f"proposal {i} is not a {size} x {size} row-stochastic matrix")
-        for fibre in _fibres(target, i):
+        for fibre in target.fibres(i)[0]:
             values = [target.coordinate_states[i].index(target.states[k][i]) for k in fibre]
             block = metropolis_kernel_matrix(masses[fibre], q[np.ix_(values, values)])
             m[np.ix_(fibre, fibre)] += wi * block

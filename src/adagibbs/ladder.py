@@ -17,7 +17,8 @@ sampler rule is :func:`ladder_update_rule`, against a fixed-weight control
 arm), which returns one plain :class:`RunRecord` per replicate: seed, final
 height, last-half slope and strided height trace.  A truncated variant of
 the space is ergodic again.  The exact chain laws run on the rungs ``s = i +
-j - 2``: a step moves at most one rung, so it is three diagonals.
+j - 2``: a step moves at most one rung, so it is three diagonals, affine in
+the tilt ``4 / a_n``; the truncated law builds a chunk of steps' moves at once.
 
 Within a block the rule has only two weight vectors, one for diagonal and
 one for off-diagonal states; each is built once per block and handed out on
@@ -48,15 +49,15 @@ from .weights import SelectionWeights
 def _ij(x) -> tuple:
     """``(i, j)`` of a rung of the ladder, either (j, j) or (j + 1, j) with
     ``j >= 1``, as Python ints; ``ValueError`` for anything else, a state
-    that is not a pair included."""
+    that is not a pair or an entry that is not a real number included."""
     try:
         i, j = x
-    except (TypeError, ValueError):
+        if type(i) is not int:
+            i = int(i)
+        if type(j) is not int:
+            j = int(j)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{x!r} is not on the ladder") from None
-    if type(i) is not int:
-        i = int(i)
-    if type(j) is not int:
-        j = int(j)
     if j < 1 or (i != j and i != j + 1):
         raise ValueError(f"{(i, j)} is not on the ladder")
     return i, j
@@ -178,7 +179,7 @@ class LadderTarget:
         """Whether ``x`` is a rung: ``(1.5, 1)`` is not, ``(3.0, 3.0)`` is."""
         try:
             i, j = _ij(x)
-        except (ValueError, OverflowError):
+        except ValueError:
             return False
         return (i, j) == (x[0], x[1])
 
@@ -406,26 +407,31 @@ class TruncatedLadderEvolution:
 
 
 def _law_setup(truncation: int) -> tuple:
-    """``(step, v0, mass)`` on the ladder capped at ``truncation``, whose
-    rungs run up to (truncation, truncation): the one-step push-forward
-    ``step(v, a_n)`` of the exact adaptive chain law along the three
-    diagonals of :func:`_rung_moves`, with no climb from the top rung; the
-    point mass at :data:`LADDER_START`, rung 0; the target masses ``j**-2``.
+    """``(base, slope, v0, mass)`` on the ladder capped at ``truncation``,
+    whose rungs run up to (truncation, truncation): the rows (up, down, stay)
+    of the exact adaptive chain's moves along the three diagonals of
+    :func:`_rung_moves`, ``base + (4.0 / a_n) * slope`` at step ``n``, with no
+    climb from the top rung (see :func:`_push`); the point mass at
+    :data:`LADDER_START`, rung 0; the target masses ``j**-2``.
     """
     rungs = np.arange(2 * truncation - 1)
     (up, down), (up_slope, down_slope) = _rung_moves(rungs)
     up[-1] = up_slope[-1] = 0.0
     base = np.stack([up, down, 1.0 - up - down])
     slope = np.stack([up_slope, down_slope, -up_slope - down_slope])
-
-    def step(v, a):
-        up, down, out = (base + (4.0 / a) * slope) * v
-        out[1:] += up[:-1]
-        out[:-1] += down[1:]
-        return out
-
     v0 = np.where(rungs == 0, 1.0, 0.0)
-    return step, v0, (rungs // 2 + 1) ** -2.0
+    return base, slope, v0, (rungs // 2 + 1) ** -2.0
+
+
+def _push(moves: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The law ``v`` one step on, into ``out``: each rung keeps the mass that
+    stays, plus what climbs from the rung below, then gains what falls from
+    the rung above, with ``moves`` the step's rows of :func:`_law_setup`."""
+    moved = moves * v  # rows (up, down, stay)
+    np.add(moved[2, 1:], moved[0, :-1], out=out[1:])
+    out[0] = moved[2, 0]
+    out[:-1] += moved[1, 1:]
+    return out
 
 
 # truncated_ladder_evolution pushes the law this many steps between two
@@ -442,24 +448,26 @@ def truncated_ladder_evolution(
     """Exact evolution of the adaptive chain law on the truncated ladder,
     started at :data:`LADDER_START`.
 
-    The law is pushed forward (see :func:`_law_setup`) until the total
-    variation distance to the target drops below ``tv_target`` (the horizon)
-    or ``max_steps`` is hit.  The laws of :data:`LAW_CHUNK` steps at a time
-    go to one buffer and their distances are read in one call; the trace
-    ends at the first step below ``tv_target``, and holds only the steps taken.
+    The law is pushed forward (see :func:`_push`) until the total variation
+    distance to the target drops below ``tv_target`` (the horizon) or
+    ``max_steps`` is hit.  The moves of :data:`LAW_CHUNK` steps at a time are
+    built in one expression, their laws go to one buffer, and their distances
+    are read in one call; the trace ends at the first step below
+    ``tv_target``, and holds only the steps taken.
     """
     if truncation < 2:
         raise ValueError(f"truncation must be >= 2, got {truncation}")
-    step, v, mass = _law_setup(truncation)
+    base, slope, v, mass = _law_setup(truncation)
     pi = mass / mass.sum()
 
     chunks = [np.array([tv(v, pi)])]
     laws = np.empty((min(LAW_CHUNK, max_steps), len(v)))
     for done in range(0, max_steps, LAW_CHUNK):
         size = min(LAW_CHUNK, max_steps - done)
+        a_n = np.array([a_of_n(done + k + 1) for k in range(size)])
+        moves = base + (4.0 / a_n)[:, np.newaxis, np.newaxis] * slope
         for k in range(size):
-            v = step(v, a_of_n(done + k + 1))
-            laws[k] = v
+            v = _push(moves[k], v, laws[k])
         chunk = tv(laws[:size], pi)
         below = np.flatnonzero(chunk < tv_target)
         chunks.append(chunk[: below[0] + 1] if below.size else chunk)
@@ -492,9 +500,9 @@ def unbounded_ladder_law(n_steps: int) -> UnboundedLadderLaw:
     felt: no truncation bias.  The total variation distance to the unbounded
     target is then exact, the rungs above contributing their full mass.
     """
-    step, v, mass = _law_setup(n_steps + 2)
+    base, slope, v, mass = _law_setup(n_steps + 2)
     for n in range(1, n_steps + 1):
-        v = step(v, schedule_a(n))
+        v = _push(base + (4.0 / schedule_a(n)) * slope, v, np.empty_like(v))
 
     pi_enum = mass / _TOTAL_MASS
     tail = 1.0 - pi_enum.sum()

@@ -27,6 +27,9 @@ class TargetError(ValueError):
 class FiniteProductTarget:
     """Unnormalised strictly positive mass function on a finite product space.
 
+    Its conditional tables and each coordinate's :meth:`fibres` are computed
+    on first use and kept for its lifetime.
+
     Args:
         coordinate_states: one finite list of admissible values per coordinate.
         mass: callable mapping a full state tuple to an unnormalised mass.
@@ -63,6 +66,7 @@ class FiniteProductTarget:
             raise TargetError(f"total mass {self._total!r} is not positive and finite")
         self._index = {x: k for k, x in enumerate(self.states)}
         self._cond_cache: dict = {}
+        self._fibres: dict = {}
 
     @property
     def d(self) -> int:
@@ -99,6 +103,25 @@ class FiniteProductTarget:
         """Like :meth:`conditional` but returning cumulative probabilities."""
         values, _, cum = self._conditional_tables(i, tuple(x))
         return values, cum
+
+    def fibres(self, i: int) -> tuple:
+        """``(fibres, flat)`` of coordinate ``i``: the state indices of each
+        set of states that agree off coordinate ``i``, in enumeration order
+        (the order of the values :meth:`conditional` returns), and the flat
+        index ``row * S + col`` in the ``S``-state matrix of every pair of
+        states of one fibre, fibre by fibre and row by row.  Computed on first
+        use and kept, like the conditional tables."""
+        cached = self._fibres.get(i)
+        if cached is None:
+            groups: dict = {}
+            for k, x in enumerate(self.states):
+                groups.setdefault(x[:i] + x[i + 1:], []).append(k)
+            fibres = tuple(groups.values())
+            size = len(self.states)
+            flat = np.array([r * size + c for f in fibres for r in f for c in f], dtype=np.intp)
+            flat.flags.writeable = False  # handed to every caller
+            cached = self._fibres[i] = (fibres, flat)
+        return cached
 
     def _conditional_tables(self, i: int, x: tuple):
         key = (i, x[:i], x[i + 1:])

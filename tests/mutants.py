@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BOUNDS = "src/adagibbs/bounds.py"
 KERNELS = "src/adagibbs/kernels.py"
 EXPERIMENTS = "src/adagibbs/experiments.py"
+TARGETS = "src/adagibbs/targets.py"
 LADDER = "src/adagibbs/ladder.py"
 CLI = "src/adagibbs/cli.py"
 VARIANCE = "src/adagibbs/variance.py"
@@ -55,6 +56,9 @@ BAD_THIRD = T_SAMPLERS + "test_a_bad_weight_object_after_two_good_ones_raises_at
 STREAM_ORDER = T_SAMPLERS + "test_gibbs_run_reads_its_uniforms_in_stream_order[{}]"
 INT_RUNG = T_LADDER + "test_integral_non_int_entries_give_the_tables_of_the_int_rung[{}]"
 NOT_A_RUNG = T_LADDER + "test_a_state_of_another_length_is_not_a_rung[{}]"
+NOT_A_NUMBER = T_LADDER + "test_a_pair_with_an_entry_that_is_not_a_number_is_not_a_rung[{}]"
+NO_HORIZON = T_LADDER + "test_truncated_evolution_without_a_horizon_equals_the_per_step_oracle[{}]"
+UNBOUNDED_PUSH = T_LADDER + "test_unbounded_law_equals_the_per_step_push_bit_for_bit[{}]"
 
 MUTANTS = {
     # the geometric-target example on its exact reductions
@@ -218,8 +222,8 @@ MUTANTS = {
     ),
     "ladder-rung-entries-not-made-int": (
         LADDER,
-        "    if type(i) is not int:\n        i = int(i)\n"
-        "    if type(j) is not int:\n        j = int(j)\n",
+        "        if type(i) is not int:\n            i = int(i)\n"
+        "        if type(j) is not int:\n            j = int(j)\n",
         "",
         [INT_RUNG.format(case) for case in ("floats", "float-int", "bottom", "numpy")],
     ),
@@ -229,6 +233,29 @@ MUTANTS = {
         "        i, j = x[:2]\n",
         [NOT_A_RUNG.format("rung-and-more"), NOT_A_RUNG.format("bottom-and-more"),
          T_LADDER + "test_a_run_refuses_a_start_of_another_length[triple]"],
+    ),
+    "ladder-type-error-let-through": (
+        LADDER,
+        "    except (TypeError, ValueError, OverflowError):\n",
+        "    except (ValueError, OverflowError):\n",
+        [NOT_A_NUMBER.format(case) for case in ("none-first", "complex-first", "none-second")],
+    ),
+    # the exact ladder laws pushed from moves built a chunk at a time
+    "ladder-chunk-tilts-one-step-late": (
+        LADDER,
+        "a_of_n(done + k + 1)",
+        "a_of_n(done + k + 2)",
+        [NO_HORIZON.format(63), NO_HORIZON.format(129), STOPS.format(65)],
+    ),
+    "ladder-shifted-adds-swapped": (
+        LADDER,
+        "    np.add(moved[2, 1:], moved[0, :-1], out=out[1:])\n"
+        "    out[0] = moved[2, 0]\n"
+        "    out[:-1] += moved[1, 1:]\n",
+        "    np.add(moved[2, :-1], moved[1, 1:], out=out[:-1])\n"
+        "    out[-1] = moved[2, -1]\n"
+        "    out[1:] += moved[0, :-1]\n",
+        [NO_HORIZON.format(129), UNBOUNDED_PUSH.format(2000)],
     ),
     # the IACT's window transform
     "iact-transform-at-2n": (
@@ -409,6 +436,44 @@ MUTANTS = {
         "kernels[g] = mix_coordinate_moves(per_target[t][4], weights, size)",
         "kernels[g] = mix_coordinate_moves(_moves(targets[t]), weights, size)",
         [T_BOUNDS + "test_each_family_builds_a_targets_moves_once[uniform]"],
+    ),
+    "fibre-cache-keyed-without-the-coordinate": (
+        TARGETS,
+        "cached = self._fibres.get(i)",
+        "cached = next(iter(self._fibres.values()), None)",
+        [T_KERNELS + "test_coordinate_moves_equal_the_straight_line_oracle",
+         T_KERNELS + "test_mixed_coordinate_moves_equal_the_dense_sum_bit_for_bit"],
+    ),
+    "fibres-regrouped-every-call": (
+        TARGETS,
+        "        if cached is None:\n",
+        "        if True:\n",
+        [T_KERNELS + "test_coordinate_moves_group_the_states_once_per_coordinate"],
+    ),
+    "fibres-kept-beyond-their-target": (
+        TARGETS,
+        "        self._fibres: dict = {}\n",
+        "        self._fibres = {}\n        FiniteProductTarget.kept = getattr(FiniteProductTarget, 'kept', []) + [self._fibres]\n",
+        [T_KERNELS + "test_fibres_are_freed_with_their_target"],
+    ),
+    "random-target-strides-reversed": (
+        EXPERIMENTS,
+        "zip(strides, x)",
+        "zip(strides[::-1], x)",
+        [T_CLI + f"test_random_target_masses_are_read_at_their_row_major_index[{seed}]"
+         for seed in range(8)],
+    ),
+    "tables-write-none-as-text": (
+        EXPERIMENTS,
+        "        writer.writerows(rows)\n",
+        "        writer.writerows([str(v) for v in row] for row in rows)\n",
+        [T_CLI + "test_tables_write_python_cells_as_before"],
+    ),
+    "tables-write-numpy-reprs": (
+        EXPERIMENTS,
+        "        writer.writerows(rows)\n",
+        "        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)\n",
+        [T_CLI + "test_tables_write_numpy_cells_as_plain_numbers"],
     ),
     "kernels-mixed-in-reverse-coordinate-order": (
         KERNELS,

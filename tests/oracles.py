@@ -23,7 +23,7 @@ from adagibbs.kernels import (
     metropolis_kernel_matrix,
     single_coordinate_kernel,
 )
-from adagibbs.ladder import LadderTarget, _law_setup, ladder_update_rule
+from adagibbs.ladder import LadderTarget, _law_setup, ladder_update_rule, schedule_a
 from adagibbs.targets import FiniteProductTarget
 from adagibbs.weights import SelectionWeights, make_selection_weights
 
@@ -80,6 +80,25 @@ def coordinate_kernel_oracle(target, i: int) -> np.ndarray:
         for v, p in zip(values, probs):
             m[r, index[x[:i] + (v,) + x[i + 1:]]] += p
     return m
+
+
+def coordinate_moves_oracle(target, i: int) -> tuple:
+    """Coordinate ``i``'s moves ``(flat, probs)`` state by state: the states
+    grouped by their entries off ``i``, groups in order of first appearance;
+    from each state of a group, in enumeration order, a move to the state
+    holding each value of its conditional, at ``row * S + col``."""
+    index = {x: k for k, x in enumerate(target.states)}
+    size = len(target.states)
+    groups = {}
+    for x in target.states:
+        groups.setdefault(x[:i] + x[i + 1:], []).append(x)
+    flat, probs = [], []
+    for group in groups.values():
+        for x in group:
+            values, p = target.conditional(i, x)
+            flat += [index[x] * size + index[x[:i] + (v,) + x[i + 1:]] for v in values]
+            probs += p
+    return np.array(flat, dtype=np.intp), np.array(probs)
 
 
 def gibbs_kernel_oracle(target, alpha) -> np.ndarray:
@@ -307,11 +326,37 @@ def uniform_family_oracle(rng, targets, p) -> list:
     return rows
 
 
+def ladder_law_oracle(truncation: int) -> tuple:
+    """``(step, v0, mass)`` of the ladder capped at ``truncation``, from the
+    rows of ``_law_setup``: ``step(v, a)`` is the law ``v`` one step on at
+    tuning value ``a``, its moves built for that step alone and pushed into a
+    new array (each rung's stay, plus the climb from below, plus the fall
+    from above)."""
+    base, slope, v0, mass = _law_setup(truncation)
+
+    def step(v, a):
+        up, down, out = (base + (4.0 / a) * slope) * v
+        out[1:] += up[:-1]
+        out[:-1] += down[1:]
+        return out
+
+    return step, v0, mass
+
+
+def unbounded_ladder_law_oracle(n_steps: int) -> np.ndarray:
+    """The unbounded ladder's law after ``n_steps`` on the block schedule,
+    pushed one step at a time on the ladder capped at ``n_steps + 2``."""
+    step, v, _ = ladder_law_oracle(n_steps + 2)
+    for n in range(1, n_steps + 1):
+        v = step(v, schedule_a(n))
+    return v
+
+
 def truncated_ladder_evolution_oracle(truncation, a_of_n, tv_target, max_steps) -> tuple:
     """``(trace, horizon)`` of the truncated ladder's law pushed one step at a
     time, with its TV to the target read after each step, until the first
     step below ``tv_target`` (the horizon) or ``max_steps``."""
-    step, v, mass = _law_setup(truncation)
+    step, v, mass = ladder_law_oracle(truncation)
     pi = mass / mass.sum()
     trace = [0.5 * float(np.abs(v - pi).sum())]
     for n in range(1, max_steps + 1):

@@ -217,6 +217,49 @@ PINNED_SIGNED_OBSERVABLE_SUMMARY = {
 }
 
 
+TABLE_HEADER = ["a", "b", "c", "d", "e", "f", "g", "h", "i"]
+FLOAT_CELLS = [0.5, -0.0, 1e-05, 1e16, math.nan, math.inf, -math.inf, 0.1, 1 / 3]
+OTHER_CELLS = [0, -7, 2**70, True, False, None, "plain", "needs, quoting", 'a "quote"']
+# The bytes of these two rows as each cell was written before csv took the
+# floats itself: a float as its repr, anything else as csv writes it.
+TABLE_BYTES = (
+    b"a,b,c,d,e,f,g,h,i\r\n"
+    b"0.5,-0.0,1e-05,1e+16,nan,inf,-inf,0.1,0.3333333333333333\r\n"
+    b'0,-7,1180591620717411303424,True,False,,plain,"needs, quoting","a ""quote"""\r\n'
+)
+
+
+def test_tables_write_python_cells_as_before(tmp_path):
+    path = tmp_path / "t.csv"
+    experiments._write_table(path, TABLE_HEADER, [FLOAT_CELLS, OTHER_CELLS])
+    assert path.read_bytes() == TABLE_BYTES
+
+
+def test_tables_write_numpy_cells_as_plain_numbers(tmp_path):
+    path = tmp_path / "t.csv"
+    numpy_rows = [
+        [np.float64(v) for v in FLOAT_CELLS],
+        [np.int64(0), np.int64(-7), *OTHER_CELLS[2:]],
+    ]
+    experiments._write_table(path, TABLE_HEADER, numpy_rows)
+    assert path.read_bytes() == TABLE_BYTES
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_target_masses_are_read_at_their_row_major_index(seed):
+    """Each state's mass is the log-normal draw at its row-major index over
+    the drawn sizes, and the target takes as many draws as before."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for d in (2, 3, 4):
+        target = experiments.random_finite_product_target(rng, d)
+        sizes = [int(twin.integers(2, 5)) for _ in range(d)]
+        masses = np.exp(twin.normal(0.0, 1.0, size=math.prod(sizes)))
+        assert [len(c) for c in target.coordinate_states] == sizes
+        for x in target.states:
+            assert target.mass(x) == float(masses[np.ravel_multi_index(x, sizes)])
+    assert rng.integers(2**62) == twin.integers(2**62)
+
+
 def test_optimal_scan_outputs_are_pinned(tmp_path):
     out = tmp_path / "scan"
     config = ExperimentConfig.from_dict(SMALL_OPTIMAL_SCAN).with_overrides(out=str(out))

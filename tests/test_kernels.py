@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -256,6 +258,57 @@ def test_mixed_coordinate_moves_equal_the_dense_sum_bit_for_bit():
             kernels_module.mix_coordinate_moves(moves, alpha.weights, len(target.states)),
             oracles.gibbs_kernel_oracle(target, alpha),
         )
+
+
+def moves_targets(rng):
+    """Full products of two to four coordinates of sizes 2-4, and ladders,
+    whose restricted support gives fibres of different sizes."""
+    for size in (2, 3, 5):
+        yield ladder_target(rng, size)
+    for d in (2, 3, 4):
+        yield random_target(rng, d, tuple(int(v) for v in rng.integers(2, 5, size=d)))
+
+
+def test_coordinate_moves_equal_the_straight_line_oracle():
+    """The moves of each coordinate, in order, then in reverse order, equal
+    the state-by-state oracle bit for bit."""
+    rng = np.random.default_rng(21)
+    for target in moves_targets(rng):
+        for i in [*range(target.d), *reversed(range(target.d))]:
+            flat, probs = kernels_module.coordinate_moves(target, i)
+            want_flat, want_probs = oracles.coordinate_moves_oracle(target, i)
+            oracles.assert_bitwise_equal(flat, want_flat)
+            oracles.assert_bitwise_equal(probs, want_probs)
+
+
+class UngroupableStates(tuple):
+    """A target's states that may be indexed and counted but not walked."""
+
+    def __iter__(self):
+        raise AssertionError("the states were grouped again")
+
+
+def test_coordinate_moves_group_the_states_once_per_coordinate():
+    rng = np.random.default_rng(22)
+    for target in moves_targets(rng):
+        first = [kernels_module.coordinate_moves(target, i) for i in range(target.d)]
+        target.states = UngroupableStates(target.states)
+        for i, (flat, probs) in enumerate(first):
+            again_flat, again_probs = kernels_module.coordinate_moves(target, i)
+            oracles.assert_bitwise_equal(again_flat, flat)
+            oracles.assert_bitwise_equal(again_probs, probs)
+
+
+def test_fibres_are_freed_with_their_target():
+    rng = np.random.default_rng(23)
+    target = random_target(rng, 3, (2, 3, 4))
+    flat, _ = kernels_module.coordinate_moves(target, 1)
+    kept = weakref.ref(target.fibres(1)[1])
+    assert kept() is flat
+    owner = weakref.ref(target)
+    del target, flat
+    gc.collect()
+    assert owner() is None and kept() is None
 
 
 def test_state_dependent_kernel_reduces_to_constant():

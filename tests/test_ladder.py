@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from adagibbs.kernels import tv
 from adagibbs.ladder import (
     LAW_CHUNK,
     _TOTAL_MASS,
-    _law_setup,
     LADDER_EPSILON,
     LADDER_START,
     FailureBudget,
@@ -34,10 +34,12 @@ from adagibbs.weights import SelectionWeights
 from oracles import (
     assert_bitwise_equal,
     dense_ladder_laws,
+    ladder_law_oracle,
     ladder_step_law_oracle,
     state_dependent_gibbs_kernel,
     truncated_ladder_evolution_oracle,
     truncated_ladder_target,
+    unbounded_ladder_law_oracle,
 )
 
 
@@ -199,6 +201,26 @@ def test_a_state_of_another_length_is_not_a_rung(x):
         ladder_step_law(x, 3)
     with pytest.raises(ValueError, match="is not on the ladder"):
         ladder_update_rule(1, None, x)
+
+
+NOT_NUMBERS = {"none-first": (None, 1), "complex-first": (1j, 1), "none-second": (1, None)}
+
+
+@pytest.mark.parametrize("x", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+def test_a_pair_with_an_entry_that_is_not_a_number_is_not_a_rung(x):
+    """An entry that ``int()`` cannot take is refused as a pair off the
+    ladder is: no ``TypeError`` reaches the caller."""
+    target = LadderTarget()
+    assert not target.contains(x)
+    for coord in (0, 1):
+        with pytest.raises(ValueError, match="is not on the ladder"):
+            target.conditional_cdf(coord, x)
+    with pytest.raises(ValueError, match="is not on the ladder"):
+        ladder_update_rule(1, None, x)
+    alpha0 = SelectionWeights((0.5, 0.5), LADDER_EPSILON)
+    for rule in (ladder_update_rule, keep_previous):
+        with pytest.raises(ValueError, match="outside the target support"):
+            adap_rsg_run(target, rule, x, alpha0, 10, 1)
 
 
 @pytest.mark.parametrize(
@@ -461,35 +483,65 @@ def test_fast_evolution_matches_generic_evolution():
     assert abs(tv(v, pi) - fast.tv[60]) <= 1e-12
 
 
-@pytest.mark.parametrize("step", [1, LAW_CHUNK, LAW_CHUNK + 1, 2 * LAW_CHUNK])
+EVOLUTION_TRUNCATIONS = (2, 3, 20)
+EVOLUTION_SCHEDULES = {"linear": linear_schedule(10.0, 2.0), "block": schedule_a}
+
+
+@pytest.mark.parametrize("step", [1, LAW_CHUNK, LAW_CHUNK + 1, 2 * LAW_CHUNK, 2 * LAW_CHUNK + 1])
 def test_truncated_evolution_stops_where_the_per_step_oracle_does(step):
-    # at step 1, at a chunk's last step and at the next chunk's first
-    a_of_n = linear_schedule(10.0, 2.0)
-    trace, _ = truncated_ladder_evolution_oracle(20, a_of_n, 0.0, step)
-    tv_target = float(np.nextafter(trace[step], 1.0))
-    want, horizon = truncated_ladder_evolution_oracle(20, a_of_n, tv_target, 3 * LAW_CHUNK)
-    assert horizon == step  # the distance falls strictly until then
-    got = truncated_ladder_evolution(20, a_of_n, tv_target, 3 * LAW_CHUNK)
-    assert got.horizon == horizon
-    assert_bitwise_equal(got.tv, want)
+    # at step 1, at a chunk's last step and at the next chunk's first; under
+    # the block schedule the distance rises after step 1, so only the linear
+    # one has a horizon there
+    a_of_n = EVOLUTION_SCHEDULES["linear"]
+    for truncation in EVOLUTION_TRUNCATIONS:
+        trace, _ = truncated_ladder_evolution_oracle(truncation, a_of_n, 0.0, step)
+        tv_target = float(np.nextafter(trace[step], 1.0))
+        want, horizon = truncated_ladder_evolution_oracle(
+            truncation, a_of_n, tv_target, 3 * LAW_CHUNK
+        )
+        assert horizon == step, truncation  # the distance falls strictly until then
+        got = truncated_ladder_evolution(truncation, a_of_n, tv_target, 3 * LAW_CHUNK)
+        assert got.horizon == horizon, truncation
+        assert_bitwise_equal(got.tv, want)
 
 
-@pytest.mark.parametrize("max_steps", [1, LAW_CHUNK // 2, LAW_CHUNK + LAW_CHUNK // 2])
+@pytest.mark.parametrize(
+    "max_steps",
+    [1, LAW_CHUNK // 2, LAW_CHUNK - 1, LAW_CHUNK, LAW_CHUNK + 1, LAW_CHUNK + LAW_CHUNK // 2,
+     2 * LAW_CHUNK + 1],
+)
 def test_truncated_evolution_without_a_horizon_equals_the_per_step_oracle(max_steps):
-    # max_steps within the first chunk or in the middle of the second
-    a_of_n = linear_schedule(10.0, 2.0)
-    want, horizon = truncated_ladder_evolution_oracle(20, a_of_n, 1e-300, max_steps)
-    assert horizon is None
-    got = truncated_ladder_evolution(20, a_of_n, 1e-300, max_steps)
-    assert got.horizon is None and not got.reached
-    assert_bitwise_equal(got.tv, want)
+    # max_steps within the first chunk, on either side of a chunk's end, or in
+    # the middle of the second; each chunk's moves are built at once
+    for truncation in EVOLUTION_TRUNCATIONS:
+        for name, a_of_n in EVOLUTION_SCHEDULES.items():
+            want, horizon = truncated_ladder_evolution_oracle(truncation, a_of_n, 1e-300, max_steps)
+            assert horizon is None
+            got = truncated_ladder_evolution(truncation, a_of_n, 1e-300, max_steps)
+            assert got.horizon is None and not got.reached, (truncation, name)
+            assert_bitwise_equal(got.tv, want)
+
+
+# sha256 of the probability bytes, as the law was pushed when each step
+# built its own moves
+UNBOUNDED_LAW_SHA256 = {
+    150: "edb480adbff413cac4b90026c4089fccd0be2c060c36158f7b1b37bc72b162cf",
+    2000: "7c8c6d29286f7b99bf5ac533fb84330e37601bac59e6b180247123172dd8fca5",
+}
+
+
+@pytest.mark.parametrize("n_steps", sorted(UNBOUNDED_LAW_SHA256))
+def test_unbounded_law_equals_the_per_step_push_bit_for_bit(n_steps):
+    law = unbounded_ladder_law(n_steps)
+    assert_bitwise_equal(law.probs, unbounded_ladder_law_oracle(n_steps))
+    assert hashlib.sha256(law.probs.tobytes()).hexdigest() == UNBOUNDED_LAW_SHA256[n_steps]
 
 
 @pytest.mark.parametrize("a_of_n", [linear_schedule(10.0, 3.0), schedule_a])
 @pytest.mark.parametrize("truncation", [2, 3, 4, 5, 6])
 def test_rung_law_matches_the_dense_law_on_the_truncated_ladder(truncation, a_of_n):
     target, dense = dense_ladder_laws(truncation, a_of_n, 60)
-    step, v, _ = _law_setup(truncation)
+    step, v, _ = ladder_law_oracle(truncation)
     laws = [v]
     for n in range(1, 61):
         laws.append(step(laws[-1], a_of_n(n)))
@@ -504,7 +556,7 @@ def test_rung_law_matches_the_dense_law_on_the_truncated_ladder(truncation, a_of
 def test_rung_law_keeps_its_mass_on_the_truncated_ladder():
     # 2000 steps with the block schedule park the mass on the top rungs,
     # whose climb the truncation removes
-    step, v, _ = _law_setup(3)
+    step, v, _ = ladder_law_oracle(3)
     for n in range(1, 2001):
         v = step(v, schedule_a(n))
     assert abs(v.sum() - 1.0) <= 1e-12
